@@ -20,7 +20,6 @@ import numpy as np
 
 from . import (data as data_mod, evaluation, interpret as interpret_mod,
                model as model_mod, selection)
-from .coherence import ClassWeights
 from .data import DataError, FileError
 from .kernels import KernelSpec
 from .solver import SolverConfig
@@ -39,20 +38,18 @@ def _summary(doc):
 def _load_data_and_groups(args):
     data = data_mod.load_csv(args.data, args.label)
     partition = data_mod.load_groups_json(args.groups, data.feature_names)
-    partition.validate_against(data.p)
-    if getattr(args, "weights_mode", "config") == "sqrt-size":
+    if args.weights_mode == "sqrt-size":
         partition = partition.sqrt_size_weights()
     return data, partition
 
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(lam=args.lam, sigma=args.sigma,
-                        fit_intercept=getattr(args, "intercept", False))
+                        fit_intercept=args.intercept)
 
 
 def _kernel(args, d: int) -> KernelSpec | None:
-    gamma = getattr(args, "gamma", None)
-    return None if gamma is None else KernelSpec.shared(gamma, d)
+    return None if args.gamma is None else KernelSpec.shared(args.gamma, d)
 
 
 def cmd_synth(args):
@@ -243,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     hyper(p)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; results identical")
     p.add_argument("--out", required=True, help="CV report JSON")
     p.set_defaults(func=cmd_cv)
 
@@ -255,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", type=float, nargs="+", default=None)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; results identical")
     p.add_argument("--out", required=True, help="grid report JSON")
     p.set_defaults(func=cmd_grid)
 
@@ -295,16 +288,13 @@ def run(argv=None) -> int:
     start = time.monotonic()
     try:
         args.func(args)
-    except FileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (FileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if getattr(args, "verbose", False):
+    if args.verbose:
         print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return 0
 

@@ -90,7 +90,7 @@ class GroupPartition:
             else tuple(1.0 for _ in groups)
         if len(names) != len(groups) or len(weights) != len(groups):
             raise DataError("group names/weights must match group count")
-        if any(len(g) == 0 for g in groups):
+        if not groups or any(len(g) == 0 for g in groups):
             raise DataError("groups must be non-empty")
         flat = [i for g in groups for i in g]
         if len(set(flat)) != len(flat):
@@ -222,7 +222,6 @@ def standardize(data: Dataset) -> tuple[Dataset, ScalingParams]:
         raise DataError("standardize requires at least 2 samples")
     means = data.samples.mean(axis=0)
     stds = data.samples.std(axis=0)     # population convention
-    stds = np.where(stds > 0, stds, 0.0)
     params = ScalingParams(means, stds)
     return apply_scaling(data, params), params
 
@@ -286,7 +285,7 @@ def load_groups_json(path, feature_names) -> GroupPartition:
         raise FileError(f"cannot open {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(doc, dict) or "groups" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("groups"), list):
         raise DataError(f"{path}: expected an object with a 'groups' list")
     index = {name: i for i, name in enumerate(feature_names)}
     groups, names, weights = [], [], []
@@ -296,14 +295,21 @@ def load_groups_json(path, feature_names) -> GroupPartition:
             feats = entry["features"]
         except (KeyError, TypeError):
             raise DataError(f"{path}: each group needs 'name' and 'features'")
+        if not isinstance(feats, list):
+            raise DataError(f"{path}: 'features' of group {names[-1]!r} must "
+                            "be a list")
         idxs = []
         for f in feats:
-            if f not in index:
+            if not isinstance(f, str) or f not in index:
                 raise DataError(f"{path}: unknown feature {f!r} in group "
                                 f"{names[-1]!r}")
             idxs.append(index[f])
         groups.append(tuple(idxs))
-        weights.append(float(entry.get("weight", 1.0)))
+        weight = entry.get("weight", 1.0)
+        if not isinstance(weight, (int, float)) or not np.isfinite(weight):
+            raise DataError(f"{path}: 'weight' of group {names[-1]!r} is "
+                            f"{weight!r}, not a finite number")
+        weights.append(float(weight))
     part = GroupPartition(tuple(groups), tuple(names), tuple(weights))
     part.validate_against(len(feature_names))
     return part

@@ -4,6 +4,9 @@ Folds are stratified because the intended regime is heavily imbalanced
 (about 12% positives): unstratified 5-fold splits can lack positives
 entirely, leaving AUROC undefined. Reported SDs use the population (1/k)
 convention.
+
+CV, grid search and the default lambda grid solve through the model's
+prepared-fold path, which builds each training set's Gram once.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata, t as t_dist
 
-from .data import DataError, Dataset, GroupPartition, apply_scaling, standardize
-from .coherence import ClassWeights
-from .kernels import KernelSpec, cross_gram, gram_blocks, median_heuristic_gamma
-from .solver import SolverConfig, solve
+from . import interpret, model as model_mod
+from .data import DataError, Dataset, GroupPartition
+from .kernels import KernelSpec
+from .solver import SolverConfig, lambda_max
 
 
 @dataclass(frozen=True)
@@ -99,21 +102,14 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
     return assign
 
 
-def _pop_sd(values) -> float:
-    return float(np.std(values))        # population convention, as reported
-
-
-def _fold_scores(data, partition, cfg, kernel, fold_mask):
-    """Fit on ~fold_mask, return (scores, predictions) for fold_mask rows."""
-    from . import interpret, model as model_mod
-    train = data.subset(~fold_mask)
+def _fold_metrics(data, partition, cfg, kernel, fold_mask):
+    """Fit on ~fold_mask; return (MetricSet on fold_mask rows, importances)."""
     test = data.subset(fold_mask)
-    fitted = model_mod.fit(train, partition, cfg, kernel)
+    fitted = model_mod.fit(data.subset(~fold_mask), partition, cfg, kernel)
     scores = model_mod.decision_function(fitted, test)
-    preds = np.where(scores > 0, 1.0, -1.0)
-    contrib = np.array([gi.contribution
-                        for gi in interpret.group_contribution(fitted)])
-    return scores, preds, contrib
+    acc, f1 = accuracy_f1(np.where(scores > 0, 1.0, -1.0), test.labels)
+    contrib = [gi.contribution for gi in interpret.group_contribution(fitted)]
+    return MetricSet(auroc(scores, test.labels), acc, f1), contrib
 
 
 def cross_validate(data: Dataset, partition: GroupPartition, cfg: SolverConfig,
@@ -121,21 +117,14 @@ def cross_validate(data: Dataset, partition: GroupPartition, cfg: SolverConfig,
                    kernel: KernelSpec | None = None) -> CvReport:
     """Stratified k-fold CV of the kernel additive classifier."""
     assign = stratified_kfold(data.labels, k, seed)
-    per_fold = []
-    importances = []
-    for f in range(k):
-        mask = assign == f
-        scores, preds, contrib = _fold_scores(data, partition, cfg, kernel,
-                                              mask)
-        y_test = data.labels[mask]
-        acc, f1 = accuracy_f1(preds, y_test)
-        per_fold.append(MetricSet(auroc(scores, y_test), acc, f1))
-        importances.append(contrib)
+    per_fold, importances = zip(*(
+        _fold_metrics(data, partition, cfg, kernel, assign == f)
+        for f in range(k)))
     mean = MetricSet(*(float(np.mean([getattr(m, f) for m in per_fold]))
                        for f in ("auroc", "accuracy", "f1")))
-    sd = MetricSet(*(_pop_sd([getattr(m, f) for m in per_fold])
+    sd = MetricSet(*(float(np.std([getattr(m, f) for m in per_fold]))
                      for f in ("auroc", "accuracy", "f1")))
-    return CvReport(per_fold=tuple(per_fold), mean=mean, sd=sd,
+    return CvReport(per_fold=per_fold, mean=mean, sd=sd,
                     fold_assignments=assign,
                     per_fold_group_importance=np.array(importances),
                     group_names=partition.group_names)
@@ -148,14 +137,9 @@ def default_lambda_grid(data: Dataset, partition: GroupPartition,
                         sigmas=DEFAULT_SIGMAS, n_points: int = 20,
                         kernel: KernelSpec | None = None) -> tuple[float, ...]:
     """20 log-spaced points from 1e-4 up to the largest lambda_max over sigmas."""
-    from .solver import lambda_max
-    std_data, _ = standardize(data)
-    if kernel is None:
-        kernel = median_heuristic_gamma(std_data, partition)
-    gram = gram_blocks(std_data, partition, kernel)
-    cw = ClassWeights.inverse_frequency(std_data.labels)
-    top = max(lambda_max(gram, std_data.labels, partition,
-                         SolverConfig(0.0, s, class_weights=cw))
+    fold = model_mod._prepare_fold(data, partition, kernel)
+    top = max(lambda_max(fold.gram, fold.train.labels, partition,
+                         SolverConfig(0.0, s, class_weights=fold.class_weights))
               for s in sigmas)
     top = max(top, 2e-4)
     return tuple(np.geomspace(1e-4, top, n_points))
@@ -177,24 +161,16 @@ def grid_search(data: Dataset, partition: GroupPartition,
     sums = {(lam, s): 0.0 for lam in lambdas for s in sigmas}
     for f in range(k):
         mask = assign == f
-        train, test = data.subset(~mask), data.subset(mask)
-        std_train, scaling = standardize(train)
-        fold_kernel = kernel or median_heuristic_gamma(std_train, partition)
-        gram = gram_blocks(std_train, partition, fold_kernel)
-        cross = cross_gram(std_train, apply_scaling(test, scaling), partition,
-                           fold_kernel)
-        cw = ClassWeights.inverse_frequency(std_train.labels)
+        fold = model_mod._prepare_fold(data.subset(~mask), partition, kernel)
+        test = data.subset(mask)
         for s in sigmas:
             alpha = None
             for lam in reversed(lambdas):
-                cfg = SolverConfig(lam, s, max_iters, tol, cw)
-                alpha, _ = solve(gram, std_train.labels, partition, cfg,
-                                 init=alpha)
-                scores = np.zeros(test.n)
-                for j in range(partition.d):
-                    scores += alpha[j] @ cross[j]
+                fitted = model_mod._solve_fold(
+                    fold, SolverConfig(lam, s, max_iters, tol), init=alpha)
+                scores = model_mod.decision_function(fitted, test)
                 sums[(lam, s)] += auroc(scores, test.labels)
-                alpha = np.array(alpha)     # writable warm start
+                alpha = fitted.alpha
     points = tuple((lam, s, sums[(lam, s)] / k)
                    for lam in lambdas for s in sigmas)
     best = max(points, key=lambda pt: (pt[2], pt[0], pt[1]))

@@ -5,6 +5,9 @@ values over the training points (the "contribution to predictions" reading);
 the RKHS-norm alternative sqrt(alpha^T K alpha) is available via
 rkhs_contribution. Partial dependence grids are in original, unstandardized
 units so the curves stay readable; scaling is applied internally.
+
+Training-point components read `ModelState.gram`, the Gram of the prepared
+fold the model was solved on (built on first use for a loaded model).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, Dataset
-from .kernels import cross_gram, gram_blocks
+from .kernels import cross_gram
 from .model import ModelState, _align_query
 
 
@@ -58,9 +61,7 @@ def component_values(model: ModelState, query: Dataset, j: int) -> np.ndarray:
 
 def _component_matrix(model: ModelState) -> np.ndarray:
     # (d, n) components evaluated at the training points
-    gram = gram_blocks(model.train, model.partition, model.kernel)
-    return np.vstack([model.alpha[j] @ gram[j]
-                      for j in range(model.partition.d)])
+    return np.vstack([a @ K for a, K in zip(model.alpha, model.gram)])
 
 
 def group_contribution(model: ModelState) -> list[GroupImportance]:
@@ -76,10 +77,8 @@ def group_contribution(model: ModelState) -> list[GroupImportance]:
 
 def rkhs_contribution(model: ModelState) -> np.ndarray:
     """Alternative importance sqrt(alpha^(j)T K^(j) alpha^(j)) per group."""
-    gram = gram_blocks(model.train, model.partition, model.kernel)
-    return np.array([float(np.sqrt(max(model.alpha[j] @ gram[j] @ model.alpha[j],
-                                       0.0)))
-                     for j in range(model.partition.d)])
+    return np.array([float(np.sqrt(max(a @ K @ a, 0.0)))
+                     for a, K in zip(model.alpha, model.gram)])
 
 
 def partial_dependence(model: ModelState, train: Dataset, j: int,

@@ -51,33 +51,30 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return cdist(A, B, "sqeuclidean")
 
 
+def _kernel_blocks(train: Dataset, other: Dataset, partition: GroupPartition,
+                   spec: KernelSpec) -> list[np.ndarray]:
+    if len(spec.gammas) != partition.d:
+        raise DataError("one gamma per group required")
+    return [np.exp(-spec.gammas[j] * _sq_dists(train.samples[:, idx],
+                                                other.samples[:, idx]))
+            for j, idx in enumerate(partition.groups)]
+
+
 def gram_blocks(train: Dataset, partition: GroupPartition,
                 spec: KernelSpec) -> list[np.ndarray]:
     """Gram matrix of each group's kernel over the training samples."""
-    if len(spec.gammas) != partition.d:
-        raise DataError("one gamma per group required")
-    blocks = []
-    for j, idx in enumerate(partition.groups):
-        A = train.samples[:, idx]
-        B = np.exp(-spec.gammas[j] * _sq_dists(A, A))
+    blocks = _kernel_blocks(train, train, partition, spec)
+    for B in blocks:
         B.setflags(write=False)
-        blocks.append(B)
     return blocks
 
 
 def cross_gram(train: Dataset, query: Dataset, partition: GroupPartition,
                spec: KernelSpec) -> list[np.ndarray]:
     """Per-group kernel matrices between training rows and query rows."""
-    if len(spec.gammas) != partition.d:
-        raise DataError("one gamma per group required")
     if query.feature_names != train.feature_names:
         raise DataError("query columns do not match training columns")
-    blocks = []
-    for j, idx in enumerate(partition.groups):
-        A = train.samples[:, idx]
-        Q = query.samples[:, idx]
-        blocks.append(np.exp(-spec.gammas[j] * _sq_dists(A, Q)))
-    return blocks
+    return _kernel_blocks(train, query, partition, spec)
 
 
 def median_heuristic_gamma(train: Dataset,

@@ -1,4 +1,7 @@
-"""Fitted classifier: training facade, scoring, prediction, persistence.
+"""Fitted classifier: the prepared-fold path, scoring, prediction, persistence.
+
+`_prepare_fold` builds a training set's Gram once; fit, cross-validation,
+grid search, the default lambda grid and interpretation all solve from it.
 
 The decision function is the additive kernel expansion over the stored
 (standardized) training points, so the model file carries the training
@@ -9,7 +12,8 @@ with floats written via repr, which round-trips exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -45,31 +49,56 @@ class ModelState:
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
 
+    @cached_property
+    def gram(self) -> list[np.ndarray]:
+        # not serialized: a fitted model shares its fold's, a loaded one builds
+        return gram_blocks(self.train, self.partition, self.kernel)
 
-def fit(data: Dataset, partition: GroupPartition, cfg: SolverConfig,
-        kernel: KernelSpec | None = None) -> ModelState:
-    """Standardize, build Gram blocks, and solve; returns the fitted model.
 
-    Kernel bandwidths default to the per-group median heuristic; class
-    weights default to inverse-frequency when cfg still carries unit weights.
-    """
+@dataclass(frozen=True)
+class _Fold:
+    """A training set prepared for solving at any (lambda, sigma)."""
+
+    train: Dataset                    # standardized training data
+    scaling: ScalingParams
+    partition: GroupPartition
+    kernel: KernelSpec
+    class_weights: ClassWeights       # inverse-frequency
+    gram: list                        # exactly as gram_blocks returned it
+
+
+def _prepare_fold(data: Dataset, partition: GroupPartition,
+                  kernel: KernelSpec | None = None) -> _Fold:
+    """Validate and standardize; median-heuristic bandwidths unless given."""
     partition.validate_against(data.p)
     if np.all(data.labels == data.labels[0]):
         raise DataError("single-class training set")
     std_data, scaling = standardize(data)
     if kernel is None:
         kernel = median_heuristic_gamma(std_data, partition)
-    cw = cfg.class_weights
-    if cw.weight_pos == 1.0 and cw.weight_neg == 1.0:
-        cw = ClassWeights.inverse_frequency(std_data.labels)
-        cfg = SolverConfig(cfg.lam, cfg.sigma, cfg.max_iters, cfg.tol, cw,
-                           cfg.fit_intercept)
-    gram = gram_blocks(std_data, partition, kernel)
-    alpha, report = solve(gram, std_data.labels, partition, cfg)
-    return ModelState(alpha=alpha, train=std_data, scaling=scaling,
-                      partition=partition, kernel=kernel,
-                      loss_params=cfg.loss_params, lam=cfg.lam,
-                      class_weights=cw, report=report)
+    cw = ClassWeights.inverse_frequency(std_data.labels)
+    return _Fold(std_data, scaling, partition, kernel, cw,
+                 gram_blocks(std_data, partition, kernel))
+
+
+def _solve_fold(fold: _Fold, cfg: SolverConfig, init=None) -> ModelState:
+    """Solve at cfg; unit class weights in cfg mean inverse-frequency."""
+    if cfg.class_weights == ClassWeights():
+        cfg = replace(cfg, class_weights=fold.class_weights)
+    alpha, report = solve(fold.gram, fold.train.labels, fold.partition, cfg,
+                          init)
+    model = ModelState(alpha=alpha, train=fold.train, scaling=fold.scaling,
+                       partition=fold.partition, kernel=fold.kernel,
+                       loss_params=cfg.loss_params, lam=cfg.lam,
+                       class_weights=cfg.class_weights, report=report)
+    object.__setattr__(model, "gram", fold.gram)    # seed the cached Gram
+    return model
+
+
+def fit(data: Dataset, partition: GroupPartition, cfg: SolverConfig,
+        kernel: KernelSpec | None = None) -> ModelState:
+    """Prepare and solve; unit class weights in cfg mean inverse-frequency."""
+    return _solve_fold(_prepare_fold(data, partition, kernel), cfg)
 
 
 def _align_query(model: ModelState, query: Dataset) -> Dataset:

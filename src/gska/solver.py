@@ -70,8 +70,14 @@ def objective(alpha, gram, labels, partition: GroupPartition,
     labels = np.asarray(labels, dtype=float)
     if alpha.shape != (partition.d, labels.size):
         raise DataError("alpha must be d blocks of n coefficients")
-    m = _margins(alpha, gram, labels, intercept)
-    risk = empirical_risk(m, labels, cfg.class_weights, cfg.loss_params)
+    return _penalized(_margins(alpha, gram, labels, intercept), alpha, labels,
+                      partition, cfg)
+
+
+def _penalized(margins, alpha, labels, partition: GroupPartition,
+               cfg: SolverConfig) -> float:
+    # weighted risk at the given margins plus the group-lasso penalty
+    risk = empirical_risk(margins, labels, cfg.class_weights, cfg.loss_params)
     penalty = sum(w * float(np.linalg.norm(alpha[j]))
                   for j, w in enumerate(partition.weights))
     return risk + cfg.lam * penalty
@@ -182,14 +188,8 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     for j in range(d):
         f += gram[j] @ alpha[j]
 
-    def current_objective():
-        risk = empirical_risk(labels * (f + intercept), labels,
-                              cfg.class_weights, cfg.loss_params)
-        pen = sum(w * float(np.linalg.norm(alpha[j]))
-                  for j, w in enumerate(partition.weights))
-        return risk + cfg.lam * pen
-
-    trace = [current_objective()]
+    trace = [_penalized(labels * (f + intercept), alpha, labels, partition,
+                        cfg)]
     converged = False
     sweeps = 0
     for sweeps in range(1, cfg.max_iters + 1):
@@ -204,7 +204,8 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
                 alpha[j] = new_aj
         if cfg.fit_intercept:
             intercept = _fit_intercept_1d(f, labels, cfg, intercept)
-        obj = current_objective()
+        obj = _penalized(labels * (f + intercept), alpha, labels, partition,
+                         cfg)
         if not np.isfinite(obj):
             raise SolverError("non-finite objective; majorization constant bug")
         trace.append(obj)

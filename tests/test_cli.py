@@ -7,6 +7,8 @@ from gska.cli import run
 from gska.data import load_csv
 from gska.interpret import read_pd_csv
 
+ALL_FEATURES = [f"f{i}" for i in range(1, 13)]
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -87,6 +89,25 @@ class TestFit:
                     "--groups", str(bad), "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"groups": []}, "group"),
+        ({"groups": 5}, "'groups'"),
+        ({"groups": [{"name": "g", "features": 3}]}, "'features'"),
+        ({"groups": [{"name": "g", "features": ALL_FEATURES,
+                      "weight": "x"}]}, "'weight'"),
+        ({"groups": [{"name": "g", "features": ALL_FEATURES,
+                      "weight": None}]}, "'weight'"),
+    ], ids=["empty", "not-a-list", "features-int", "weight-str",
+            "weight-null"])
+    def test_malformed_groups_json_exit_1(self, synth_dir, tmp_path, capsys,
+                                          doc, field):
+        bad = tmp_path / "groups.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["fit", "--data", str(synth_dir / "features.csv"),
+                    "--groups", str(bad), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert field in capsys.readouterr().err
+
     def test_malformed_csv_exit_1(self, synth_dir, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("sample_id,f1,label\na,not_a_number,1\n")
@@ -158,6 +179,19 @@ class TestGrid:
         aurocs = [p["auroc"] for p in doc["points"]]
         assert doc["best"]["auroc"] == max(aurocs)
         assert doc["best"]["lambda"] in (0.02, 0.1)
+
+    def test_default_lambda_grid(self, tmp_path):
+        # smallest synth set: the grid's low end runs every solve to max_iters
+        assert run(["synth", "--n", "40", "--seed", "11", "--noise", "0.1",
+                    "--out", str(tmp_path)]) == 0
+        out = tmp_path / "grid.json"
+        code = run(["grid", "--data", str(tmp_path / "features.csv"),
+                    "--groups", str(tmp_path / "groups.json"),
+                    "--sigmas", "0.5", "1.0", "--folds", "2",
+                    "--out", str(out)])
+        assert code == 0
+        points = json.loads(out.read_text())["points"]
+        assert len(points) == 20 * 2
 
 
 class TestCorrelate:
