@@ -32,10 +32,10 @@ print(f"\n5-fold CV: AUROC {cv.mean.auroc:.4f} ({cv.sd.auroc:.4f}), "
       f"F1 {cv.mean.f1:.2f} ({cv.sd.f1:.2f})")
 
 full_cfg = SolverConfig(grid.best_lambda, grid.best_sigma, max_iters=5000,
-                        tol=1e-5)
+                        tol=1e-4)
 model = gska.fit(data, partition, full_cfg)
 print(f"\nfull fit: converged={model.report.converged} "
-      f"after {model.report.iterations} sweeps")
+      f"after {model.report.iterations} iterations")
 print("group contributions (RMS of each component over training points):")
 for gi in gska.group_contribution(model):
     tag = " <- informative" if gi.group_name in (

@@ -14,7 +14,7 @@ from gska.solver import SolverConfig
 
 data, partition, truth = gska.synth_generate(n=500, seed=24, noise=0.05)
 model = gska.fit(data, partition,
-                 SolverConfig(0.02, max_iters=3000, tol=1e-8))
+                 SolverConfig(0.02, max_iters=3000, tol=1e-5))
 
 print("group importance:")
 for gi in gska.group_contribution(model):

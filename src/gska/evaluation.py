@@ -147,8 +147,7 @@ def default_lambda_grid(data: Dataset, partition: GroupPartition,
 
 def grid_search(data: Dataset, partition: GroupPartition,
                 lambdas=None, sigmas=DEFAULT_SIGMAS, k: int = 5,
-                seed: int = 0, kernel: KernelSpec | None = None,
-                tol: float = 1e-6, max_iters: int = 1000) -> GridResult:
+                seed: int = 0, kernel: KernelSpec | None = None) -> GridResult:
     """Mean CV AUROC per (lambda, sigma), warm-starting along decreasing
     lambda. Ties break toward larger lambda, then larger sigma."""
     if lambdas is None:
@@ -166,8 +165,8 @@ def grid_search(data: Dataset, partition: GroupPartition,
         for s in sigmas:
             alpha = None
             for lam in reversed(lambdas):
-                fitted = model_mod._solve_fold(
-                    fold, SolverConfig(lam, s, max_iters, tol), init=alpha)
+                fitted = model_mod._solve_fold(fold, SolverConfig(lam, s),
+                                               init=alpha)
                 scores = model_mod.decision_function(fitted, test)
                 sums[(lam, s)] += auroc(scores, test.labels)
                 alpha = fitted.alpha

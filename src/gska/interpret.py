@@ -55,7 +55,8 @@ def component_values(model: ModelState, query: Dataset, j: int) -> np.ndarray:
     if not (0 <= j < model.partition.d):
         raise DataError(f"invalid group id {j}")
     q = _align_query(model, query)
-    Kq = cross_gram(model.train, q, model.partition, model.kernel)[j]
+    Kq = cross_gram(model.train, q, model.partition, model.kernel,
+                    groups=(j,))[0]
     return model.alpha[j] @ Kq
 
 

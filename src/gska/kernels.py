@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .data import DataError, Dataset, GroupPartition
 
@@ -52,12 +52,17 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _kernel_blocks(train: Dataset, other: Dataset, partition: GroupPartition,
-                   spec: KernelSpec) -> list[np.ndarray]:
+                   spec: KernelSpec, groups=None) -> list[np.ndarray]:
     if len(spec.gammas) != partition.d:
         raise DataError("one gamma per group required")
-    return [np.exp(-spec.gammas[j] * _sq_dists(train.samples[:, idx],
-                                                other.samples[:, idx]))
-            for j, idx in enumerate(partition.groups)]
+    blocks = []
+    for j in range(partition.d) if groups is None else groups:
+        idx = partition.groups[j]
+        D = _sq_dists(train.samples[:, idx], other.samples[:, idx])
+        D *= -spec.gammas[j]
+        np.exp(D, out=D)
+        blocks.append(D)
+    return blocks
 
 
 def gram_blocks(train: Dataset, partition: GroupPartition,
@@ -70,11 +75,14 @@ def gram_blocks(train: Dataset, partition: GroupPartition,
 
 
 def cross_gram(train: Dataset, query: Dataset, partition: GroupPartition,
-               spec: KernelSpec) -> list[np.ndarray]:
-    """Per-group kernel matrices between training rows and query rows."""
+               spec: KernelSpec, *, groups=None) -> list[np.ndarray]:
+    """Per-group kernel matrices between training rows and query rows.
+
+    With `groups`, only those groups' blocks are built, in that order.
+    """
     if query.feature_names != train.feature_names:
         raise DataError("query columns do not match training columns")
-    return _kernel_blocks(train, query, partition, spec)
+    return _kernel_blocks(train, query, partition, spec, groups)
 
 
 def median_heuristic_gamma(train: Dataset,
@@ -83,10 +91,9 @@ def median_heuristic_gamma(train: Dataset,
     if train.n < 2:
         raise DataError("median heuristic requires at least 2 samples")
     gammas = []
-    iu = np.triu_indices(train.n, k=1)
     for j, idx in enumerate(partition.groups):
-        A = train.samples[:, idx]
-        d2 = _sq_dists(A, A)[iu]
+        # the upper triangle of _sq_dists(A, A), entry for entry
+        d2 = pdist(train.samples[:, idx], "sqeuclidean")
         d2 = d2[d2 > 0]
         if d2.size == 0:
             raise DataError(f"all pairwise distances are zero in group "

@@ -117,9 +117,11 @@ def _align_query(model: ModelState, query: Dataset) -> Dataset:
 def decision_function(model: ModelState, query: Dataset) -> np.ndarray:
     """Additive kernel score per query point (before taking the sign)."""
     q = _align_query(model, query)
-    blocks = cross_gram(model.train, q, model.partition, model.kernel)
+    active = [j for j in range(model.partition.d) if np.any(model.alpha[j])]
+    blocks = cross_gram(model.train, q, model.partition, model.kernel,
+                        groups=active)
     f = np.full(q.n, model.report.intercept, dtype=float)
-    for j, Kq in enumerate(blocks):
+    for j, Kq in zip(active, blocks):
         f += model.alpha[j] @ Kq
     return f
 

@@ -1,19 +1,26 @@
-"""Blockwise majorization descent for the group-sparse kernel objective.
+"""Monotone accelerated proximal gradient for the group-sparse kernel objective.
 
 Minimizes, over coefficient blocks alpha^(j) in R^n,
 
     (1/n) sum_i c(y_i) loss(y_i * f_i)  +  lam * sum_j w_j ||alpha^(j)||_2,
     f_i = sum_j (K^(j) alpha^(j))_i
 
-by cycling groups in fixed order. Each block's smooth term is upper-bounded
-by a quadratic with curvature gamma_j (global loss curvature times the
-spectral norm of K^(j)T K^(j) / n, times a 1.01 safety factor), giving a
-closed-form group soft-threshold update. Deterministic given inputs: cyclic
-sweeps, no randomization, fixed summation order.
+with FISTA (Beck & Teboulle 2009) over all blocks at once. Each block's
+smooth term is upper-bounded by a quadratic with curvature gamma_j (global
+loss curvature times the spectral norm of K^(j)T K^(j) / n, times a 1.01
+safety factor); the prox step is the closed-form group soft-threshold with
+curvature s * gamma_j, where the shared multiplier s backtracks on the
+quadratic upper bound and shrinks by 0.97 after each accepted step.
+Momentum restarts when the step turns against it (O'Donoghue & Candes
+2015), and a step that would raise the objective is rejected, so the
+objective trace never increases. The solve stops on the largest per-group
+KKT residual at the returned point, in units of lam * w_j. Deterministic
+given inputs: no randomization, fixed summation order.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +39,7 @@ class SolverConfig:
     lam: float
     sigma: float = 1.0
     max_iters: int = 1000
-    tol: float = 1e-6
+    tol: float = 1e-2
     class_weights: ClassWeights = field(default_factory=ClassWeights)
     fit_intercept: bool = False
 
@@ -70,17 +77,15 @@ def objective(alpha, gram, labels, partition: GroupPartition,
     labels = np.asarray(labels, dtype=float)
     if alpha.shape != (partition.d, labels.size):
         raise DataError("alpha must be d blocks of n coefficients")
-    return _penalized(_margins(alpha, gram, labels, intercept), alpha, labels,
-                      partition, cfg)
+    risk = empirical_risk(_margins(alpha, gram, labels, intercept), labels,
+                          cfg.class_weights, cfg.loss_params)
+    return risk + _penalty(alpha, partition.weights, cfg.lam)
 
 
-def _penalized(margins, alpha, labels, partition: GroupPartition,
-               cfg: SolverConfig) -> float:
-    # weighted risk at the given margins plus the group-lasso penalty
-    risk = empirical_risk(margins, labels, cfg.class_weights, cfg.loss_params)
-    penalty = sum(w * float(np.linalg.norm(alpha[j]))
-                  for j, w in enumerate(partition.weights))
-    return risk + cfg.lam * penalty
+def _penalty(alpha, weights, lam: float) -> float:
+    # the group-lasso term; solve and objective both score through it
+    return lam * sum(w * float(np.linalg.norm(a_j))
+                     for w, a_j in zip(weights, alpha))
 
 
 def _risk_grad_common(margins, labels, cfg: SolverConfig) -> np.ndarray:
@@ -103,18 +108,18 @@ def spectral_norm_sq(K: np.ndarray, tol: float = 1e-8,
                      max_iters: int = 500) -> float:
     """Largest eigenvalue of K^T K by power iteration, deterministic start."""
     n = K.shape[0]
-    v = np.ones(n) / np.sqrt(n)
+    w = K.T @ (K @ (np.ones(n) / np.sqrt(n)))
     est = 0.0
     for _ in range(max_iters):
-        w = K.T @ (K @ v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
-        v_new = w / norm
-        new_est = float(v_new @ (K.T @ (K @ v_new)))
+        v = w / norm
+        w = K.T @ (K @ v)       # the estimate's product is the next iterate's
+        new_est = float(v @ w)
         if abs(new_est - est) <= tol * max(1.0, abs(new_est)):
             return new_est
-        est, v = new_est, v_new
+        est = new_est
     raise SolverError("power iteration failed to converge")
 
 
@@ -167,12 +172,34 @@ def _fit_intercept_1d(f_no_b, labels, cfg: SolverConfig, b0: float) -> float:
     return b
 
 
+def _kkt_residual(alpha, grads, lam: float, weights) -> float:
+    """Largest per-group KKT violation, in units of lam * w_j (w_j at lam 0).
+
+    An active block needs g_j + lam w_j alpha_j / ||alpha_j|| = 0, a zero
+    block ||g_j|| <= lam w_j.
+    """
+    worst = 0.0
+    for a, g, w in zip(alpha, grads, weights):
+        thresh = lam * w
+        norm_a = float(np.linalg.norm(a))
+        if norm_a > 0:
+            viol = float(np.linalg.norm(g + (thresh / norm_a) * a))
+        else:
+            viol = max(float(np.linalg.norm(g)) - thresh, 0.0)
+        worst = max(worst, viol / (thresh if thresh > 0 else w))
+    return worst
+
+
 def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
           init=None):
-    """Run cyclic groupwise majorization descent to convergence.
+    """Run monotone accelerated proximal gradient (FISTA) to convergence.
 
-    Returns (alpha, SolveReport). Convergence: relative objective decrease
-    over a full sweep below cfg.tol, or max_iters sweeps.
+    Returns (alpha, SolveReport). Converged means the largest per-group KKT
+    residual at the returned alpha is at most cfg.tol * lam * w_j (cfg.tol *
+    w_j when lam is 0). Otherwise the solve stops after cfg.max_iters
+    iterations, or earlier once not even a plain prox-gradient step lowers
+    the computed objective (the rounding floor, near 1e-6 lam w_j), and
+    warns on stderr.
     """
     labels = np.asarray(labels, dtype=float)
     n, d = labels.size, partition.d
@@ -182,41 +209,102 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     if alpha.shape != (d, n):
         raise DataError("init must have shape (d, n)")
 
+    lam, weights = cfg.lam, partition.weights
     gammas = [majorization_constant(gram, labels, cfg, j) for j in range(d)]
-    intercept = 0.0
-    f = np.zeros(n)
-    for j in range(d):
-        f += gram[j] @ alpha[j]
 
-    trace = [_penalized(labels * (f + intercept), alpha, labels, partition,
-                        cfg)]
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, cfg.max_iters + 1):
-        for j in range(d):
-            m = labels * (f + intercept)
-            grad_j = gram[j] @ _risk_grad_common(m, labels, cfg)
-            new_aj = group_update(alpha[j], grad_j, gammas[j], cfg.lam,
-                                  partition.weights[j])
-            delta = new_aj - alpha[j]
-            if np.any(delta):
-                f += gram[j] @ delta
-                alpha[j] = new_aj
+    def margins(a):
+        f = np.zeros(n)
+        for K, a_j in zip(gram, a):
+            f += K @ a_j
+        return f
+
+    def risk(f, b):
+        return empirical_risk(labels * (f + b), labels, cfg.class_weights,
+                              cfg.loss_params)
+
+    def grads(f, b):
+        common = _risk_grad_common(labels * (f + b), labels, cfg)
+        return [K @ common for K in gram]
+
+    f = margins(alpha)
+    intercept = 0.0
+    if cfg.fit_intercept:
+        intercept = _fit_intercept_1d(f, labels, cfg, intercept)
+    obj = risk(f, intercept) + _penalty(alpha, weights, lam)
+    g = grads(f, intercept)                 # gradient at alpha, or None
+    kkt = _kkt_residual(alpha, g, lam, weights)
+    trace = [obj]
+    alpha_prev, f_prev = alpha, f
+    t = 1.0         # momentum sequence; 1 means restarted
+    scale = 1.0     # backtracked multiplier on the curvature constants
+    it = 0
+    while kkt > cfg.tol and it < cfg.max_iters:
+        it += 1
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        if beta == 0.0:
+            if g is None:
+                g = grads(f, intercept)
+            y, f_y, g_y = alpha, f, g
+        else:
+            # margins are linear in alpha, so extrapolating them is exact
+            y = alpha + beta * (alpha - alpha_prev)
+            f_y = f + beta * (f - f_prev)
+            g_y = grads(f_y, intercept)
+        r_y = risk(f_y, intercept)
+        while True:
+            z = np.array([group_update(y[j], g_y[j], scale * gammas[j], lam,
+                                       weights[j]) for j in range(d)])
+            f_z = margins(z)
+            r_z = risk(f_z, intercept)
+            step = z - y
+            bound = r_y + float(np.sum(g_y * step)) + 0.5 * scale * sum(
+                gm * float(s @ s) for gm, s in zip(gammas, step))
+            # by Cauchy-Schwarz over the d blocks, scale >= d always bounds
+            if r_z <= bound or scale >= d:
+                break
+            scale *= 2.0
+        obj_z = r_z + _penalty(z, weights, lam)
+        if not np.isfinite(obj_z):
+            raise SolverError("non-finite objective; majorization constant bug")
+        if obj_z > obj:
+            # monotone safeguard: reject the step and restart the momentum
+            trace.append(obj)
+            if beta == 0.0:
+                break       # not even a plain step descends: rounding floor
+            t, alpha_prev, f_prev = 1.0, alpha, f
+            continue
+        # adaptive restart when the step turns against the momentum
+        restart = float(np.sum((y - z) * (z - alpha))) > 0.0
+        t = 1.0 if restart else t_next
+        alpha_prev, f_prev, alpha, f = alpha, f, z, f_z
         if cfg.fit_intercept:
             intercept = _fit_intercept_1d(f, labels, cfg, intercept)
-        obj = _penalized(labels * (f + intercept), alpha, labels, partition,
-                         cfg)
-        if not np.isfinite(obj):
-            raise SolverError("non-finite objective; majorization constant bug")
+            obj_z = risk(f, intercept) + _penalty(alpha, weights, lam)
+        obj = obj_z
         trace.append(obj)
-        prev = trace[-2]
-        if prev - obj <= cfg.tol * max(1.0, abs(prev)):
-            converged = True
-            break
+        g = None
+        # gradient mapping at z: the KKT residual there if grad(z) = grad(y)
+        mapping = max(scale * gm * float(np.linalg.norm(s))
+                      / (lam * w if lam > 0 else w)
+                      for gm, s, w in zip(gammas, step, weights))
+        if mapping <= cfg.tol:
+            g = grads(f, intercept)
+            kkt = _kkt_residual(alpha, g, lam, weights)
+        scale *= 0.97
 
+    if g is None:
+        g = grads(f, intercept)
+    kkt = _kkt_residual(alpha, g, lam, weights)
+    converged = kkt <= cfg.tol
+    if not converged:
+        print(f"gska: warning: solve stopped after {it} iterations "
+              f"(max_iters={cfg.max_iters}) at lambda={lam!r}, "
+              f"sigma={cfg.sigma!r} with KKT residual {kkt:.3g} > "
+              f"tol={cfg.tol!r}", file=sys.stderr)
     active = tuple(j for j in range(d) if np.any(alpha[j]))
     alpha.setflags(write=False)
-    report = SolveReport(iterations=sweeps, objective_trace=tuple(trace),
+    report = SolveReport(iterations=it, objective_trace=tuple(trace),
                          converged=converged, active_groups=active,
                          intercept=intercept)
     return alpha, report

@@ -143,3 +143,25 @@ def ridge_logistic_gd(X, y, lam, tol=1e-12, max_iters=500000):
         if np.linalg.norm(g) < tol:
             break
     return theta[1:], theta[0]
+
+
+def spectral_norm_sq_two_products(K, tol=1e-8, max_iters=500):
+    """Power iteration for the top eigenvalue of K^T K, two products a step.
+
+    Each step forms K^T K v for the next iterate and again for the estimate;
+    kept as the reference for the one-product loop in the solver.
+    """
+    n = K.shape[0]
+    v = np.ones(n) / np.sqrt(n)
+    est = 0.0
+    for _ in range(max_iters):
+        w = K.T @ (K @ v)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return 0.0
+        v_new = w / norm
+        new_est = float(v_new @ (K.T @ (K @ v_new)))
+        if abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+            return new_est
+        est, v = new_est, v_new
+    raise RuntimeError("power iteration failed to converge")

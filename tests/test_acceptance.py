@@ -99,11 +99,12 @@ def test_criterion_3_oracle_equivalence():
     data = Dataset(X, y, ("a",), tuple(str(i) for i in range(20)))
     part = GroupPartition(((0,),), ("g",))
     gram = gska.gram_blocks(data, part, gska.KernelSpec((0.8,)))
+    # at lam = 0, tol bounds the block gradient's norm over w_j
     _, rep = solve(gram, y, part,
                    SolverConfig(0.0, 1.0, max_iters=300000, tol=1e-13))
     # [DERIVED] plain fixed-step gradient descent on the same objective
     _, oracle_obj = gd_smooth_risk(gram, y, 1.0, 1.0, 1.0, tol=1e-10)
-    ok = abs(rep.objective_trace[-1] - oracle_obj) < 1e-6
+    ok = rep.converged and abs(rep.objective_trace[-1] - oracle_obj) < 1e-6
     report(3, "oracle equivalence", ok)
 
 

@@ -1,0 +1,73 @@
+"""The benchmark's tracer still fits the package it wraps.
+
+perfbench/layertrace.py wraps package functions by qualified name and, for
+the quality capture, by positional signature: grid quality looks up the Gram
+that `gram_blocks` returned by its id inside `solve`. The tracer file is
+parsed, not imported, so this check needs nothing from the benchmark.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+REQUIRED = "<required>"
+
+
+@pytest.fixture(scope="module")
+def tree():
+    return ast.parse(LAYERTRACE.read_text(encoding="utf-8"))
+
+
+def _traced(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("TRACED not found in layertrace.py")
+
+
+def _wrapper_params(tree, name):
+    """(name, default) of the positional parameters of Capture's `name`."""
+    capture = next(n for n in tree.body
+                   if isinstance(n, ast.ClassDef) and n.name == "Capture")
+    fn = next(n for n in ast.walk(capture)
+              if isinstance(n, ast.FunctionDef) and n.name == name)
+    args = fn.args.args
+    defaults = [REQUIRED] * (len(args) - len(fn.args.defaults)) + [
+        ast.literal_eval(d) for d in fn.args.defaults]
+    return [(a.arg, d) for a, d in zip(args, defaults)]
+
+
+def _package_params(fn):
+    params = [p for p in inspect.signature(fn).parameters.values()
+              if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    return [(p.name, REQUIRED if p.default is p.empty else p.default)
+            for p in params]
+
+
+def test_every_traced_name_resolves(tree):
+    traced = _traced(tree)
+    assert traced
+    for qualname in traced:
+        module, attr = qualname.split(".")
+        fn = getattr(importlib.import_module(f"gska.{module}"), attr, None)
+        assert callable(fn), f"gska.{qualname} no longer exists"
+
+
+@pytest.mark.parametrize("qualname,expect", [
+    ("solver.solve", [("gram", REQUIRED), ("labels", REQUIRED),
+                      ("partition", REQUIRED), ("cfg", REQUIRED),
+                      ("init", None)]),
+    ("kernels.gram_blocks", [("train", REQUIRED), ("partition", REQUIRED),
+                             ("spec", REQUIRED)]),
+])
+def test_captured_signatures_unchanged(tree, qualname, expect):
+    module, attr = qualname.split(".")
+    fn = getattr(importlib.import_module(f"gska.{module}"), attr)
+    assert _wrapper_params(tree, attr) == expect
+    assert _package_params(fn) == expect

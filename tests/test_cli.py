@@ -181,7 +181,7 @@ class TestGrid:
         assert doc["best"]["lambda"] in (0.02, 0.1)
 
     def test_default_lambda_grid(self, tmp_path):
-        # smallest synth set: the grid's low end runs every solve to max_iters
+        # smallest synth set, so the 40-point default grid stays quick
         assert run(["synth", "--n", "40", "--seed", "11", "--noise", "0.1",
                     "--out", str(tmp_path)]) == 0
         out = tmp_path / "grid.json"

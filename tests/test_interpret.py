@@ -11,7 +11,8 @@ from gska.solver import SolverConfig
 def fitted():
     data, part, truth = gska.synth_generate(400, 21, 0.1)
     model = gska.fit(data, part, SolverConfig(lam=0.05, max_iters=3000,
-                                              tol=1e-8))
+                                              tol=1e-5))
+    assert model.report.converged
     return data, part, truth, model
 
 
@@ -117,7 +118,8 @@ class TestPartialDependence:
         # group 1 carries x2^2 - 1: the fitted curve should dip mid-grid
         data, part, _ = gska.synth_generate(500, 24, 0.05)
         model = gska.fit(data, part, SolverConfig(0.02, max_iters=3000,
-                                                  tol=1e-8))
+                                                  tol=1e-5))
+        assert model.report.converged
         curve = gska.partial_dependence(model, data, 0, "f2", grid_size=30)
         mid = curve.values[len(curve.values) // 2]
         assert mid < curve.values[2] and mid < curve.values[-3]

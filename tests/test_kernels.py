@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import gska
 from gska.data import DataError, Dataset, GroupPartition
@@ -155,3 +156,45 @@ class TestMedianHeuristic:
         part = GroupPartition(((0,),), ("g",))
         with pytest.raises(DataError):
             gska.median_heuristic_gamma(d, part)
+
+
+class TestBitIdentity:
+    """The kernel layer matches the plain full-matrix formulas exactly."""
+
+    def test_median_heuristic_equals_full_matrix_triangle(self):
+        d = random_dataset(60, 5, 16)
+        samples = d.samples.copy()
+        samples[7] = samples[3]                 # zero distances are dropped
+        d = Dataset(samples, d.labels, d.feature_names, d.sample_ids)
+        part = GroupPartition(((0, 1), (2,), (3, 4)), ("a", "b", "c"))
+        spec = gska.median_heuristic_gamma(d, part)
+        iu = np.triu_indices(d.n, k=1)
+        for j, idx in enumerate(part.groups):
+            A = d.samples[:, idx]
+            d2 = cdist(A, A, "sqeuclidean")[iu]
+            assert spec.gammas[j] == 1.0 / float(np.median(d2[d2 > 0]))
+
+    def test_blocks_equal_exp_of_scaled_distances(self):
+        train = random_dataset(30, 4, 17)
+        query = random_dataset(11, 4, 18)
+        part = GroupPartition(((0, 1), (2, 3)), ("a", "b"))
+        spec = gska.KernelSpec((0.37, 1.9))
+        gram = gska.gram_blocks(train, part, spec)
+        cross = gska.cross_gram(train, query, part, spec)
+        for j, idx in enumerate(part.groups):
+            A, Q = train.samples[:, idx], query.samples[:, idx]
+            assert np.array_equal(
+                gram[j], np.exp(-spec.gammas[j] * cdist(A, A, "sqeuclidean")))
+            assert np.array_equal(
+                cross[j], np.exp(-spec.gammas[j] * cdist(A, Q, "sqeuclidean")))
+
+    def test_cross_gram_selected_groups(self):
+        train = random_dataset(9, 5, 19)
+        query = random_dataset(4, 5, 20)
+        part = GroupPartition(((0,), (1, 2), (3, 4)), ("a", "b", "c"))
+        spec = gska.KernelSpec((0.5, 1.0, 2.0))
+        full = gska.cross_gram(train, query, part, spec)
+        picked = gska.cross_gram(train, query, part, spec, groups=(2, 0))
+        assert len(picked) == 2
+        assert np.array_equal(picked[0], full[2])
+        assert np.array_equal(picked[1], full[0])

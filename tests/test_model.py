@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import gska
+from gska import model as model_mod
 from gska.coherence import ClassWeights
 from gska.data import DataError, Dataset, GroupPartition
 from gska.solver import SolverConfig, lambda_max
@@ -27,7 +30,8 @@ class TestFit:
                           SolverConfig(0.0, 1.0, class_weights=cw))
         model = gska.fit(data, part,
                          SolverConfig(0.6 * lmax, 1.0, max_iters=5000,
-                                      tol=1e-8), kern)
+                                      tol=1e-5), kern)
+        assert model.report.converged
         active = set(model.report.active_groups)
         assert active <= set(truth)
         assert 0 in active
@@ -41,7 +45,8 @@ class TestFit:
                                 k=5, seed=7)
         model = gska.fit(data, part,
                          SolverConfig(grid.best_lambda, grid.best_sigma,
-                                      max_iters=5000, tol=1e-8))
+                                      max_iters=5000, tol=1e-5))
+        assert model.report.converged
         contrib = [gi.contribution for gi in gska.group_contribution(model)]
         assert min(contrib[j] for j in truth) > \
             max(contrib[j] for j in range(part.d) if j not in truth)
@@ -98,6 +103,29 @@ class TestDecisionFunction:
         expect = (gska.gaussian_kernel([z0], [zq], 1.0)
                   - gska.gaussian_kernel([z1], [zq], 1.0))
         np.testing.assert_allclose(f, expect, atol=1e-12)
+
+    def test_inactive_groups_skipped_bit_identically(self, synth_fit,
+                                                     monkeypatch):
+        data, part, _, model = synth_fit
+        alpha = np.array(model.alpha)
+        alpha[[1, 3]] = 0.0
+        sparse = replace(model, alpha=alpha)
+        query, _, _ = gska.synth_generate(40, 8, 0.1)
+        q = model_mod._align_query(sparse, query)
+        blocks = gska.cross_gram(sparse.train, q, part, sparse.kernel)
+        expect = np.full(q.n, sparse.report.intercept)
+        for j, Kq in enumerate(blocks):
+            expect += sparse.alpha[j] @ Kq
+        built = []
+
+        def recording(*args, groups=None):
+            built.append(groups)
+            return gska.cross_gram(*args, groups=groups)
+
+        monkeypatch.setattr(model_mod, "cross_gram", recording)
+        f = gska.decision_function(sparse, query)
+        assert built == [[0, 2]]
+        assert np.array_equal(f, expect)
 
     def test_row_permutation_equivariance(self, synth_fit):
         data, _, _, model = synth_fit
