@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,25 @@ class TestStoppingRule:
         alpha, report = solve(gram, y, part, cfg)
         assert report.converged
         assert max(kkt_violations(alpha, gram, y, part, cfg)) <= tol
+
+    @pytest.mark.parametrize("frac", [0.8, 0.3])
+    def test_settles_within_eight_iterations_of_meeting_tol(self, frac,
+                                                            capsys):
+        gram, y, part, _ = make_instance(40, [(0, 1), (2,), (3, 4)], 22)
+        lmax = lambda_max(gram, y, part, SolverConfig(0.0, 0.7))
+        cfg = SolverConfig(frac * lmax, 0.7, tol=1e-2)
+        # the first iteration count at which a capped solve meets tol
+        first = next(k for k in range(1, 100) if solve(
+            gram, y, part, replace(cfg, max_iters=k))[1].converged)
+        early, _ = solve(gram, y, part, replace(cfg, max_iters=first))
+        alpha, report = solve(gram, y, part, cfg)
+        kkt = max(kkt_violations(alpha, gram, y, part, cfg))
+        assert report.converged and kkt <= cfg.tol
+        assert first < report.iterations <= first + 8
+        if frac == 0.8:
+            # near lambda_max the residual falls fast: tol / 10 is reached
+            assert max(kkt_violations(early, gram, y, part, cfg)) > 1e-3
+            assert kkt <= 1e-3
 
     # Reference objectives of synth_generate(500, seed=1, noise=0.2) with
     # inverse-frequency weights, sigma = 1: long runs stopped at the
