@@ -5,7 +5,7 @@ Library layout:
 - data:        datasets, grouping, standardization, synthetic generator
 - kernels:     per-group Gaussian kernels and Gram blocks
 - coherence:   the smooth surrogate loss, gradients, weighted risk
-- solver:      groupwise majorization descent for the penalized objective
+- solver:      monotone restarted FISTA for the penalized objective
 - model:       fit / decision_function / predict / save / load
 - interpret:   component values, group importances, partial dependence
 - selection:   elastic-net logistic top-k feature screening

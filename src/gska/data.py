@@ -95,7 +95,7 @@ class GroupPartition:
         flat = [i for g in groups for i in g]
         if len(set(flat)) != len(flat):
             raise DataError("groups overlap")
-        if set(flat) != set(range(max(flat) + 1)):
+        if sorted(flat) != list(range(len(flat))):
             raise DataError("groups must form a contiguous partition of columns")
         if any(w <= 0 for w in weights):
             raise DataError("group weights must be positive")
@@ -189,20 +189,20 @@ def load_csv(path, label_column: str) -> Dataset:
                 if i == label_idx:
                     continue
                 try:
-                    v = float(cell)
+                    vals.append(float(cell))
                 except ValueError:
                     raise DataError(f"{path}: row {r}, column {header[i]!r}: "
                                     f"cannot parse {cell!r}")
-                if not np.isfinite(v):
-                    raise DataError(f"{path}: row {r}, column {header[i]!r}: "
-                                    "non-finite value")
-                vals.append(v)
             rows.append(vals)
             ids.append(str(r))
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=float), np.array(labels), tuple(names),
-                   tuple(ids))
+    try:
+        # Dataset names the row and column of the first non-finite cell
+        return Dataset(np.array(rows, dtype=float), np.array(labels),
+                       tuple(names), tuple(ids))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def write_csv(data: Dataset, path, label_column: str = "label"):

@@ -145,6 +145,17 @@ def default_lambda_grid(data: Dataset, partition: GroupPartition,
     return tuple(np.geomspace(1e-4, top, n_points))
 
 
+def _grid_values(values, name: str) -> list[float]:
+    """Sorted grid; a repeated value would add each fold's AUROC twice."""
+    values = sorted(float(v) for v in values)
+    if not values:
+        raise DataError("grids must be non-empty")
+    for a, b in zip(values, values[1:]):
+        if a == b:
+            raise DataError(f"{name} grid repeats the value {a!r}")
+    return values
+
+
 def grid_search(data: Dataset, partition: GroupPartition,
                 lambdas=None, sigmas=DEFAULT_SIGMAS, k: int = 5,
                 seed: int = 0, kernel: KernelSpec | None = None) -> GridResult:
@@ -152,10 +163,8 @@ def grid_search(data: Dataset, partition: GroupPartition,
     lambda. Ties break toward larger lambda, then larger sigma."""
     if lambdas is None:
         lambdas = default_lambda_grid(data, partition, sigmas, kernel=kernel)
-    lambdas = sorted(float(v) for v in lambdas)
-    sigmas = sorted(float(s) for s in sigmas)
-    if not lambdas or not sigmas:
-        raise DataError("grids must be non-empty")
+    lambdas = _grid_values(lambdas, "lambda")
+    sigmas = _grid_values(sigmas, "sigma")
     assign = stratified_kfold(data.labels, k, seed)
     sums = {(lam, s): 0.0 for lam in lambdas for s in sigmas}
     for f in range(k):

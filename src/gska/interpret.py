@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import DataError, Dataset
 from .kernels import cross_gram
-from .model import ModelState, _align_query
+from .model import ModelState, _align_query, _model_columns
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,10 @@ def partial_dependence(model: ModelState, train: Dataset, j: int,
                        feature: str, grid_size: int = 50) -> PDCurve:
     """Sweep one feature of group j over its training range.
 
-    Other in-group features are fixed at their training medians (original
-    units); out-of-group features are irrelevant by additivity. Values are
-    reported raw, not centered.
+    train's columns are matched to the model's by name. Other in-group
+    features are fixed at their training medians (original units);
+    out-of-group features are irrelevant by additivity. Values are reported
+    raw, not centered.
     """
     if grid_size < 2:
         raise DataError("grid_size must be at least 2")
@@ -99,7 +100,8 @@ def partial_dependence(model: ModelState, train: Dataset, j: int,
     if col not in model.partition.groups[j]:
         raise DataError(f"feature {feature!r} is not in group "
                         f"{model.partition.group_names[j]!r}")
-    train_col = train.samples[:, names.index(feature)]
+    train = _model_columns(model, train)
+    train_col = train.samples[:, col]
     lo, hi = float(train_col.min()), float(train_col.max())
     if lo == hi:
         hi = lo + 1.0     # degenerate constant feature: unit-width grid

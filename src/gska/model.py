@@ -46,6 +46,8 @@ class ModelState:
             raise DataError("scaling dimension must match training columns")
         if not np.all(np.isfinite(alpha)):
             raise DataError("alpha must be finite")
+        if not np.isfinite(self.report.intercept):
+            raise DataError("intercept must be finite")
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
 
@@ -101,17 +103,22 @@ def fit(data: Dataset, partition: GroupPartition, cfg: SolverConfig,
     return _solve_fold(_prepare_fold(data, partition, kernel), cfg)
 
 
+def _model_columns(model: ModelState, data: Dataset) -> Dataset:
+    """Reorder data's columns by name to the model's training columns."""
+    names = model.train.feature_names
+    if data.feature_names == names:
+        return data
+    missing = [f for f in names if f not in data.feature_names]
+    if missing:
+        raise DataError(f"data is missing the training column {missing[0]!r}")
+    order = [data.feature_names.index(f) for f in names]
+    return Dataset(data.samples[:, order], data.labels, names,
+                   data.sample_ids)
+
+
 def _align_query(model: ModelState, query: Dataset) -> Dataset:
     """Reorder query columns by feature name and apply the stored scaling."""
-    if query.feature_names != model.train.feature_names:
-        try:
-            order = [query.feature_names.index(f)
-                     for f in model.train.feature_names]
-        except ValueError as e:
-            raise DataError(f"query is missing a training column: {e}") from e
-        query = Dataset(query.samples[:, order], query.labels,
-                        model.train.feature_names, query.sample_ids)
-    return apply_scaling(query, model.scaling)
+    return apply_scaling(_model_columns(model, query), model.scaling)
 
 
 def decision_function(model: ModelState, query: Dataset) -> np.ndarray:
@@ -191,7 +198,7 @@ def load(path) -> ModelState:
                              objective_trace=(rep["final_objective"],),
                              converged=rep["converged"],
                              active_groups=tuple(rep["active_groups"]),
-                             intercept=rep.get("intercept", 0.0))
+                             intercept=float(rep.get("intercept", 0.0)))
         return ModelState(alpha=np.array(doc["alpha"], dtype=float),
                           train=train, scaling=scaling, partition=partition,
                           kernel=KernelSpec(tuple(doc["gammas"])),
@@ -200,5 +207,7 @@ def load(path) -> ModelState:
                           class_weights=ClassWeights(doc["class_weights"]["pos"],
                                                      doc["class_weights"]["neg"]),
                           report=report)
-    except (KeyError, TypeError, IndexError) as e:
+    except DataError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: model file violates schema ({e})") from e

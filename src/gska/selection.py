@@ -8,7 +8,7 @@ coefficient at the CV-chosen lambda across folds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -150,19 +150,16 @@ def select_top_k(data: Dataset, cfg: ENConfig, seed: int) -> SelectionResult:
     if cfg.k > data.p:
         raise DataError("k cannot exceed the feature count")
     folds = stratified_kfold(y, cfg.folds, seed)
+    cfg = replace(cfg, lambda_grid=grid)
     n_lam = len(grid)
     dev = np.zeros((cfg.folds, n_lam))
     fold_coefs = np.zeros((cfg.folds, n_lam, data.p))
     for f in range(cfg.folds):
-        tr, te = folds != f, folds == f
-        beta = np.zeros(data.p)
-        intercept = _null_intercept(y[tr])
-        for t, lam in enumerate(grid):
-            beta, intercept, _ = _cd_fit(X[tr], y[tr], lam, cfg.alpha_mix,
-                                         beta, intercept, cfg.kkt_tol,
-                                         cfg.max_sweeps)
-            fold_coefs[f, t] = beta
-            dev[f, t] = _deviance(X[te], y[te], beta, intercept)
+        te = folds == f
+        _, fold_coefs[f], intercepts = en_logistic_path(
+            std_data.subset(~te), cfg)
+        dev[f] = [_deviance(X[te], y[te], beta, b)
+                  for beta, b in zip(fold_coefs[f], intercepts)]
     mean_dev = dev.mean(axis=0)
     best_t = int(np.argmin(mean_dev))
     rank_score = np.abs(fold_coefs[:, best_t, :]).mean(axis=0)
@@ -174,10 +171,8 @@ def select_top_k(data: Dataset, cfg: ENConfig, seed: int) -> SelectionResult:
         padded = True
     order = np.argsort(-rank_score, kind="stable")
     selected = tuple(data.feature_names[i] for i in order[:cfg.k])
-    _, coef_path, _ = en_logistic_path(
-        std_data, ENConfig(cfg.alpha_mix, tuple(grid), cfg.k, cfg.folds,
-                           cfg.kkt_tol, cfg.max_sweeps))
+    _, coef_path, _ = en_logistic_path(std_data, cfg)
     return SelectionResult(selected=selected, coef_path=coef_path,
-                           chosen_lambda=float(grid[best_t]),
-                           fold_scores=mean_dev, lambda_grid=tuple(grid),
+                           chosen_lambda=cfg.lambda_grid[best_t],
+                           fold_scores=mean_dev, lambda_grid=cfg.lambda_grid,
                            padded=padded)

@@ -73,12 +73,25 @@ class SolveReport:
     intercept: float = 0.0
 
 
-def _margins(alpha: np.ndarray, gram, labels: np.ndarray,
-             intercept: float = 0.0) -> np.ndarray:
-    f = np.full(labels.shape, intercept, dtype=float)
-    for j, K in enumerate(gram):
-        f += K @ alpha[j]
-    return labels * f
+def _scores(alpha, gram) -> np.ndarray:
+    # f = sum_j K^(j) alpha^(j), without the intercept
+    f = np.zeros(gram[0].shape[0])
+    for K, a_j in zip(gram, alpha):
+        f += K @ a_j
+    return f
+
+
+def _risk(f, b, labels, cfg: SolverConfig) -> float:
+    return empirical_risk(labels * (f + b), labels, cfg.class_weights,
+                          cfg.loss_params)
+
+
+def _grads(f, b, gram, labels, cfg: SolverConfig) -> list[np.ndarray]:
+    # block gradients K^(j) (1/n) c(y) loss'(y (f + b)) y of the risk
+    c = cfg.class_weights.per_sample(labels)
+    slope = loss_grad(labels * (f + b), cfg.loss_params)
+    common = c * slope * labels / labels.size
+    return [K @ common for K in gram]
 
 
 def objective(alpha, gram, labels, partition: GroupPartition,
@@ -87,9 +100,8 @@ def objective(alpha, gram, labels, partition: GroupPartition,
     labels = np.asarray(labels, dtype=float)
     if alpha.shape != (partition.d, labels.size):
         raise DataError("alpha must be d blocks of n coefficients")
-    risk = empirical_risk(_margins(alpha, gram, labels, intercept), labels,
-                          cfg.class_weights, cfg.loss_params)
-    return risk + _penalty(alpha, partition.weights, cfg.lam)
+    return (_risk(_scores(alpha, gram), intercept, labels, cfg)
+            + _penalty(alpha, partition.weights, cfg.lam))
 
 
 def _penalty(alpha, weights, lam: float) -> float:
@@ -98,20 +110,13 @@ def _penalty(alpha, weights, lam: float) -> float:
                      for w, a_j in zip(weights, alpha))
 
 
-def _risk_grad_common(margins, labels, cfg: SolverConfig) -> np.ndarray:
-    # (1/n) c(y) loss'(m) y, the shared factor of every group gradient
-    c = cfg.class_weights.per_sample(labels)
-    return c * loss_grad(margins, cfg.loss_params) * labels / labels.size
-
-
 def group_gradient(alpha, gram, labels, partition: GroupPartition,
                    cfg: SolverConfig, j: int) -> np.ndarray:
     if not (0 <= j < partition.d):
         raise DataError(f"invalid group id {j}")
     alpha = np.asarray(alpha, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    m = _margins(alpha, gram, labels)
-    return gram[j] @ _risk_grad_common(m, labels, cfg)
+    return _grads(_scores(alpha, gram), 0.0, [gram[j]], labels, cfg)[0]
 
 
 def spectral_norm_sq(K: np.ndarray, tol: float = 1e-8,
@@ -163,20 +168,15 @@ def _fit_intercept_1d(f_no_b, labels, cfg: SolverConfig, b0: float) -> float:
     c = cfg.class_weights.per_sample(labels)
     params = cfg.loss_params
     L = curvature_bound(params) * float(np.mean(c))
-
-    def risk(b):
-        return empirical_risk(labels * (f_no_b + b), labels,
-                              cfg.class_weights, params)
-
     b = b0
     for _ in range(100):
         g = float(np.mean(c * loss_grad(labels * (f_no_b + b), params) * labels))
         step = g / L
         if abs(step) < 1e-12:
             break
-        r0 = risk(b)
+        r0 = _risk(f_no_b, b, labels, cfg)
         t = 1.0
-        while risk(b - t * step) > r0 and t > 1e-8:
+        while _risk(f_no_b, b - t * step, labels, cfg) > r0 and t > 1e-8:
             t *= 0.5
         b -= t * step
     return b
@@ -224,26 +224,12 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     lam, weights = cfg.lam, partition.weights
     gammas = [majorization_constant(gram, labels, cfg, j) for j in range(d)]
 
-    def margins(a):
-        f = np.zeros(n)
-        for K, a_j in zip(gram, a):
-            f += K @ a_j
-        return f
-
-    def risk(f, b):
-        return empirical_risk(labels * (f + b), labels, cfg.class_weights,
-                              cfg.loss_params)
-
-    def grads(f, b):
-        common = _risk_grad_common(labels * (f + b), labels, cfg)
-        return [K @ common for K in gram]
-
-    f = margins(alpha)
+    f = _scores(alpha, gram)
     intercept = 0.0
     if cfg.fit_intercept:
         intercept = _fit_intercept_1d(f, labels, cfg, intercept)
-    obj = risk(f, intercept) + _penalty(alpha, weights, lam)
-    g = grads(f, intercept)                 # gradient at alpha, or None
+    obj = _risk(f, intercept, labels, cfg) + _penalty(alpha, weights, lam)
+    g = _grads(f, intercept, gram, labels, cfg)     # at alpha, or None
     kkt = _kkt_residual(alpha, g, lam, weights)
     met = 0 if kkt <= cfg.tol else None     # iteration kkt first met tol
     trace = [obj]
@@ -258,19 +244,19 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         beta = (t - 1.0) / t_next
         if beta == 0.0:
             if g is None:
-                g = grads(f, intercept)
+                g = _grads(f, intercept, gram, labels, cfg)
             y, f_y, g_y = alpha, f, g
         else:
             # margins are linear in alpha, so extrapolating them is exact
             y = alpha + beta * (alpha - alpha_prev)
             f_y = f + beta * (f - f_prev)
-            g_y = grads(f_y, intercept)
-        r_y = risk(f_y, intercept)
+            g_y = _grads(f_y, intercept, gram, labels, cfg)
+        r_y = _risk(f_y, intercept, labels, cfg)
         while True:
             z = np.array([group_update(y[j], g_y[j], scale * gammas[j], lam,
                                        weights[j]) for j in range(d)])
-            f_z = margins(z)
-            r_z = risk(f_z, intercept)
+            f_z = _scores(z, gram)
+            r_z = _risk(f_z, intercept, labels, cfg)
             step = z - y
             bound = r_y + float(np.sum(g_y * step)) + 0.5 * scale * sum(
                 gm * float(s @ s) for gm, s in zip(gammas, step))
@@ -294,7 +280,8 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         alpha_prev, f_prev, alpha, f = alpha, f, z, f_z
         if cfg.fit_intercept:
             intercept = _fit_intercept_1d(f, labels, cfg, intercept)
-            obj_z = risk(f, intercept) + _penalty(alpha, weights, lam)
+            obj_z = (_risk(f, intercept, labels, cfg)
+                     + _penalty(alpha, weights, lam))
         obj = obj_z
         trace.append(obj)
         g = None
@@ -303,14 +290,14 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
                       / (lam * w if lam > 0 else w)
                       for gm, s, w in zip(gammas, step, weights))
         if mapping <= cfg.tol or met is not None:
-            g = grads(f, intercept)
+            g = _grads(f, intercept, gram, labels, cfg)
             kkt = _kkt_residual(alpha, g, lam, weights)
             if met is None and kkt <= cfg.tol:
                 met = it
         scale *= 0.97
 
     if g is None:
-        g = grads(f, intercept)
+        g = _grads(f, intercept, gram, labels, cfg)
     kkt = _kkt_residual(alpha, g, lam, weights)
     converged = kkt <= cfg.tol
     if not converged:
@@ -330,12 +317,11 @@ def lambda_max(gram, labels, partition: GroupPartition,
                cfg: SolverConfig) -> float:
     """Smallest lam at which the all-zero solution is optimal.
 
-    max_j ||grad_j at alpha = 0||_2 / w_j; for lam at or above this value
-    the zero blocks satisfy the subgradient condition.
+    max_j ||grad_j at alpha = 0||_2 / w_j, the KKT residual of alpha = 0 at
+    lam = 0; for lam at or above this value the zero blocks satisfy the
+    subgradient condition.
     """
     labels = np.asarray(labels, dtype=float)
     zero = np.zeros((partition.d, labels.size))
-    m = _margins(zero, gram, labels)
-    common = _risk_grad_common(m, labels, cfg)
-    return max(float(np.linalg.norm(gram[j] @ common)) / partition.weights[j]
-               for j in range(partition.d))
+    return _kkt_residual(zero, _grads(zero[0], 0.0, gram, labels, cfg), 0.0,
+                         partition.weights)

@@ -6,6 +6,7 @@ under test.
 """
 
 import numpy as np
+from scipy.special import expit
 
 
 def naive_objective(alpha, gram, labels, weights, lam, sigma, cpos, cneg):
@@ -165,3 +166,24 @@ def spectral_norm_sq_two_products(K, tol=1e-8, max_iters=500):
             return new_est
         est, v = new_est, v_new
     raise RuntimeError("power iteration failed to converge")
+
+
+def lambda_max_two_products(gram, labels, weights, sigma, cpos, cneg):
+    """max_j ||grad_j at alpha = 0|| / w_j, with the margins of alpha = 0
+    formed from d Gram products before the d gradient products.
+
+    Same floating-point steps as the solver's loss gradient, so the result
+    is comparable bit for bit; kept as the reference for the one-product
+    lambda_max.
+    """
+    labels = np.asarray(labels, dtype=float)
+    n = labels.size
+    f = np.zeros(n)
+    for K in gram:
+        f += K @ np.zeros(n)
+    m = labels * f
+    normalizer = np.logaddexp(0.0, 1.0 / sigma)
+    slope = -expit((1.0 - m) / sigma) / (sigma * normalizer)
+    common = np.where(labels > 0, cpos, cneg) * slope * labels / n
+    return max(float(np.linalg.norm(K @ common)) / w
+               for K, w in zip(gram, weights))

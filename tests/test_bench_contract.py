@@ -2,8 +2,9 @@
 
 perfbench/layertrace.py wraps package functions by qualified name and, for
 the quality capture, by positional signature: grid quality looks up the Gram
-that `gram_blocks` returned by its id inside `solve`. The tracer file is
-parsed, not imported, so this check needs nothing from the benchmark.
+that `gram_blocks` returned by its id inside `solve`, and CV quality wraps
+`model.fit` once per fold. The tracer file is parsed, not imported, so
+these checks need nothing from the benchmark.
 """
 
 import ast
@@ -12,6 +13,10 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+import gska
+from gska import kernels, model, solver
+from gska.evaluation import cross_validate, grid_search
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 REQUIRED = "<required>"
@@ -71,3 +76,45 @@ def test_captured_signatures_unchanged(tree, qualname, expect):
     fn = getattr(importlib.import_module(f"gska.{module}"), attr)
     assert _wrapper_params(tree, attr) == expect
     assert _package_params(fn) == expect
+
+
+@pytest.fixture(scope="module")
+def synth():
+    data, part, _ = gska.synth_generate(60, 5, 0.2)
+    return data, part
+
+
+def test_cross_validate_fits_once_per_fold(synth, rebind):
+    data, part = synth
+    fits = []
+    original = model.fit
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return original(*args, **kwargs)
+
+    rebind(original, counted)
+    cross_validate(data, part, solver.SolverConfig(0.05), k=3, seed=0)
+    assert len(fits) == 3
+
+
+def test_grid_solves_receive_a_gram_blocks_list(synth, rebind):
+    data, part = synth
+    built, received = [], []
+    gram_blocks, solve = kernels.gram_blocks, solver.solve
+
+    def recording_gram_blocks(*args, **kwargs):
+        built.append(gram_blocks(*args, **kwargs))
+        return built[-1]
+
+    def recording_solve(gram, *args, **kwargs):
+        received.append(gram)
+        return solve(gram, *args, **kwargs)
+
+    rebind(gram_blocks, recording_gram_blocks)
+    rebind(solve, recording_solve)
+    grid_search(data, part, lambdas=[0.02, 0.1], sigmas=[0.5, 1.0], k=2,
+                seed=0)
+    assert len(built) == 2 and len(received) == 2 * 2 * 2
+    by_id = {id(g) for g in built}
+    assert all(id(g) in by_id for g in received)

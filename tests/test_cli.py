@@ -142,6 +142,48 @@ class TestPredict:
         assert code == 2
 
 
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("keys,value", [
+        (("alpha",), "x"),
+        (("gammas",), ["a", "a", "a", "a"]),
+        (("train_features",), [["x"]]),
+        (("scaling", "means"), ["a"]),
+        (("partition", "weights"), "x"),
+        (("partition", "groups", 0, 0), float("inf")),
+    ], ids=["alpha", "gammas", "train_features", "scaling_means",
+            "partition_weights", "group_index_infinity"])
+    def test_exit_1_naming_the_file(self, synth_dir, model_path, tmp_path,
+                                    capsys, keys, value):
+        doc = json.loads(model_path.read_text())
+        _set(doc, keys, value)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["predict", "--model", str(bad),
+                    "--data", str(synth_dir / "features.csv"),
+                    "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert str(bad) in capsys.readouterr().err
+
+    def test_schema_error_not_rewrapped(self, synth_dir, model_path,
+                                        tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["schema_version"] = 99
+        bad = tmp_path / "old_model.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["predict", "--model", str(bad),
+                    "--data", str(synth_dir / "features.csv"),
+                    "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: unsupported model schema version 99\n"
+
+
 class TestCv:
     def test_report_and_determinism(self, synth_dir, tmp_path, capsys):
         out1 = tmp_path / "cv1.json"
@@ -179,6 +221,23 @@ class TestGrid:
         aurocs = [p["auroc"] for p in doc["points"]]
         assert doc["best"]["auroc"] == max(aurocs)
         assert doc["best"]["lambda"] in (0.02, 0.1)
+
+    @pytest.mark.parametrize("flag,values", [
+        ("--lambdas", ["0.1", "0.1"]), ("--sigmas", ["1.0", "1.0"])],
+        ids=["lambdas", "sigmas"])
+    def test_repeated_grid_value_exit_1(self, synth_dir, tmp_path, capsys,
+                                        flag, values):
+        grids = {"--lambdas": ["0.02", "0.1"], "--sigmas": ["1.0"]}
+        grids[flag] = values
+        code = run(["grid", "--data", str(synth_dir / "features.csv"),
+                    "--groups", str(synth_dir / "groups.json"),
+                    "--lambdas", *grids["--lambdas"],
+                    "--sigmas", *grids["--sigmas"], "--folds", "2",
+                    "--out", str(tmp_path / "grid.json")])
+        assert code == 1
+        assert f"repeats the value {float(values[0])!r}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "grid.json").exists()
 
     def test_default_lambda_grid(self, tmp_path):
         # smallest synth set, so the 40-point default grid stays quick
@@ -242,6 +301,27 @@ class TestInterpret:
         imp = (out / "group_importance.csv").read_text().strip().splitlines()
         assert imp[0] == "group,contribution,share"
         assert len(imp) == 5
+
+
+    def test_permuted_training_csv_same_files(self, synth_dir, model_path,
+                                              tmp_path):
+        rows = (synth_dir / "features.csv").read_text().splitlines()
+        permuted = tmp_path / "reversed.csv"
+        permuted.write_text("".join(
+            ",".join(reversed(row.split(","))) + "\n" for row in rows))
+        outs = []
+        for name, csv_path in (("orig", synth_dir / "features.csv"),
+                               ("perm", permuted)):
+            outs.append(tmp_path / name)
+            assert run(["interpret", "--model", str(model_path),
+                        "--data", str(csv_path), "--grid-size", "6",
+                        "--scatter", "--out", str(outs[-1])]) == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir())
+        assert len(files) == 17
+        for name in files:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes()), name
 
 
 class TestSelect:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,13 @@ class TestLoadCsv:
         path = make_csv(tmp_path, "f1,f2,label\n1,NaN,1\n2,3,0\n")
         with pytest.raises(DataError, match="'f2'"):
             gska.load_csv(path, "label")
+
+    def test_infinite_cell_names_file_row_and_column(self, tmp_path):
+        path = make_csv(tmp_path, "f1,label,f2\n1,1,2\n3,0,-inf\n")
+        with pytest.raises(DataError) as err:
+            gska.load_csv(path, "label")
+        assert str(err.value) == (f"{path}: non-finite feature value at "
+                                  "row 1, column 'f2'")
 
     def test_label_outside_set(self, tmp_path):
         path = make_csv(tmp_path, "f1,label\n1,2\n")
@@ -129,6 +138,15 @@ class TestGroupPartition:
     def test_rejects_gap(self):
         with pytest.raises(DataError):
             GroupPartition(((0, 1), (3,)), ("a", "b"))
+
+    def test_far_index_rejected_without_a_range_of_it(self):
+        # a model file can carry any integer as a column index
+        tracemalloc.start()
+        with pytest.raises(DataError, match="contiguous"):
+            GroupPartition(((0, 1), (10 ** 6,)), ("a", "b"))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DataError):

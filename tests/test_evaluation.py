@@ -165,6 +165,17 @@ class TestGridSearch:
         assert res.best_lambda < 10.0
 
 
+    @pytest.mark.parametrize("lambdas,sigmas,repeated", [
+        ([0.1, 0.02, 0.1], [1.0], "lambda grid repeats the value 0.1"),
+        ([0.1], [1.0, 0.5, 1.0], "sigma grid repeats the value 1.0"),
+    ])
+    def test_repeated_value_rejected(self, lambdas, sigmas, repeated):
+        data, part, _ = gska.synth_generate(60, 66, 0.2)
+        with pytest.raises(DataError, match=repeated):
+            grid_search(data, part, lambdas=lambdas, sigmas=sigmas, k=2,
+                        seed=0)
+
+
 class TestPearson:
     def test_self_correlation(self):
         x = np.arange(10.0).reshape(-1, 1)

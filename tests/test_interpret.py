@@ -129,6 +129,27 @@ class TestPartialDependence:
         with pytest.raises(DataError):
             gska.partial_dependence(model, data, 0, "f5")
 
+    def test_training_columns_matched_by_name(self, fitted):
+        data, part, _, model = fitted
+        rev = tuple(reversed(data.feature_names))
+        order = [data.feature_names.index(f) for f in rev]
+        reversed_data = Dataset(data.samples[:, order], data.labels, rev,
+                                data.sample_ids)
+        for j, feature in ((0, "f2"), (1, "f4")):
+            want = gska.partial_dependence(model, data, j, feature, 9)
+            got = gska.partial_dependence(model, reversed_data, j, feature, 9)
+            np.testing.assert_array_equal(got.grid, want.grid)
+            np.testing.assert_array_equal(got.values, want.values)
+            assert got.reference == want.reference
+            assert (got.group_id, got.feature_name) == (j, feature)
+
+    def test_missing_training_column_named(self, fitted):
+        data, part, _, model = fitted
+        short = Dataset(data.samples[:, 1:], data.labels,
+                        data.feature_names[1:], data.sample_ids)
+        with pytest.raises(DataError, match="'f1'"):
+            gska.partial_dependence(model, short, 1, "f4")
+
     def test_grid_in_original_units(self, fitted):
         data, part, _, model = fitted
         curve = gska.partial_dependence(model, data, 1, "f4")

@@ -151,6 +151,13 @@ class TestDecisionFunction:
         with pytest.raises(DataError):
             gska.decision_function(model, bad)
 
+    def test_missing_column_named(self, synth_fit):
+        data, _, _, model = synth_fit
+        bad = Dataset(data.samples[:, :6], data.labels,
+                      data.feature_names[:6], data.sample_ids)
+        with pytest.raises(DataError, match="training column 'f7'"):
+            gska.decision_function(model, bad)
+
     def test_label_flip_symmetry(self):
         data, part, _ = gska.synth_generate(80, 9, 0.1)
         flipped = Dataset(data.samples, -data.labels, data.feature_names,

@@ -1,8 +1,6 @@
 """Each training set's Gram is built once, and the default lambda grid
 matches its public definition."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ def synth():
 
 
 @pytest.fixture
-def gram_builds(monkeypatch):
+def gram_builds(rebind):
     """Count calls through every gska module binding of gram_blocks."""
     calls = []
     original = kernels.gram_blocks
@@ -28,12 +26,7 @@ def gram_builds(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name != "gska" and not name.startswith("gska."):
-            continue
-        for key, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, key, counted)
+    rebind(original, counted)
     return calls
 
 

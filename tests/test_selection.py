@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import gska
+from gska import selection
 from gska.data import DataError, Dataset
 from gska.selection import ENConfig, en_lambda_max, en_logistic_path, select_top_k
 
@@ -102,6 +105,23 @@ class TestSelectTopK:
         res = select_top_k(data, ENConfig(k=6, folds=5), seed=2)
         hits = sum(1 for f in res.selected if f in informative)
         assert hits >= 4
+
+    def test_folds_and_full_data_share_the_path(self, monkeypatch):
+        data = random_dataset(60, 5, 41, beta=np.array([1, 0, 0, -1, 0.0]))
+        calls = []
+
+        def recording(fold_data, cfg):
+            out = en_logistic_path(fold_data, cfg)
+            calls.append((fold_data.n, cfg, out))
+            return out
+
+        monkeypatch.setattr(selection, "en_logistic_path", recording)
+        res = select_top_k(data, ENConfig(k=3, folds=3), seed=4)
+        assert [n for n, _, _ in calls] == [40, 40, 40, 60]
+        assert all(cfg == replace(ENConfig(k=3, folds=3),
+                                  lambda_grid=res.lambda_grid)
+                   for _, cfg, _ in calls)
+        np.testing.assert_array_equal(calls[-1][2][1], res.coef_path)
 
     def test_k_too_large(self):
         data = random_dataset(40, 3, 38)

@@ -10,8 +10,8 @@ from gska.solver import (SolverConfig, group_gradient, group_update,
                          spectral_norm_sq,
                          lambda_max, majorization_constant, objective, solve)
 
-from oracles import (gd_smooth_risk, naive_objective,
-                     spectral_norm_sq_two_products)
+from oracles import (gd_smooth_risk, lambda_max_two_products,
+                     naive_objective, spectral_norm_sq_two_products)
 
 
 def make_instance(n, groups, seed, sigma=1.0, lam=0.1, **cfg_kw):
@@ -381,6 +381,18 @@ class TestLambdaMax:
         doubled = lambda_max(gram, y, part.with_weights(
             tuple(2 * w for w in part.weights)), cfg)
         np.testing.assert_allclose(doubled, base / 2, rtol=1e-12)
+
+    def test_one_product_per_block_same_value(self):
+        gram, y, part, _ = make_instance(30, [(0, 1), (2,), (3, 4)], 29)
+        part = part.with_weights((1.5, 0.5, 1.0))
+        cfg = SolverConfig(0.0, 0.5, class_weights=ClassWeights(1.3, 0.7))
+        one = [_CountingMatrix(K) for K in gram]
+        two = [_CountingMatrix(K) for K in gram]
+        value = lambda_max(one, y, part, cfg)
+        assert value == lambda_max_two_products(two, y, part.weights, 0.5,
+                                                1.3, 0.7)
+        assert [K.products for K in one] == [1, 1, 1]
+        assert [K.products for K in two] == [2, 2, 2]
 
 
 class TestIntercept:
