@@ -89,6 +89,11 @@ def curvature_bound(params: CoherenceParams) -> float:
     return 1.0 / (4.0 * params.sigma ** 2 * params.normalizer)
 
 
+def slope_bound(params: CoherenceParams) -> float:
+    """Global upper bound on |loss'(u)|: the sigmoid is at most 1."""
+    return 1.0 / (params.sigma * params.normalizer)
+
+
 def empirical_risk(margins, labels, weights: ClassWeights,
                    params: CoherenceParams) -> float:
     """Class-weighted mean loss over the sample margins."""

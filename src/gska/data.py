@@ -143,16 +143,16 @@ class ScalingParams:
         object.__setattr__(self, "stds", stds)
 
 
-def _parse_label(raw: str, row: int) -> float:
+def _parse_label(raw: str, row: int, path) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise DataError(f"row {row}: label {raw!r} is not numeric")
+        raise DataError(f"{path}: row {row}: label {raw!r} is not numeric")
     if v in (-1.0, 1.0):
         return v
     if v == 0.0:
         return -1.0
-    raise DataError(f"row {row}: label {raw!r} outside permitted set "
+    raise DataError(f"{path}: row {row}: label {raw!r} outside permitted set "
                     "{-1, +1, 0, 1}")
 
 
@@ -183,7 +183,7 @@ def load_csv(path, label_column: str) -> Dataset:
             if len(cells) != len(header):
                 raise DataError(f"{path}: row {r} has {len(cells)} cells, "
                                 f"expected {len(header)}")
-            labels.append(_parse_label(cells[label_idx], r))
+            labels.append(_parse_label(cells[label_idx], r, path))
             vals = []
             for i, cell in enumerate(cells):
                 if i == label_idx:

@@ -1,19 +1,31 @@
-"""Per-group Gaussian kernels and dense Gram blocks.
+"""Per-group Gaussian kernels and the Gram blocks a solve runs on.
 
 One bandwidth gamma per group; the default comes from the per-group median
 heuristic, with a shared-gamma override available at the call sites that
-build KernelSpec. Storage is dense: at the intended scale (n up to a few
-thousand) d n^2 blocks are the simple, cache-friendly choice.
+build KernelSpec. `gram_blocks` returns a GramBlocks container holding a
+training set's d blocks. Each starts dense; the solver may ask the container
+to replace a block by a pivoted-Cholesky factor L (n x r, Fine & Scheinberg
+2001; Harbrecht, Peters & Schneider 2012) once a solve runs long, so that a
+product costs O(n r) instead of O(n^2). A factored block's exact values are
+rebuilt from the training rows on demand, entry for entry as first built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .data import DataError, Dataset, GroupPartition
+
+# Pivoted Cholesky stops once every remaining diagonal entry of K - L L^T is
+# at most _FACTOR_EPS, and gives up at rank n / 2, where two products with
+# L cost as much as one with K.
+_FACTOR_EPS = 1e-10
+# rows of a factored block rebuilt at once for an exact product
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -45,33 +57,148 @@ def gaussian_kernel(a, b, gamma: float) -> float:
     return float(np.exp(-gamma * np.sum((a - b) ** 2)))
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     # cdist sums explicit squared differences, so the result is exactly
-    # symmetric and exactly zero for identical rows (unlike the gemm form).
-    return cdist(A, B, "sqeuclidean")
+    # symmetric and exactly zero for identical rows (unlike the gemm form),
+    # and each entry is the same whichever rows are computed together.
+    D = cdist(A, B, "sqeuclidean")
+    D *= -gamma
+    np.exp(D, out=D)
+    return D
 
 
 def _kernel_blocks(train: Dataset, other: Dataset, partition: GroupPartition,
                    spec: KernelSpec, groups=None) -> list[np.ndarray]:
     if len(spec.gammas) != partition.d:
         raise DataError("one gamma per group required")
-    blocks = []
-    for j in range(partition.d) if groups is None else groups:
-        idx = partition.groups[j]
-        D = _sq_dists(train.samples[:, idx], other.samples[:, idx])
-        D *= -spec.gammas[j]
-        np.exp(D, out=D)
-        blocks.append(D)
-    return blocks
+    return [_kernel_matrix(train.samples[:, partition.groups[j]],
+                           other.samples[:, partition.groups[j]],
+                           spec.gammas[j])
+            for j in (range(partition.d) if groups is None else groups)]
+
+
+def _pivoted_cholesky(kernel_row, n: int):
+    """(L^T, tr(K - L L^T)) when K's factor L has rank below n / 2, else None.
+
+    K is an n x n Gaussian Gram matrix (unit diagonal) and kernel_row(p) its
+    row p; one row is read per step. L^T is stored row by row, so each
+    step's update is one product with the rows found so far.
+    """
+    resid = np.ones(n)          # diagonal of K - L L^T
+    Lt = np.empty((n // 2, n))
+    for k in range(n // 2):
+        p = int(np.argmax(resid))
+        if resid[p] <= _FACTOR_EPS:
+            return Lt[:k].copy(), float(np.sum(np.maximum(resid, 0.0)))
+        row = kernel_row(p) - Lt[:k, p] @ Lt[:k]
+        row /= np.sqrt(resid[p])
+        Lt[k] = row
+        resid -= row * row
+    return None
+
+
+class GramBlocks(Sequence):
+    """A training set's Gram blocks K_j, each dense or as a low-rank factor.
+
+    `blocks[j]` is K_j as a read-only array (a factored block is rebuilt in
+    full for the caller). `dot(j, v)` is the exact K_j v: a factored block's
+    rows are rebuilt _CHUNK_ROWS at a time, bit for bit as first built.
+    `fast_dot(j, v)` is L_j (L_j^T v) where block j is factored. Built from
+    plain arrays (no training rows), the container never factors.
+    `norms_sq` caches each block's spectral norm squared, taken while dense.
+    """
+
+    def __init__(self, blocks, rows=None, gammas=None):
+        self._dense = list(blocks)
+        self._rows, self._gammas = rows, gammas
+        self._factors = [None] * len(self._dense)   # L_j^T where factored
+        self._trace_err = [None] * len(self._dense)  # tr(K - L L^T) found
+        self._full_rank = [False] * len(self._dense)     # rank >= n / 2
+        self.n = self._dense[0].shape[0] if self._dense else 0
+        if any(K.shape != (self.n, self.n) for K in self._dense):
+            raise DataError("Gram blocks must be square and of one size")
+        self.norms_sq = {}
+
+    def __len__(self):
+        return len(self._dense)
+
+    def __getitem__(self, j):
+        K = self._dense[j]
+        if K is None:
+            K = self._kernel_rows(j, 0, self.n)
+            K.setflags(write=False)
+        return K
+
+    def _kernel_rows(self, j, start, stop):
+        X = self._rows[j]
+        return _kernel_matrix(X[start:stop], X, self._gammas[j])
+
+    def factored(self, j) -> bool:
+        return self._factors[j] is not None
+
+    def dot(self, j, v) -> np.ndarray:
+        """Exact K_j v."""
+        if self._dense[j] is not None:
+            return self._dense[j] @ v
+        out = np.empty(self.n)
+        for start in range(0, self.n, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, self.n)
+            out[start:stop] = self._kernel_rows(j, start, stop) @ v
+        return out
+
+    def fast_dot(self, j, v) -> np.ndarray:
+        """K_j v, through the factor L_j (L_j^T v) where block j has one."""
+        Lt = self._factors[j]
+        return self._dense[j] @ v if Lt is None else Lt.T @ (Lt @ v)
+
+    def keep_factors(self, max_trace_err: float):
+        """Rebuild dense each factored block whose trace error is above cap."""
+        for j, Lt in enumerate(self._factors):
+            if Lt is not None and self._trace_err[j] > max_trace_err:
+                self._dense[j] = self[j]
+                self._factors[j] = None
+
+    def factorize(self, max_trace_err: float) -> bool:
+        """Factor every dense block that allows it; True if any was factored.
+
+        A block is factored, and its dense array dropped, when its pivoted
+        Cholesky factor has rank below n / 2 and tr(K - L L^T) at most
+        max_trace_err. A block of higher rank is never tried again; one
+        whose trace error exceeded a cap is tried again only under a looser
+        cap. The factor reads kernel rows rebuilt from the training rows, so
+        the dense array is dropped first (and rebuilt if the block stays
+        dense): memory never holds a factor beside all d dense blocks.
+        """
+        if self._rows is None:
+            return False
+        switched = False
+        for j, err in enumerate(self._trace_err):
+            if (self._dense[j] is None or self._full_rank[j]
+                    or (err is not None and err > max_trace_err)):
+                continue
+            self._dense[j] = None
+            found = _pivoted_cholesky(
+                lambda p: self._kernel_rows(j, p, p + 1)[0], self.n)
+            if found is None:
+                self._full_rank[j] = True
+            else:
+                Lt, self._trace_err[j] = found
+                if self._trace_err[j] <= max_trace_err:
+                    self._factors[j] = Lt
+                    switched = True
+                    continue
+            self._dense[j] = self[j]
+        return switched
 
 
 def gram_blocks(train: Dataset, partition: GroupPartition,
-                spec: KernelSpec) -> list[np.ndarray]:
+                spec: KernelSpec) -> GramBlocks:
     """Gram matrix of each group's kernel over the training samples."""
     blocks = _kernel_blocks(train, train, partition, spec)
     for B in blocks:
         B.setflags(write=False)
-    return blocks
+    rows = [train.samples[:, idx] for idx in partition.groups]
+    return GramBlocks(blocks, rows, spec.gammas)
 
 
 def cross_gram(train: Dataset, query: Dataset, partition: GroupPartition,

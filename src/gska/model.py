@@ -20,7 +20,8 @@ import numpy as np
 from .coherence import ClassWeights, CoherenceParams
 from .data import (DataError, Dataset, FileError, GroupPartition,
                    ScalingParams, apply_scaling, standardize)
-from .kernels import KernelSpec, cross_gram, gram_blocks, median_heuristic_gamma
+from .kernels import (GramBlocks, KernelSpec, cross_gram, gram_blocks,
+                      median_heuristic_gamma)
 from .solver import SolveReport, SolverConfig, solve
 
 SCHEMA_VERSION = 1
@@ -52,7 +53,7 @@ class ModelState:
         object.__setattr__(self, "alpha", alpha)
 
     @cached_property
-    def gram(self) -> list[np.ndarray]:
+    def gram(self) -> GramBlocks:
         # not serialized: a fitted model shares its fold's, a loaded one builds
         return gram_blocks(self.train, self.partition, self.kernel)
 
@@ -66,7 +67,7 @@ class _Fold:
     partition: GroupPartition
     kernel: KernelSpec
     class_weights: ClassWeights       # inverse-frequency
-    gram: list                        # exactly as gram_blocks returned it
+    gram: GramBlocks                  # exactly as gram_blocks returned it
 
 
 def _prepare_fold(data: Dataset, partition: GroupPartition,
@@ -180,9 +181,12 @@ def load(path) -> ModelState:
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: corrupted model file: {e}") from e
     try:
-        if doc["schema_version"] != SCHEMA_VERSION:
-            raise DataError(f"unsupported model schema version "
-                            f"{doc['schema_version']}")
+        version = doc["schema_version"]
+    except (KeyError, TypeError) as e:
+        raise DataError(f"{path}: model file violates schema ({e})") from e
+    if version != SCHEMA_VERSION:
+        raise DataError(f"unsupported model schema version {version}")
+    try:
         scaling = ScalingParams(np.array(doc["scaling"]["means"]),
                                 np.array(doc["scaling"]["stds"]))
         partition = GroupPartition(
@@ -207,7 +211,8 @@ def load(path) -> ModelState:
                           class_weights=ClassWeights(doc["class_weights"]["pos"],
                                                      doc["class_weights"]["neg"]),
                           report=report)
-    except DataError:
-        raise
+    except DataError as e:
+        # raised by the records built from the file; name the file
+        raise DataError(f"{path}: {e}") from e
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as e:
         raise DataError(f"{path}: model file violates schema ({e})") from e

@@ -17,6 +17,17 @@ objective trace never increases. The solve stops on the largest per-group
 KKT residual at the returned point, in units of lam * w_j: once it meets
 tol, up to 8 more iterations aim for tol / 10. Deterministic given
 inputs: no randomization, fixed summation order.
+
+Products with the Gram blocks go through a kernels.GramBlocks (plain arrays
+are wrapped in one). A solve still running after 50 iterations asks it to
+factor its blocks by pivoted Cholesky, and the remaining iterations, like
+later solves on the same blocks, multiply by L_j (L_j^T v). A block is
+factored only when its trace error cannot move a gradient by more than 1%
+of tol * lam * w_j, so a solve that asks for a tiny tol stays dense; the
+objective then moves by at most 1% of tol times the penalty term, which
+bounds how far the trace can rise where a solve switches to factors and at
+its last entry. That entry, the KKT residual that decides `converged`, and
+the public objective, group_gradient and lambda_max use exact kernel values.
 """
 
 from __future__ import annotations
@@ -27,8 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coherence import (ClassWeights, CoherenceParams, curvature_bound,
-                        empirical_risk, loss_grad)
+                        empirical_risk, loss_grad, slope_bound)
 from .data import DataError, GroupPartition
+from .kernels import GramBlocks
 
 
 class SolverError(RuntimeError):
@@ -42,6 +54,11 @@ class SolverError(RuntimeError):
 # falls ~1% per iteration, pays at most _SETTLE_ITERS more.
 _SETTLE_ITERS = 8
 _SETTLE_SHRINK = 0.1
+# After this many iterations (in dense products, about the cost of factoring
+# the blocks at n = 2000) a solve asks for factors; shorter solves stay dense.
+_FACTOR_AFTER = 50
+# share of tol * lam * w_j a factor's trace error may move a block gradient
+_FACTOR_SHARE = 0.01
 
 
 @dataclass(frozen=True)
@@ -73,11 +90,17 @@ class SolveReport:
     intercept: float = 0.0
 
 
-def _scores(alpha, gram) -> np.ndarray:
-    # f = sum_j K^(j) alpha^(j), without the intercept
-    f = np.zeros(gram[0].shape[0])
-    for K, a_j in zip(gram, alpha):
-        f += K @ a_j
+def _as_blocks(gram) -> GramBlocks:
+    return gram if isinstance(gram, GramBlocks) else GramBlocks(gram)
+
+
+def _scores(alpha, dot) -> np.ndarray:
+    # f = sum_j K^(j) alpha^(j), without the intercept; dot(j, v) is K^(j) v.
+    # A zero block adds exactly nothing, so it is skipped.
+    f = np.zeros(alpha.shape[1])
+    for j, a_j in enumerate(alpha):
+        if np.any(a_j):
+            f += dot(j, a_j)
     return f
 
 
@@ -86,12 +109,13 @@ def _risk(f, b, labels, cfg: SolverConfig) -> float:
                           cfg.loss_params)
 
 
-def _grads(f, b, gram, labels, cfg: SolverConfig) -> list[np.ndarray]:
-    # block gradients K^(j) (1/n) c(y) loss'(y (f + b)) y of the risk
+def _grads(f, b, dot, groups, labels, cfg: SolverConfig) -> list[np.ndarray]:
+    # block gradients K^(j) (1/n) c(y) loss'(y (f + b)) y of the risk, j in
+    # groups
     c = cfg.class_weights.per_sample(labels)
     slope = loss_grad(labels * (f + b), cfg.loss_params)
     common = c * slope * labels / labels.size
-    return [K @ common for K in gram]
+    return [dot(j, common) for j in groups]
 
 
 def objective(alpha, gram, labels, partition: GroupPartition,
@@ -100,7 +124,8 @@ def objective(alpha, gram, labels, partition: GroupPartition,
     labels = np.asarray(labels, dtype=float)
     if alpha.shape != (partition.d, labels.size):
         raise DataError("alpha must be d blocks of n coefficients")
-    return (_risk(_scores(alpha, gram), intercept, labels, cfg)
+    return (_risk(_scores(alpha, _as_blocks(gram).dot), intercept, labels,
+                  cfg)
             + _penalty(alpha, partition.weights, cfg.lam))
 
 
@@ -116,7 +141,8 @@ def group_gradient(alpha, gram, labels, partition: GroupPartition,
         raise DataError(f"invalid group id {j}")
     alpha = np.asarray(alpha, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    return _grads(_scores(alpha, gram), 0.0, [gram[j]], labels, cfg)[0]
+    dot = _as_blocks(gram).dot
+    return _grads(_scores(alpha, dot), 0.0, dot, (j,), labels, cfg)[0]
 
 
 def spectral_norm_sq(K: np.ndarray, tol: float = 1e-8,
@@ -142,12 +168,17 @@ def majorization_constant(gram, labels, cfg: SolverConfig, j: int) -> float:
     """Curvature constant for group j's quadratic upper bound.
 
     gamma_j = 1.01 * L * c_max * lambda_max(K^T K) / n with L the global
-    loss curvature bound and c_max the larger class weight.
+    loss curvature bound and c_max the larger class weight. A GramBlocks
+    keeps lambda_max(K^T K) of each block from its first use, while the
+    block is dense; K - L L^T is PSD, so the value still bounds a factor.
     """
     labels = np.asarray(labels)
+    blocks = _as_blocks(gram)
+    if j not in blocks.norms_sq:
+        blocks.norms_sq[j] = spectral_norm_sq(blocks[j])
     L = curvature_bound(cfg.loss_params)
     c_max = max(cfg.class_weights.weight_pos, cfg.class_weights.weight_neg)
-    return 1.01 * L * c_max * spectral_norm_sq(gram[j]) / labels.size
+    return 1.01 * L * c_max * blocks.norms_sq[j] / labels.size
 
 
 def group_update(alpha_j, grad_j, gamma_j: float, lam: float,
@@ -212,24 +243,39 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     iterations, or earlier once not even a plain prox-gradient step lowers
     the computed objective (the rounding floor, near 1e-6 lam w_j), and
     warns on stderr.
+
+    On a GramBlocks from kernels.gram_blocks, iterations past the 50th may
+    run on pivoted-Cholesky factors of the blocks (see the module
+    docstring); the objective reported last in the trace and `converged`
+    are still computed from exact kernel values at the returned alpha.
     """
     labels = np.asarray(labels, dtype=float)
     n, d = labels.size, partition.d
-    if len(gram) != d or any(K.shape != (n, n) for K in gram):
+    blocks = _as_blocks(gram)
+    if len(blocks) != d or blocks.n != n:
         raise DataError("gram blocks inconsistent with labels/partition")
     alpha = np.zeros((d, n)) if init is None else np.array(init, dtype=float)
     if alpha.shape != (d, n):
         raise DataError("init must have shape (d, n)")
 
     lam, weights = cfg.lam, partition.weights
-    gammas = [majorization_constant(gram, labels, cfg, j) for j in range(d)]
+    groups = range(d)
+    gammas = [majorization_constant(blocks, labels, cfg, j) for j in groups]
+    # With E = K - L L^T PSD, ||E v|| <= tr(E) ||v||, and the vector a block
+    # gradient multiplies has norm at most c_max sup|loss'| / sqrt(n).
+    c_max = max(cfg.class_weights.weight_pos, cfg.class_weights.weight_neg)
+    max_trace_err = (_FACTOR_SHARE * cfg.tol * (lam if lam > 0 else 1.0)
+                     * min(weights) * np.sqrt(n)
+                     / (c_max * slope_bound(cfg.loss_params)))
+    blocks.keep_factors(max_trace_err)
+    dot = blocks.fast_dot
 
-    f = _scores(alpha, gram)
+    f = _scores(alpha, dot)
     intercept = 0.0
     if cfg.fit_intercept:
         intercept = _fit_intercept_1d(f, labels, cfg, intercept)
     obj = _risk(f, intercept, labels, cfg) + _penalty(alpha, weights, lam)
-    g = _grads(f, intercept, gram, labels, cfg)     # at alpha, or None
+    g = _grads(f, intercept, dot, groups, labels, cfg)  # at alpha, or None
     kkt = _kkt_residual(alpha, g, lam, weights)
     met = 0 if kkt <= cfg.tol else None     # iteration kkt first met tol
     trace = [obj]
@@ -239,23 +285,29 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     it = 0
     while it < cfg.max_iters and not (kkt <= cfg.tol and (
             kkt <= _SETTLE_SHRINK * cfg.tol or it >= met + _SETTLE_ITERS)):
+        if it == _FACTOR_AFTER and blocks.factorize(max_trace_err):
+            # go on from the same point with margins through the factors
+            f, f_prev = _scores(alpha, dot), _scores(alpha_prev, dot)
+            obj = _risk(f, intercept, labels, cfg) + _penalty(alpha, weights,
+                                                              lam)
+            g = None
         it += 1
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         if beta == 0.0:
             if g is None:
-                g = _grads(f, intercept, gram, labels, cfg)
+                g = _grads(f, intercept, dot, groups, labels, cfg)
             y, f_y, g_y = alpha, f, g
         else:
             # margins are linear in alpha, so extrapolating them is exact
             y = alpha + beta * (alpha - alpha_prev)
             f_y = f + beta * (f - f_prev)
-            g_y = _grads(f_y, intercept, gram, labels, cfg)
+            g_y = _grads(f_y, intercept, dot, groups, labels, cfg)
         r_y = _risk(f_y, intercept, labels, cfg)
         while True:
             z = np.array([group_update(y[j], g_y[j], scale * gammas[j], lam,
                                        weights[j]) for j in range(d)])
-            f_z = _scores(z, gram)
+            f_z = _scores(z, dot)
             r_z = _risk(f_z, intercept, labels, cfg)
             step = z - y
             bound = r_y + float(np.sum(g_y * step)) + 0.5 * scale * sum(
@@ -290,14 +342,20 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
                       / (lam * w if lam > 0 else w)
                       for gm, s, w in zip(gammas, step, weights))
         if mapping <= cfg.tol or met is not None:
-            g = _grads(f, intercept, gram, labels, cfg)
+            g = _grads(f, intercept, dot, groups, labels, cfg)
             kkt = _kkt_residual(alpha, g, lam, weights)
             if met is None and kkt <= cfg.tol:
                 met = it
         scale *= 0.97
 
+    if any(blocks.factored(j) for j in groups):
+        # the reported objective and KKT residual use exact kernel values
+        f = _scores(alpha, blocks.dot)
+        trace[-1] = (_risk(f, intercept, labels, cfg)
+                     + _penalty(alpha, weights, lam))
+        g = None
     if g is None:
-        g = _grads(f, intercept, gram, labels, cfg)
+        g = _grads(f, intercept, blocks.dot, groups, labels, cfg)
     kkt = _kkt_residual(alpha, g, lam, weights)
     converged = kkt <= cfg.tol
     if not converged:
@@ -323,5 +381,6 @@ def lambda_max(gram, labels, partition: GroupPartition,
     """
     labels = np.asarray(labels, dtype=float)
     zero = np.zeros((partition.d, labels.size))
-    return _kkt_residual(zero, _grads(zero[0], 0.0, gram, labels, cfg), 0.0,
-                         partition.weights)
+    grads = _grads(zero[0], 0.0, _as_blocks(gram).dot, range(partition.d),
+                   labels, cfg)
+    return _kkt_residual(zero, grads, 0.0, partition.weights)

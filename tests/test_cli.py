@@ -170,6 +170,29 @@ class TestMalformedModel:
         assert code == 1
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys,value,message", [
+        (("feature_names",), ["f1"],
+         "feature name count must match column count"),
+        (("partition", "groups", 0), [0, 1, 99],
+         "groups must form a contiguous partition of columns"),
+        (("scaling", "stds"), [-1.0] * 12, "stds must be non-negative"),
+        (("alpha",), [[0.0]],
+         "alpha shape must be (group count, training rows)"),
+        (("gammas",), [0.0] * 4, "kernel bandwidths must be positive"),
+    ], ids=["dataset", "partition", "scaling", "model_state", "kernel"])
+    def test_record_error_names_the_file(self, synth_dir, model_path,
+                                         tmp_path, capsys, keys, value,
+                                         message):
+        doc = json.loads(model_path.read_text())
+        _set(doc, keys, value)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["predict", "--model", str(bad),
+                    "--data", str(synth_dir / "features.csv"),
+                    "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
     def test_schema_error_not_rewrapped(self, synth_dir, model_path,
                                         tmp_path, capsys):
         doc = json.loads(model_path.read_text())
@@ -333,6 +356,18 @@ class TestSelect:
         doc = json.loads(out.read_text())
         assert len(doc["selected"]) == 4
         assert doc["chosen_lambda"] in doc["lambda_grid"]
+
+    @pytest.mark.parametrize("label,problem", [
+        ("x", "is not numeric"),
+        ("2", "outside permitted set {-1, +1, 0, 1}")])
+    def test_bad_label_names_the_file(self, tmp_path, capsys, label, problem):
+        bad = tmp_path / "badlab.csv"
+        bad.write_text(f"f1,f2,label\n1.0,2.0,{label}\n3.0,4.0,1\n")
+        code = run(["select", "--data", str(bad),
+                    "--out", str(tmp_path / "sel.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: row 0: label {label!r} {problem}\n")
 
 
 class TestParsing:

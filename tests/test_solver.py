@@ -47,6 +47,23 @@ class TestObjective:
         np.testing.assert_allclose(objective(alpha, gram, y, part, cfg), risk,
                                    atol=1e-14)
 
+    def test_zero_block_skipped_same_value(self):
+        gram, y, part, cfg = make_instance(20, [(0,), (1, 2), (3,)], 30,
+                                           lam=0.1)
+        alpha = np.zeros((part.d, len(y)))
+        alpha[1] = np.linspace(-1.0, 1.0, len(y))
+        counted = [_CountingMatrix(K) for K in gram]
+        value = objective(alpha, counted, y, part, cfg)
+        assert [K.products for K in counted] == [0, 1, 0]
+        f = np.zeros(len(y))
+        for K, a_j in zip(gram, alpha):
+            f += K @ a_j
+        risk = gska.empirical_risk(y * f, y, cfg.class_weights,
+                                   cfg.loss_params)
+        assert value == risk + cfg.lam * sum(
+            w * float(np.linalg.norm(a_j))
+            for w, a_j in zip(part.weights, alpha))
+
     def test_matches_naive_summation_oracle(self):
         gram, y, part, cfg = make_instance(
             6, [(0,), (1, 2)], 3, sigma=0.7, lam=0.25,
