@@ -2,7 +2,8 @@
 
 Library layout:
 
-- data:        datasets, grouping, standardization, synthetic generator
+- data:        datasets, grouping, standardization, stratified folds,
+               synthetic generator
 - kernels:     per-group Gaussian kernels and Gram blocks
 - coherence:   the smooth surrogate loss, gradients, weighted risk
 - solver:      monotone restarted FISTA for the penalized objective
@@ -15,7 +16,8 @@ Library layout:
 
 from .data import (Dataset, GroupPartition, ScalingParams, DataError,
                    load_csv, write_csv, standardize, apply_scaling,
-                   synth_generate, load_groups_json, dump_groups_json)
+                   stratified_kfold, synth_generate, load_groups_json,
+                   dump_groups_json)
 from .kernels import (KernelSpec, gaussian_kernel, gram_blocks, cross_gram,
                       median_heuristic_gamma)
 from .coherence import (CoherenceParams, ClassWeights, loss, loss_grad,
@@ -30,7 +32,7 @@ from .interpret import (PDCurve, GroupImportance, component_values,
 from .selection import (ENConfig, SelectionResult, en_lambda_max,
                         en_logistic_path, select_top_k)
 from .evaluation import (MetricSet, CvReport, GridResult, auroc, accuracy_f1,
-                         stratified_kfold, cross_validate, grid_search,
-                         default_lambda_grid, pearson_matrix, paired_ttest)
+                         cross_validate, grid_search, default_lambda_grid,
+                         pearson_matrix, paired_ttest)
 
 __version__ = "0.1.0"

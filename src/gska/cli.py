@@ -43,6 +43,15 @@ def _load_data_and_groups(args):
     return data, partition
 
 
+def _load_model_data(args, fitted):
+    """--data with its columns in the model's order; errors name the file."""
+    data = data_mod.load_csv(args.data, args.label)
+    try:
+        return model_mod._model_columns(fitted, data)
+    except DataError as e:
+        raise DataError(f"{args.data}: {e}") from e
+
+
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(lam=args.lam, sigma=args.sigma,
                         fit_intercept=args.intercept)
@@ -97,7 +106,7 @@ def cmd_fit(args):
 
 def cmd_predict(args):
     fitted = model_mod.load(args.model)
-    query = data_mod.load_csv(args.data, args.label)
+    query = _load_model_data(args, fitted)
     scores = model_mod.decision_function(fitted, query)
     preds = np.where(scores > 0, 1, -1)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -176,7 +185,7 @@ def cmd_correlate(args):
 
 def cmd_interpret(args):
     fitted = model_mod.load(args.model)
-    train = data_mod.load_csv(args.data, args.label)
+    train = _load_model_data(args, fitted)
     written = interpret_mod.export_interpretation(fitted, train, args.out,
                                                   args.grid_size,
                                                   args.scatter)

@@ -1,4 +1,5 @@
-"""Tabular dataset handling: CSV I/O, grouping, standardization, synthetic data.
+"""Tabular dataset handling: CSV I/O, grouping, standardization, stratified
+fold assignment, synthetic data.
 
 Labels are canonicalized to {-1, +1} at the boundary; all internal math
 works with signed labels. Standardization is z-score with population (1/n)
@@ -75,6 +76,23 @@ class Dataset:
                        tuple(self.sample_ids[i] for i in rows))
 
 
+def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
+    """Fold index per sample; per-class fold sizes differ by at most 1."""
+    y = np.asarray(labels, dtype=float)
+    if k < 2:
+        raise DataError("k must be at least 2")
+    rng = np.random.default_rng(seed)
+    assign = np.full(y.size, -1, dtype=int)
+    for cls in (1.0, -1.0):
+        idx = np.flatnonzero(y == cls)
+        if idx.size < k:
+            raise DataError(f"class {int(cls):+d} has {idx.size} samples, "
+                            f"fewer than k={k}")
+        idx = idx[rng.permutation(idx.size)]
+        assign[idx] = np.arange(idx.size) % k
+    return assign
+
+
 @dataclass(frozen=True)
 class GroupPartition:
     """Disjoint feature-index groups covering all p columns exactly once."""
@@ -112,8 +130,7 @@ class GroupPartition:
         return sum(len(g) for g in self.groups)
 
     def validate_against(self, p: int):
-        flat = sorted(i for g in self.groups for i in g)
-        if flat != list(range(p)):
+        if self.p != p:
             raise DataError(f"groups must partition all {p} columns exactly")
 
     def with_weights(self, weights) -> "GroupPartition":

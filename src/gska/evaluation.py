@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import rankdata, t as t_dist
 
 from . import interpret, model as model_mod
-from .data import DataError, Dataset, GroupPartition
+from .data import DataError, Dataset, GroupPartition, stratified_kfold
 from .kernels import KernelSpec
 from .solver import SolverConfig, lambda_max
 
@@ -83,23 +83,6 @@ def accuracy_f1(predictions, labels) -> tuple[float, float]:
         rec = tp / (tp + fn)
         f1 = 200.0 * prec * rec / (prec + rec)
     return acc, f1
-
-
-def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
-    """Fold index per sample; per-class fold sizes differ by at most 1."""
-    y = np.asarray(labels, dtype=float)
-    if k < 2:
-        raise DataError("k must be at least 2")
-    rng = np.random.default_rng(seed)
-    assign = np.full(y.size, -1, dtype=int)
-    for cls in (1.0, -1.0):
-        idx = np.flatnonzero(y == cls)
-        if idx.size < k:
-            raise DataError(f"class {int(cls):+d} has {idx.size} samples, "
-                            f"fewer than k={k}")
-        idx = idx[rng.permutation(idx.size)]
-        assign[idx] = np.arange(idx.size) % k
-    return assign
 
 
 def _fold_metrics(data, partition, cfg, kernel, fold_mask):

@@ -3,11 +3,13 @@
 One bandwidth gamma per group; the default comes from the per-group median
 heuristic, with a shared-gamma override available at the call sites that
 build KernelSpec. `gram_blocks` returns a GramBlocks container holding a
-training set's d blocks. Each starts dense; the solver may ask the container
-to replace a block by a pivoted-Cholesky factor L (n x r, Fine & Scheinberg
-2001; Harbrecht, Peters & Schneider 2012) once a solve runs long, so that a
-product costs O(n r) instead of O(n^2). A factored block's exact values are
-rebuilt from the training rows on demand, entry for entry as first built.
+training set's d blocks. Each starts dense; the solver may ask the container,
+once, to replace its blocks by pivoted-Cholesky factors L (n x r, Fine &
+Scheinberg 2001; Harbrecht, Peters & Schneider 2012) when a solve runs long,
+so that a product costs O(n r) instead of O(n^2). By construction a factor's
+trace error tr(K - L L^T) is at most n * 1e-10. A factored block's exact
+values are rebuilt from the training rows on demand, entry for entry as
+first built.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from scipy.spatial.distance import cdist, pdist
 from .data import DataError, Dataset, GroupPartition
 
 # Pivoted Cholesky stops once every remaining diagonal entry of K - L L^T is
-# at most _FACTOR_EPS, and gives up at rank n / 2, where two products with
-# L cost as much as one with K.
+# at most _FACTOR_EPS, so tr(K - L L^T) <= n * _FACTOR_EPS, and gives up at
+# rank n / 2, where two products with L cost as much as one with K.
 _FACTOR_EPS = 1e-10
 # rows of a factored block rebuilt at once for an exact product
 _CHUNK_ROWS = 256
@@ -78,7 +80,7 @@ def _kernel_blocks(train: Dataset, other: Dataset, partition: GroupPartition,
 
 
 def _pivoted_cholesky(kernel_row, n: int):
-    """(L^T, tr(K - L L^T)) when K's factor L has rank below n / 2, else None.
+    """L^T when K's factor L has rank below n / 2, else None.
 
     K is an n x n Gaussian Gram matrix (unit diagonal) and kernel_row(p) its
     row p; one row is read per step. L^T is stored row by row, so each
@@ -89,7 +91,7 @@ def _pivoted_cholesky(kernel_row, n: int):
     for k in range(n // 2):
         p = int(np.argmax(resid))
         if resid[p] <= _FACTOR_EPS:
-            return Lt[:k].copy(), float(np.sum(np.maximum(resid, 0.0)))
+            return Lt[:k].copy()
         row = kernel_row(p) - Lt[:k, p] @ Lt[:k]
         row /= np.sqrt(resid[p])
         Lt[k] = row
@@ -103,7 +105,8 @@ class GramBlocks(Sequence):
     `blocks[j]` is K_j as a read-only array (a factored block is rebuilt in
     full for the caller). `dot(j, v)` is the exact K_j v: a factored block's
     rows are rebuilt _CHUNK_ROWS at a time, bit for bit as first built.
-    `fast_dot(j, v)` is L_j (L_j^T v) where block j is factored. Built from
+    `fast_dot(j, v)` is L_j (L_j^T v) where block j is factored. Factoring
+    is tried once, until `drop_factors` rebuilds the blocks dense; built from
     plain arrays (no training rows), the container never factors.
     `norms_sq` caches each block's spectral norm squared, taken while dense.
     """
@@ -112,8 +115,7 @@ class GramBlocks(Sequence):
         self._dense = list(blocks)
         self._rows, self._gammas = rows, gammas
         self._factors = [None] * len(self._dense)   # L_j^T where factored
-        self._trace_err = [None] * len(self._dense)  # tr(K - L L^T) found
-        self._full_rank = [False] * len(self._dense)     # rank >= n / 2
+        self._may_factor = rows is not None         # factoring not yet tried
         self.n = self._dense[0].shape[0] if self._dense else 0
         if any(K.shape != (self.n, self.n) for K in self._dense):
             raise DataError("Gram blocks must be square and of one size")
@@ -151,44 +153,34 @@ class GramBlocks(Sequence):
         Lt = self._factors[j]
         return self._dense[j] @ v if Lt is None else Lt.T @ (Lt @ v)
 
-    def keep_factors(self, max_trace_err: float):
-        """Rebuild dense each factored block whose trace error is above cap."""
+    def drop_factors(self):
+        """Rebuild every factored block dense; factoring may then run again."""
         for j, Lt in enumerate(self._factors):
-            if Lt is not None and self._trace_err[j] > max_trace_err:
+            if Lt is not None:
                 self._dense[j] = self[j]
                 self._factors[j] = None
+                self._may_factor = True
 
-    def factorize(self, max_trace_err: float) -> bool:
-        """Factor every dense block that allows it; True if any was factored.
+    def factorize(self) -> bool:
+        """Factor every block that allows it; True if any was factored.
 
-        A block is factored, and its dense array dropped, when its pivoted
-        Cholesky factor has rank below n / 2 and tr(K - L L^T) at most
-        max_trace_err. A block of higher rank is never tried again; one
-        whose trace error exceeded a cap is tried again only under a looser
-        cap. The factor reads kernel rows rebuilt from the training rows, so
-        the dense array is dropped first (and rebuilt if the block stays
-        dense): memory never holds a factor beside all d dense blocks.
+        Tried once; later calls do nothing until `drop_factors`. A block is
+        factored, and its dense array dropped, when its pivoted Cholesky
+        factor has rank below n / 2; tr(K - L L^T) is at most n * 1e-10 by
+        construction. The factor reads kernel rows rebuilt from the training
+        rows, so the dense array is dropped first (and rebuilt if the block
+        stays dense): memory never holds a factor beside all d dense blocks.
         """
-        if self._rows is None:
+        if not self._may_factor:
             return False
-        switched = False
-        for j, err in enumerate(self._trace_err):
-            if (self._dense[j] is None or self._full_rank[j]
-                    or (err is not None and err > max_trace_err)):
-                continue
+        self._may_factor = False
+        for j in range(len(self)):
             self._dense[j] = None
-            found = _pivoted_cholesky(
+            self._factors[j] = _pivoted_cholesky(
                 lambda p: self._kernel_rows(j, p, p + 1)[0], self.n)
-            if found is None:
-                self._full_rank[j] = True
-            else:
-                Lt, self._trace_err[j] = found
-                if self._trace_err[j] <= max_trace_err:
-                    self._factors[j] = Lt
-                    switched = True
-                    continue
-            self._dense[j] = self[j]
-        return switched
+            if self._factors[j] is None:
+                self._dense[j] = self[j]
+        return any(Lt is not None for Lt in self._factors)
 
 
 def gram_blocks(train: Dataset, partition: GroupPartition,

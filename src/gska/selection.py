@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .data import DataError, Dataset, standardize
-from .evaluation import stratified_kfold
+from .data import DataError, Dataset, standardize, stratified_kfold
 
 
 @dataclass(frozen=True)

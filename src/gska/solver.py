@@ -21,13 +21,15 @@ inputs: no randomization, fixed summation order.
 Products with the Gram blocks go through a kernels.GramBlocks (plain arrays
 are wrapped in one). A solve still running after 50 iterations asks it to
 factor its blocks by pivoted Cholesky, and the remaining iterations, like
-later solves on the same blocks, multiply by L_j (L_j^T v). A block is
-factored only when its trace error cannot move a gradient by more than 1%
-of tol * lam * w_j, so a solve that asks for a tiny tol stays dense; the
-objective then moves by at most 1% of tol times the penalty term, which
-bounds how far the trace can rise where a solve switches to factors and at
-its last entry. That entry, the KKT residual that decides `converged`, and
-the public objective, group_gradient and lambda_max use exact kernel values.
+later solves on the same blocks, multiply by L_j (L_j^T v). A factor's
+trace error is at most n * 1e-10 by construction; a solve allows factors
+only when that bound cannot move a gradient by more than 1% of
+tol * lam * w_j, so one that asks for a tiny tol runs dense (rebuilding
+blocks an earlier solve factored). The objective then moves by at most 1%
+of tol times the penalty term, which bounds how far the trace can rise
+where a solve switches to factors and at its last entry. That entry, the
+KKT residual that decides `converged`, and the public objective,
+group_gradient and lambda_max use exact kernel values.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from .coherence import (ClassWeights, CoherenceParams, curvature_bound,
                         empirical_risk, loss_grad, slope_bound)
 from .data import DataError, GroupPartition
-from .kernels import GramBlocks
+from .kernels import _FACTOR_EPS, GramBlocks
 
 
 class SolverError(RuntimeError):
@@ -261,13 +263,15 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     lam, weights = cfg.lam, partition.weights
     groups = range(d)
     gammas = [majorization_constant(blocks, labels, cfg, j) for j in groups]
-    # With E = K - L L^T PSD, ||E v|| <= tr(E) ||v||, and the vector a block
-    # gradient multiplies has norm at most c_max sup|loss'| / sqrt(n).
+    # With E = K - L L^T PSD, ||E v|| <= tr(E) ||v|| <= n _FACTOR_EPS ||v||,
+    # and the vector a block gradient multiplies has norm at most
+    # c_max sup|loss'| / sqrt(n).
     c_max = max(cfg.class_weights.weight_pos, cfg.class_weights.weight_neg)
-    max_trace_err = (_FACTOR_SHARE * cfg.tol * (lam if lam > 0 else 1.0)
-                     * min(weights) * np.sqrt(n)
-                     / (c_max * slope_bound(cfg.loss_params)))
-    blocks.keep_factors(max_trace_err)
+    may_factor = n * _FACTOR_EPS <= (
+        _FACTOR_SHARE * cfg.tol * (lam if lam > 0 else 1.0) * min(weights)
+        * np.sqrt(n) / (c_max * slope_bound(cfg.loss_params)))
+    if not may_factor:
+        blocks.drop_factors()
     dot = blocks.fast_dot
 
     f = _scores(alpha, dot)
@@ -285,7 +289,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     it = 0
     while it < cfg.max_iters and not (kkt <= cfg.tol and (
             kkt <= _SETTLE_SHRINK * cfg.tol or it >= met + _SETTLE_ITERS)):
-        if it == _FACTOR_AFTER and blocks.factorize(max_trace_err):
+        if it == _FACTOR_AFTER and may_factor and blocks.factorize():
             # go on from the same point with margins through the factors
             f, f_prev = _scores(alpha, dot), _scores(alpha_prev, dot)
             obj = _risk(f, intercept, labels, cfg) + _penalty(alpha, weights,
@@ -348,14 +352,11 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
                 met = it
         scale *= 0.97
 
-    if any(blocks.factored(j) for j in groups):
-        # the reported objective and KKT residual use exact kernel values
-        f = _scores(alpha, blocks.dot)
-        trace[-1] = (_risk(f, intercept, labels, cfg)
-                     + _penalty(alpha, weights, lam))
-        g = None
-    if g is None:
-        g = _grads(f, intercept, blocks.dot, groups, labels, cfg)
+    # the reported objective and KKT residual use exact kernel values
+    f = _scores(alpha, blocks.dot)
+    trace[-1] = (_risk(f, intercept, labels, cfg)
+                 + _penalty(alpha, weights, lam))
+    g = _grads(f, intercept, blocks.dot, groups, labels, cfg)
     kkt = _kkt_residual(alpha, g, lam, weights)
     converged = kkt <= cfg.tol
     if not converged:

@@ -141,6 +141,26 @@ class TestPredict:
                     "--out", str(tmp_path / "p.csv")])
         assert code == 2
 
+    def test_missing_column_names_the_file(self, synth_dir, model_path,
+                                           tmp_path, capsys):
+        query = _drop_column(synth_dir, tmp_path, "f3")
+        code = run(["predict", "--model", str(model_path),
+                    "--data", str(query), "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {query}: data is missing the training column 'f3'\n")
+
+
+def _drop_column(synth_dir, tmp_path, name):
+    # the synthetic features CSV without one column
+    rows = [row.split(",") for row in
+            (synth_dir / "features.csv").read_text().splitlines()]
+    col = rows[0].index(name)
+    path = tmp_path / "q.csv"
+    path.write_text("".join(",".join(r[:col] + r[col + 1:]) + "\n"
+                            for r in rows))
+    return path
+
 
 def _set(doc, keys, value):
     for key in keys[:-1]:
@@ -345,6 +365,22 @@ class TestInterpret:
         for name in files:
             assert ((outs[0] / name).read_bytes()
                     == (outs[1] / name).read_bytes()), name
+
+    def test_missing_column_names_the_file(self, synth_dir, model_path,
+                                           tmp_path, capsys):
+        train = _drop_column(synth_dir, tmp_path, "f3")
+        code = run(["interpret", "--model", str(model_path),
+                    "--data", str(train), "--out", str(tmp_path / "i")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {train}: data is missing the training column 'f3'\n")
+        # an error from another input does not name the CSV
+        code = run(["interpret", "--model", str(model_path),
+                    "--data", str(synth_dir / "features.csv"),
+                    "--grid-size", "1", "--out", str(tmp_path / "i")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: grid_size must be at least 2\n")
 
 
 class TestSelect:

@@ -117,12 +117,13 @@ class TestLongSolve:
         assert factor_calls == []
         assert not any(gram.factored(j) for j in range(part.d))
 
-    def test_tiny_tol_stays_dense(self, low_rank):
+    def test_tiny_tol_stays_dense(self, low_rank, factor_calls):
         data, part, spec, cfg = low_rank
         gram = gska.gram_blocks(data, part, spec)
         _, rep = solve(gram, data.labels, part, replace(cfg, tol=1e-9))
         assert rep.iterations > 50
         assert not any(gram.factored(j) for j in range(part.d))
+        assert factor_calls == []
 
     def test_tiny_tol_after_factors_rebuilds_dense(self, low_rank):
         data, part, spec, cfg = low_rank
@@ -135,6 +136,19 @@ class TestLongSolve:
         assert not any(gram.factored(j) for j in range(part.d))
         assert np.array_equal(alpha, alpha_d)
         assert rep.objective_trace == rep_d.objective_trace
+
+    def test_tight_solve_rearms_factoring(self, low_rank, factor_calls):
+        data, part, spec, cfg = low_rank
+        gram = gska.gram_blocks(data, part, spec)
+        alpha, _ = solve(gram, data.labels, part, cfg)
+        assert len(factor_calls) == part.d
+        solve(gram, data.labels, part, replace(cfg, tol=1e-9))
+        assert not any(gram.factored(j) for j in range(part.d))
+        assert len(factor_calls) == part.d
+        again, _ = solve(gram, data.labels, part, cfg)
+        assert all(gram.factored(j) for j in range(part.d))
+        assert len(factor_calls) == 2 * part.d
+        assert np.array_equal(again, alpha)
 
     def test_later_solve_starts_on_factors(self, low_rank, factor_calls):
         data, part, spec, cfg = low_rank
