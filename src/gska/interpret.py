@@ -7,7 +7,10 @@ rkhs_contribution. Partial dependence grids are in original, unstandardized
 units so the curves stay readable; scaling is applied internally.
 
 Training-point components read `ModelState.gram`, the Gram of the prepared
-fold the model was solved on (built on first use for a loaded model).
+fold the model was solved on (built on first use for a loaded model),
+through `GramBlocks.left_dot`, which never rebuilds a factored block whole.
+Query-point components are scored a tile of rows at a time, like
+`model.decision_function`.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, Dataset
-from .kernels import cross_gram
-from .model import ModelState, _align_query, _model_columns
+from .model import ModelState, _align_query, _expansion, _model_columns
 
 
 @dataclass(frozen=True)
@@ -54,15 +56,13 @@ def component_values(model: ModelState, query: Dataset, j: int) -> np.ndarray:
     """Value of group j's component function alone at each query point."""
     if not (0 <= j < model.partition.d):
         raise DataError(f"invalid group id {j}")
-    q = _align_query(model, query)
-    Kq = cross_gram(model.train, q, model.partition, model.kernel,
-                    groups=(j,))[0]
-    return model.alpha[j] @ Kq
+    return _expansion(model, _align_query(model, query), (j,), 0.0)
 
 
 def _component_matrix(model: ModelState) -> np.ndarray:
     # (d, n) components evaluated at the training points
-    return np.vstack([a @ K for a, K in zip(model.alpha, model.gram)])
+    return np.vstack([model.gram.left_dot(j, a)
+                      for j, a in enumerate(model.alpha)])
 
 
 def group_contribution(model: ModelState) -> list[GroupImportance]:
@@ -78,8 +78,8 @@ def group_contribution(model: ModelState) -> list[GroupImportance]:
 
 def rkhs_contribution(model: ModelState) -> np.ndarray:
     """Alternative importance sqrt(alpha^(j)T K^(j) alpha^(j)) per group."""
-    return np.array([float(np.sqrt(max(a @ K @ a, 0.0)))
-                     for a, K in zip(model.alpha, model.gram)])
+    return np.array([float(np.sqrt(max(model.gram.left_dot(j, a) @ a, 0.0)))
+                     for j, a in enumerate(model.alpha)])
 
 
 def partial_dependence(model: ModelState, train: Dataset, j: int,

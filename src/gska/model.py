@@ -5,8 +5,11 @@ grid search, the default lambda grid and interpretation all solve from it.
 
 The decision function is the additive kernel expansion over the stored
 (standardized) training points, so the model file carries the training
-features along with the coefficient blocks. Serialization is versioned JSON
-with floats written via repr, which round-trips exactly.
+features along with the coefficient blocks. Scoring walks the query
+kernels._CHUNK_ROWS (256) rows at a time, so it holds one tile's cross-Gram
+blocks, d n_train x 256 values, however many rows the query has.
+Serialization is versioned JSON with floats written via repr, which
+round-trips exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 from .coherence import ClassWeights, CoherenceParams
 from .data import (DataError, Dataset, FileError, GroupPartition,
                    ScalingParams, apply_scaling, standardize)
-from .kernels import (GramBlocks, KernelSpec, cross_gram, gram_blocks,
-                      median_heuristic_gamma)
+from .kernels import (_CHUNK_ROWS, GramBlocks, KernelSpec, cross_gram,
+                      gram_blocks, median_heuristic_gamma)
 from .solver import SolveReport, SolverConfig, solve
 
 SCHEMA_VERSION = 1
@@ -85,8 +88,8 @@ def _prepare_fold(data: Dataset, partition: GroupPartition,
 
 
 def _solve_fold(fold: _Fold, cfg: SolverConfig, init=None) -> ModelState:
-    """Solve at cfg; unit class weights in cfg mean inverse-frequency."""
-    if cfg.class_weights == ClassWeights():
+    """Solve at cfg; class weights None in cfg mean inverse-frequency."""
+    if cfg.class_weights is None:
         cfg = replace(cfg, class_weights=fold.class_weights)
     alpha, report = solve(fold.gram, fold.train.labels, fold.partition, cfg,
                           init)
@@ -100,7 +103,7 @@ def _solve_fold(fold: _Fold, cfg: SolverConfig, init=None) -> ModelState:
 
 def fit(data: Dataset, partition: GroupPartition, cfg: SolverConfig,
         kernel: KernelSpec | None = None) -> ModelState:
-    """Prepare and solve; unit class weights in cfg mean inverse-frequency."""
+    """Prepare and solve; class weights None in cfg mean inverse-frequency."""
     return _solve_fold(_prepare_fold(data, partition, kernel), cfg)
 
 
@@ -122,16 +125,35 @@ def _align_query(model: ModelState, query: Dataset) -> Dataset:
     return apply_scaling(_model_columns(model, query), model.scaling)
 
 
+def _expansion(model: ModelState, q: Dataset, groups, base: float):
+    """base + sum over j in groups of alpha_j K_j(train, q), per query row.
+
+    q is aligned and scaled. The cross-Gram blocks are built for one tile of
+    _CHUNK_ROWS query rows at a time; each entry, and each tile column's
+    product with alpha_j, comes out as with the whole query at once.
+    """
+    f = np.full(q.n, base, dtype=float)
+    for lo in range(0, q.n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, q.n)
+        tile = Dataset(q.samples[lo:hi], q.labels[lo:hi], q.feature_names,
+                       q.sample_ids[lo:hi])
+        blocks = cross_gram(model.train, tile, model.partition, model.kernel,
+                            groups=groups)
+        for j, Kq in zip(groups, blocks):
+            f[lo:hi] += model.alpha[j] @ Kq
+    return f
+
+
 def decision_function(model: ModelState, query: Dataset) -> np.ndarray:
-    """Additive kernel score per query point (before taking the sign)."""
+    """Additive kernel score per query point (before taking the sign).
+
+    Groups whose coefficients are all zero are skipped. Memory beyond the
+    query and the scores is one tile's cross-Gram blocks: at most
+    d n_train x 256 kernel values.
+    """
     q = _align_query(model, query)
     active = [j for j in range(model.partition.d) if np.any(model.alpha[j])]
-    blocks = cross_gram(model.train, q, model.partition, model.kernel,
-                        groups=active)
-    f = np.full(q.n, model.report.intercept, dtype=float)
-    for j, Kq in zip(active, blocks):
-        f += model.alpha[j] @ Kq
-    return f
+    return _expansion(model, q, active, model.report.intercept)
 
 
 def predict(model: ModelState, query: Dataset) -> np.ndarray:

@@ -35,7 +35,7 @@ group_gradient and lambda_max use exact kernel values.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +61,7 @@ _SETTLE_SHRINK = 0.1
 _FACTOR_AFTER = 50
 # share of tol * lam * w_j a factor's trace error may move a block gradient
 _FACTOR_SHARE = 0.01
+_UNIT_WEIGHTS = ClassWeights()
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,9 @@ class SolverConfig:
     sigma: float = 1.0
     max_iters: int = 1000
     tol: float = 1e-2
-    class_weights: ClassWeights = field(default_factory=ClassWeights)
+    # None: inverse-frequency in model.fit and the other prepared-fold
+    # solves, unit weights in a bare solve
+    class_weights: ClassWeights | None = None
     fit_intercept: bool = False
 
     def __post_init__(self):
@@ -92,6 +95,11 @@ class SolveReport:
     intercept: float = 0.0
 
 
+def _class_weights(cfg: SolverConfig) -> ClassWeights:
+    # what a solve weights the classes by: unit weights where cfg has none
+    return _UNIT_WEIGHTS if cfg.class_weights is None else cfg.class_weights
+
+
 def _as_blocks(gram) -> GramBlocks:
     return gram if isinstance(gram, GramBlocks) else GramBlocks(gram)
 
@@ -107,14 +115,14 @@ def _scores(alpha, dot) -> np.ndarray:
 
 
 def _risk(f, b, labels, cfg: SolverConfig) -> float:
-    return empirical_risk(labels * (f + b), labels, cfg.class_weights,
+    return empirical_risk(labels * (f + b), labels, _class_weights(cfg),
                           cfg.loss_params)
 
 
 def _grads(f, b, dot, groups, labels, cfg: SolverConfig) -> list[np.ndarray]:
     # block gradients K^(j) (1/n) c(y) loss'(y (f + b)) y of the risk, j in
     # groups
-    c = cfg.class_weights.per_sample(labels)
+    c = _class_weights(cfg).per_sample(labels)
     slope = loss_grad(labels * (f + b), cfg.loss_params)
     common = c * slope * labels / labels.size
     return [dot(j, common) for j in groups]
@@ -179,7 +187,8 @@ def majorization_constant(gram, labels, cfg: SolverConfig, j: int) -> float:
     if j not in blocks.norms_sq:
         blocks.norms_sq[j] = spectral_norm_sq(blocks[j])
     L = curvature_bound(cfg.loss_params)
-    c_max = max(cfg.class_weights.weight_pos, cfg.class_weights.weight_neg)
+    cw = _class_weights(cfg)
+    c_max = max(cw.weight_pos, cw.weight_neg)
     return 1.01 * L * c_max * blocks.norms_sq[j] / labels.size
 
 
@@ -198,7 +207,7 @@ def group_update(alpha_j, grad_j, gamma_j: float, lam: float,
 
 def _fit_intercept_1d(f_no_b, labels, cfg: SolverConfig, b0: float) -> float:
     # scalar Newton with backtracking on the weighted risk in b
-    c = cfg.class_weights.per_sample(labels)
+    c = _class_weights(cfg).per_sample(labels)
     params = cfg.loss_params
     L = curvature_bound(params) * float(np.mean(c))
     b = b0
@@ -266,7 +275,8 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     # With E = K - L L^T PSD, ||E v|| <= tr(E) ||v|| <= n _FACTOR_EPS ||v||,
     # and the vector a block gradient multiplies has norm at most
     # c_max sup|loss'| / sqrt(n).
-    c_max = max(cfg.class_weights.weight_pos, cfg.class_weights.weight_neg)
+    cw = _class_weights(cfg)
+    c_max = max(cw.weight_pos, cw.weight_neg)
     may_factor = n * _FACTOR_EPS <= (
         _FACTOR_SHARE * cfg.tol * (lam if lam > 0 else 1.0) * min(weights)
         * np.sqrt(n) / (c_max * slope_bound(cfg.loss_params)))

@@ -12,10 +12,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gska
-from gska import kernels, model, solver
+from gska import interpret, kernels, model, solver
 from gska.evaluation import cross_validate, grid_search
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
@@ -118,3 +119,28 @@ def test_grid_solves_receive_a_gram_blocks_list(synth, rebind):
     assert len(built) == 2 and len(received) == 2 * 2 * 2
     by_id = {id(g) for g in built}
     assert all(id(g) in by_id for g in received)
+
+
+@pytest.mark.parametrize("score", [
+    model.decision_function,
+    lambda fitted, query: interpret.component_values(fitted, query, 1),
+], ids=["decision_function", "component_values"])
+def test_scoring_counts_every_query_row_one_tile_at_a_time(synth, rebind,
+                                                           score):
+    # the tracer counts cross-Gram entries at `cross_gram`, so all of
+    # scoring's kernel work must pass through it
+    data, part = synth
+    fitted = model.fit(data, part, solver.SolverConfig(0.01))
+    assert np.any(fitted.alpha[1])
+    query = gska.synth_generate(600, 9, 0.2)[0]
+    rows = []
+    cross_gram = kernels.cross_gram
+
+    def recording(train, query, *args, **kwargs):
+        rows.append(query.n)
+        return cross_gram(train, query, *args, **kwargs)
+
+    rebind(cross_gram, recording)
+    score(fitted, query)
+    assert max(rows) <= kernels._CHUNK_ROWS
+    assert sum(rows) == 600

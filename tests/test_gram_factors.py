@@ -7,6 +7,7 @@ instances use one- and two-feature groups so that the blocks have rank well
 below n / 2 at n = 300.
 """
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ import gska
 from gska import kernels
 from gska.coherence import ClassWeights
 from gska.data import Dataset, GroupPartition
-from gska.interpret import group_contribution
+from gska.interpret import group_contribution, rkhs_contribution
 from gska.solver import (SolverConfig, group_gradient, lambda_max, objective,
                          solve)
 
@@ -208,6 +209,42 @@ class TestExactPublicValues:
         assert not any(fresh.gram.factored(j) for j in range(part.d))
         for a, b in zip(group_contribution(model), group_contribution(fresh)):
             assert rel(a.contribution, b.contribution) < 1e-12
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestLeftDot:
+    def test_factored_block_bit_identical_in_column_tiles(self, low_rank):
+        data, part, spec, cfg = low_rank
+        gram = gska.gram_blocks(data, part, spec)
+        dense = [np.array(K) for K in gram]
+        alpha, _ = solve(gram, data.labels, part, cfg)
+        block_bytes = dense[0].nbytes
+        for j, a in enumerate(alpha):
+            assert gram.factored(j)
+            out, peak = traced_peak(gram.left_dot, j, a)
+            assert np.array_equal(out, a @ gram[j])
+            assert np.array_equal(out, a @ dense[j])
+            assert peak < block_bytes
+
+    def test_interpretation_never_rebuilds_a_block(self, low_rank):
+        data, part, spec, cfg = low_rank
+        model = gska.fit(data, part, cfg, spec)
+        assert all(model.gram.factored(j) for j in range(part.d))
+        fresh = replace(model)          # builds its Gram again, dense
+        contrib, peak = traced_peak(group_contribution, model)
+        assert contrib == group_contribution(fresh)
+        rkhs, peak_rkhs = traced_peak(rkhs_contribution, model)
+        assert np.array_equal(rkhs, rkhs_contribution(fresh))
+        assert max(peak, peak_rkhs) < data.n * data.n * 8
 
 
 class TestCurvatureConstants:

@@ -4,6 +4,8 @@ import pytest
 import gska
 from gska.data import DataError, Dataset, GroupPartition
 from gska.interpret import read_pd_csv
+from gska.kernels import _CHUNK_ROWS
+from gska.model import _align_query
 from gska.solver import SolverConfig
 
 
@@ -50,6 +52,16 @@ class TestComponentValues:
         np.testing.assert_array_equal(
             gska.component_values(model, d, 0),
             gska.decision_function(model, d))
+
+    def test_tiled_query_matches_one_shot(self, fitted):
+        _, part, _, model = fitted
+        # crosses two tile boundaries and ends in a part tile
+        query = gska.synth_generate(2 * _CHUNK_ROWS + 37, 11, 0.1)[0]
+        blocks = gska.cross_gram(model.train, _align_query(model, query),
+                                 part, model.kernel)
+        for j in range(part.d):
+            assert np.array_equal(gska.component_values(model, query, j),
+                                  model.alpha[j] @ blocks[j])
 
     def test_invalid_group(self, fitted):
         data, part, _, model = fitted

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,24 @@ import gska
 from gska import model as model_mod
 from gska.coherence import ClassWeights
 from gska.data import DataError, Dataset, GroupPartition
-from gska.solver import SolverConfig, lambda_max
+from gska.kernels import _CHUNK_ROWS
+from gska.solver import SolverConfig, lambda_max, solve
+
+
+def one_shot_scores(model, query):
+    """intercept + sum_j alpha_j K_j(train, query), blocks built whole."""
+    q = model_mod._align_query(model, query)
+    blocks = gska.cross_gram(model.train, q, model.partition, model.kernel)
+    f = np.full(q.n, model.report.intercept)
+    for j, Kq in enumerate(blocks):
+        f += model.alpha[j] @ Kq
+    return f
+
+
+@pytest.fixture(scope="module")
+def tiled_query():
+    # crosses two tile boundaries and ends in a part tile
+    return gska.synth_generate(2 * _CHUNK_ROWS + 37, 11, 0.1)[0]
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +94,21 @@ class TestFit:
         np.testing.assert_allclose(model.class_weights.weight_pos,
                                    data.n / (2 * n_pos))
 
+    def test_explicit_unit_class_weights_honoured(self):
+        data, part, _ = gska.synth_generate(150, 7, 0.1)
+        neg = np.flatnonzero(data.labels < 0)
+        data = data.subset(np.sort(np.concatenate(
+            [neg[:30], np.flatnonzero(data.labels > 0)])))
+        unit = ClassWeights(1.0, 1.0)
+        model = gska.fit(data, part, SolverConfig(0.01, class_weights=unit))
+        assert model.class_weights == unit
+        fold = model_mod._prepare_fold(data, part)
+        assert fold.class_weights != unit
+        # a bare solve without class weights weights the classes equally
+        alpha, _ = solve(fold.gram, fold.train.labels, part,
+                         SolverConfig(0.01))
+        assert np.array_equal(model.alpha, alpha)
+
 
 class TestDecisionFunction:
     def test_training_margins_match_solver(self, synth_fit):
@@ -126,6 +159,41 @@ class TestDecisionFunction:
         f = gska.decision_function(sparse, query)
         assert built == [[0, 2]]
         assert np.array_equal(f, expect)
+
+    def test_tiled_scores_match_one_shot_with_intercept(self, synth_fit,
+                                                       tiled_query):
+        data, part, _, _ = synth_fit
+        model = gska.fit(data, part, SolverConfig(0.01, fit_intercept=True))
+        assert model.report.intercept != 0.0
+        assert np.array_equal(gska.decision_function(model, tiled_query),
+                              one_shot_scores(model, tiled_query))
+
+    def test_tiled_scores_match_one_shot_with_zero_group(self, synth_fit,
+                                                        tiled_query):
+        _, _, _, model = synth_fit
+        alpha = np.array(model.alpha)
+        alpha[2] = 0.0
+        sparse = replace(model, alpha=alpha)
+        assert sum(map(np.any, alpha)) == 3
+        assert np.array_equal(gska.decision_function(sparse, tiled_query),
+                              one_shot_scores(sparse, tiled_query))
+
+    def test_scoring_memory_holds_one_tile(self):
+        # whole cross-Gram blocks would take 4 x 300 x 20 000 x 8 B = 192 MB
+        data, part, _ = gska.synth_generate(300, 5, 0.1)
+        model = gska.fit(data, part, SolverConfig(0.01))
+        rng = np.random.default_rng(0)
+        dense = replace(model, alpha=rng.standard_normal(model.alpha.shape))
+        m = 20_000
+        query = Dataset(rng.standard_normal((m, data.p)), np.ones(m),
+                        data.feature_names, tuple(map(str, range(m))))
+        tracemalloc.start()
+        try:
+            gska.decision_function(dense, query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_row_permutation_equivariance(self, synth_fit):
         data, _, _, model = synth_fit

@@ -43,7 +43,7 @@ class TestObjective:
         rng = np.random.default_rng(2)
         alpha = rng.standard_normal((part.d, len(y))) * 0.1
         m = y * sum(gram[j] @ alpha[j] for j in range(part.d))
-        risk = gska.empirical_risk(m, y, cfg.class_weights, cfg.loss_params)
+        risk = gska.empirical_risk(m, y, ClassWeights(), cfg.loss_params)
         np.testing.assert_allclose(objective(alpha, gram, y, part, cfg), risk,
                                    atol=1e-14)
 
@@ -58,7 +58,7 @@ class TestObjective:
         f = np.zeros(len(y))
         for K, a_j in zip(gram, alpha):
             f += K @ a_j
-        risk = gska.empirical_risk(y * f, y, cfg.class_weights,
+        risk = gska.empirical_risk(y * f, y, ClassWeights(),
                                    cfg.loss_params)
         assert value == risk + cfg.lam * sum(
             w * float(np.linalg.norm(a_j))
