@@ -111,7 +111,7 @@ def cmd_predict(args):
     preds = np.where(scores > 0, 1, -1)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample_id", "score", "prediction"])
+        writer.writerow([data_mod.SAMPLE_ID_COLUMN, "score", "prediction"])
         for sid, s, p in zip(query.sample_ids, scores, preds):
             writer.writerow([sid, repr(float(s)), int(p)])
     acc, f1 = evaluation.accuracy_f1(np.asarray(preds, dtype=float),

@@ -110,13 +110,26 @@ class GroupPartition:
             raise DataError("group names/weights must match group count")
         if not groups or any(len(g) == 0 for g in groups):
             raise DataError("groups must be non-empty")
-        flat = [i for g in groups for i in g]
-        if len(set(flat)) != len(flat):
-            raise DataError("groups overlap")
-        if sorted(flat) != list(range(len(flat))):
+        for j, name in enumerate(names):
+            # a name becomes part of interpretation file names
+            if not name or "/" in name or "\\" in name:
+                raise DataError(f"group {j} has the name {name!r}; a group "
+                                "name must be non-empty, without / or \\")
+            if name in names[:j]:
+                raise DataError(f"group name {name!r} is used twice")
+        seen = set()
+        for name, g in zip(names, groups):
+            for i in g:
+                if i in seen:
+                    raise DataError(f"groups overlap: column {i} is listed "
+                                    f"again in group {name!r}")
+                seen.add(i)
+        if sorted(seen) != list(range(len(seen))):
             raise DataError("groups must form a contiguous partition of columns")
-        if any(w <= 0 for w in weights):
-            raise DataError("group weights must be positive")
+        for name, w in zip(names, weights):
+            if not w > 0:
+                raise DataError(f"weight of group {name!r} is {w!r}; group "
+                                "weights must be positive")
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "group_names", names)
         object.__setattr__(self, "weights", weights)
@@ -173,11 +186,16 @@ def _parse_label(raw: str, row: int, path) -> float:
                     "{-1, +1, 0, 1}")
 
 
+SAMPLE_ID_COLUMN = "sample_id"
+
+
 def load_csv(path, label_column: str) -> Dataset:
     """Read a UTF-8, comma-separated, headered CSV into a Dataset.
 
-    The label column accepts -1/+1 or 0/1 (0 maps to -1). Every other cell
-    must parse as a finite real.
+    The label column accepts -1/+1 or 0/1 (0 maps to -1). A `sample_id`
+    column other than the label column (the name `predict` writes) gives the
+    sample ids verbatim and is not a feature; without one, the ids are the
+    row numbers. Every other cell must parse as a finite real.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -194,7 +212,10 @@ def load_csv(path, label_column: str) -> Dataset:
         if label_column not in header:
             raise DataError(f"{path}: label column {label_column!r} not found")
         label_idx = header.index(label_column)
-        names = [h for i, h in enumerate(header) if i != label_idx]
+        id_idx = (header.index(SAMPLE_ID_COLUMN) if SAMPLE_ID_COLUMN in header
+                  and SAMPLE_ID_COLUMN != label_column else None)
+        skip = (label_idx, id_idx)
+        names = [h for i, h in enumerate(header) if i not in skip]
         rows, labels, ids = [], [], []
         for r, cells in enumerate(reader):
             if len(cells) != len(header):
@@ -203,7 +224,7 @@ def load_csv(path, label_column: str) -> Dataset:
             labels.append(_parse_label(cells[label_idx], r, path))
             vals = []
             for i, cell in enumerate(cells):
-                if i == label_idx:
+                if i in skip:
                     continue
                 try:
                     vals.append(float(cell))
@@ -211,7 +232,7 @@ def load_csv(path, label_column: str) -> Dataset:
                     raise DataError(f"{path}: row {r}, column {header[i]!r}: "
                                     f"cannot parse {cell!r}")
             rows.append(vals)
-            ids.append(str(r))
+            ids.append(str(r) if id_idx is None else cells[id_idx])
     if not rows:
         raise DataError(f"{path}: no data rows")
     try:
@@ -306,6 +327,7 @@ def load_groups_json(path, feature_names) -> GroupPartition:
         raise DataError(f"{path}: expected an object with a 'groups' list")
     index = {name: i for i, name in enumerate(feature_names)}
     groups, names, weights = [], [], []
+    seen = set()
     for entry in doc["groups"]:
         try:
             names.append(str(entry["name"]))
@@ -320,6 +342,10 @@ def load_groups_json(path, feature_names) -> GroupPartition:
             if not isinstance(f, str) or f not in index:
                 raise DataError(f"{path}: unknown feature {f!r} in group "
                                 f"{names[-1]!r}")
+            if f in seen:
+                raise DataError(f"{path}: groups overlap: feature {f!r} is "
+                                f"listed again in group {names[-1]!r}")
+            seen.add(f)
             idxs.append(index[f])
         groups.append(tuple(idxs))
         weight = entry.get("weight", 1.0)
@@ -327,8 +353,11 @@ def load_groups_json(path, feature_names) -> GroupPartition:
             raise DataError(f"{path}: 'weight' of group {names[-1]!r} is "
                             f"{weight!r}, not a finite number")
         weights.append(float(weight))
-    part = GroupPartition(tuple(groups), tuple(names), tuple(weights))
-    part.validate_against(len(feature_names))
+    try:
+        part = GroupPartition(tuple(groups), tuple(names), tuple(weights))
+        part.validate_against(len(feature_names))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
     return part
 
 

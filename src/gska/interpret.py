@@ -6,11 +6,9 @@ the RKHS-norm alternative sqrt(alpha^T K alpha) is available via
 rkhs_contribution. Partial dependence grids are in original, unstandardized
 units so the curves stay readable; scaling is applied internally.
 
-Training-point components read `ModelState.gram`, the Gram of the prepared
-fold the model was solved on (built on first use for a loaded model),
-through `GramBlocks.left_dot`, which never rebuilds a factored block whole.
-Query-point components are scored a tile of rows at a time, like
-`model.decision_function`.
+Components are scored a tile of rows at a time, like
+`model.decision_function`, at query points and at the stored training points
+alike, so no n_train x n_train Gram block is built.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import SAMPLE_ID_COLUMN, DataError, Dataset
 from .model import ModelState, _align_query, _expansion, _model_columns
 
 
@@ -60,14 +58,15 @@ def component_values(model: ModelState, query: Dataset, j: int) -> np.ndarray:
 
 
 def _component_matrix(model: ModelState) -> np.ndarray:
-    # (d, n) components evaluated at the training points
-    return np.vstack([model.gram.left_dot(j, a)
-                      for j, a in enumerate(model.alpha)])
+    # (d, n) components at the training points; zero groups stay exact zeros
+    comps = np.zeros(model.alpha.shape)
+    for j, a in enumerate(model.alpha):
+        if np.any(a):
+            comps[j] = _expansion(model, model.train, (j,), 0.0)
+    return comps
 
 
-def group_contribution(model: ModelState) -> list[GroupImportance]:
-    """Empirical 2-norm of each component over training points, with shares."""
-    comps = _component_matrix(model)
+def _importances(model: ModelState, comps) -> list[GroupImportance]:
     contrib = np.sqrt(np.mean(comps ** 2, axis=1))
     total = float(contrib.sum())
     shares = contrib / total if total > 0 else np.zeros_like(contrib)
@@ -76,10 +75,16 @@ def group_contribution(model: ModelState) -> list[GroupImportance]:
             for j in range(model.partition.d)]
 
 
+def group_contribution(model: ModelState) -> list[GroupImportance]:
+    """Empirical 2-norm of each component over training points, with shares."""
+    return _importances(model, _component_matrix(model))
+
+
 def rkhs_contribution(model: ModelState) -> np.ndarray:
     """Alternative importance sqrt(alpha^(j)T K^(j) alpha^(j)) per group."""
-    return np.array([float(np.sqrt(max(model.gram.left_dot(j, a) @ a, 0.0)))
-                     for j, a in enumerate(model.alpha)])
+    comps = _component_matrix(model)
+    return np.array([float(np.sqrt(max(c @ a, 0.0)))
+                     for c, a in zip(comps, model.alpha)])
 
 
 def partial_dependence(model: ModelState, train: Dataset, j: int,
@@ -140,22 +145,22 @@ def export_interpretation(model: ModelState, train: Dataset, out_dir,
                 for g, v in zip(curve.grid, curve.values):
                     writer.writerow([repr(float(g)), repr(float(v))])
             written.append(path)
+    comps = _component_matrix(model)
     imp_path = os.path.join(out_dir, "group_importance.csv")
     with open(imp_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "contribution", "share"])
-        for gi in group_contribution(model):
+        for gi in _importances(model, comps):
             writer.writerow([gi.group_name, repr(gi.contribution),
                              repr(gi.normalized_share)])
     written.append(imp_path)
     if scatter:
-        comps = _component_matrix(model)
         for j in range(model.partition.d):
             gname = model.partition.group_names[j]
             path = os.path.join(out_dir, f"component_scatter_{gname}.csv")
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["sample_id", "value"])
+                writer.writerow([SAMPLE_ID_COLUMN, "value"])
                 for sid, v in zip(model.train.sample_ids, comps[j]):
                     writer.writerow([sid, repr(float(v))])
             written.append(path)

@@ -9,7 +9,8 @@ Scheinberg 2001; Harbrecht, Peters & Schneider 2012) when a solve runs long,
 so that a product costs O(n r) instead of O(n^2). By construction a factor's
 trace error tr(K - L L^T) is at most n * 1e-10. A factored block's exact
 values are rebuilt from the training rows on demand, entry for entry as
-first built.
+first built. A GramBlocks serves the solver only: scoring and interpretation
+build `cross_gram` blocks for one tile of rows at a time.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from .data import DataError, Dataset, GroupPartition
 # rank n / 2, where two products with L cost as much as one with K.
 _FACTOR_EPS = 1e-10
 # Rows rebuilt at once: of a factored block, for an exact product with it,
-# and of a scoring query, whose cross-Gram blocks are never built whole, so
-# scoring holds d n_train x _CHUNK_ROWS kernel values at a time.
+# and of a scored set of rows (query or training), whose cross-Gram blocks
+# are never built whole, so scoring holds d n_train x _CHUNK_ROWS kernel
+# values at a time.
 _CHUNK_ROWS = 256
 
 
@@ -105,9 +107,8 @@ class GramBlocks(Sequence):
     """A training set's Gram blocks K_j, each dense or as a low-rank factor.
 
     `blocks[j]` is K_j as a read-only array (a factored block is rebuilt in
-    full for the caller). `dot(j, v)` is the exact K_j v and `left_dot(j, v)`
-    the exact v K_j: a factored block's rows (columns) are rebuilt
-    _CHUNK_ROWS at a time, bit for bit as first built.
+    full for the caller). `dot(j, v)` is the exact K_j v: a factored block's
+    rows are rebuilt _CHUNK_ROWS at a time, bit for bit as first built.
     `fast_dot(j, v)` is L_j (L_j^T v) where block j is factored. Factoring
     is tried once, until `drop_factors` rebuilds the blocks dense; built from
     plain arrays (no training rows), the container never factors.
@@ -149,18 +150,6 @@ class GramBlocks(Sequence):
         for start in range(0, self.n, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, self.n)
             out[start:stop] = self._kernel_rows(j, start, stop) @ v
-        return out
-
-    def left_dot(self, j, v) -> np.ndarray:
-        """Exact v K_j, as v @ K_j on the dense block."""
-        if self._dense[j] is not None:
-            return v @ self._dense[j]
-        X = self._rows[j]
-        out = np.empty(self.n)
-        for start in range(0, self.n, _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, self.n)
-            out[start:stop] = v @ _kernel_matrix(X, X[start:stop],
-                                                 self._gammas[j])
         return out
 
     def fast_dot(self, j, v) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Fitted classifier: the prepared-fold path, scoring, prediction, persistence.
 
 `_prepare_fold` builds a training set's Gram once; fit, cross-validation,
-grid search, the default lambda grid and interpretation all solve from it.
+grid search and the default lambda grid all solve from it. A fitted model
+keeps no Gram: it is plain data, the same whether fitted or loaded.
 
 The decision function is the additive kernel expansion over the stored
 (standardized) training points, so the model file carries the training
 features along with the coefficient blocks. Scoring walks the query
 kernels._CHUNK_ROWS (256) rows at a time, so it holds one tile's cross-Gram
-blocks, d n_train x 256 values, however many rows the query has.
+blocks, d n_train x 256 values, however many rows the query has; the
+training rows' components for interpretation are scored the same way.
 Serialization is versioned JSON with floats written via repr, which
 round-trips exactly.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +56,6 @@ class ModelState:
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
 
-    @cached_property
-    def gram(self) -> GramBlocks:
-        # not serialized: a fitted model shares its fold's, a loaded one builds
-        return gram_blocks(self.train, self.partition, self.kernel)
-
 
 @dataclass(frozen=True)
 class _Fold:
@@ -93,12 +89,10 @@ def _solve_fold(fold: _Fold, cfg: SolverConfig, init=None) -> ModelState:
         cfg = replace(cfg, class_weights=fold.class_weights)
     alpha, report = solve(fold.gram, fold.train.labels, fold.partition, cfg,
                           init)
-    model = ModelState(alpha=alpha, train=fold.train, scaling=fold.scaling,
-                       partition=fold.partition, kernel=fold.kernel,
-                       loss_params=cfg.loss_params, lam=cfg.lam,
-                       class_weights=cfg.class_weights, report=report)
-    object.__setattr__(model, "gram", fold.gram)    # seed the cached Gram
-    return model
+    return ModelState(alpha=alpha, train=fold.train, scaling=fold.scaling,
+                      partition=fold.partition, kernel=fold.kernel,
+                      loss_params=cfg.loss_params, lam=cfg.lam,
+                      class_weights=cfg.class_weights, report=report)
 
 
 def fit(data: Dataset, partition: GroupPartition, cfg: SolverConfig,
@@ -139,8 +133,9 @@ def _expansion(model: ModelState, q: Dataset, groups, base: float):
                        q.sample_ids[lo:hi])
         blocks = cross_gram(model.train, tile, model.partition, model.kernel,
                             groups=groups)
-        for j, Kq in zip(groups, blocks):
-            f[lo:hi] += model.alpha[j] @ Kq
+        for j in groups:
+            # popped, so that no block outlives its tile
+            f[lo:hi] += model.alpha[j] @ blocks.pop(0)
     return f
 
 

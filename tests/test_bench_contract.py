@@ -79,6 +79,19 @@ def test_captured_signatures_unchanged(tree, qualname, expect):
     assert _package_params(fn) == expect
 
 
+def test_gram_blocks_is_used_only_by_prepare_fold():
+    # the tracer's Gram build counts must come from the prepared-fold path
+    users = set()
+    for path in sorted(Path(gska.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "gram_blocks"
+                        or isinstance(node, ast.Attribute)
+                        and node.attr == "gram_blocks"):
+                    users.add(f"{path.stem}.{getattr(top, 'name', '')}")
+    assert users == {"model._prepare_fold"}
+
+
 @pytest.fixture(scope="module")
 def synth():
     data, part, _ = gska.synth_generate(60, 5, 0.2)

@@ -108,6 +108,31 @@ class TestFit:
         assert code == 1
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second, field", [
+        (("g", ALL_FEATURES[6:], 1.0), "group name 'g' is used twice"),
+        (("", ALL_FEATURES[6:], 1.0), "group 1 has the name ''"),
+        (("b/c", ALL_FEATURES[6:], 1.0), "'b/c'"),
+        (("b\\c", ALL_FEATURES[6:], 1.0), repr("b\\c")),
+        (("b", ALL_FEATURES[5:], 1.0),
+         "feature 'f6' is listed again in group 'b'"),
+        (("b", ALL_FEATURES[6:], 0.0), "weight of group 'b'"),
+    ], ids=["duplicate-name", "empty-name", "slash", "backslash",
+            "overlap", "zero-weight"])
+    def test_group_error_names_file_and_group(self, synth_dir, tmp_path,
+                                              capsys, second, field):
+        # the first group is g over f1..f6; the second is the faulty one
+        bad = tmp_path / "groups.json"
+        bad.write_text(json.dumps({"groups": [
+            {"name": name, "features": features, "weight": weight}
+            for name, features, weight in [("g", ALL_FEATURES[:6], 1.0),
+                                           second]]}))
+        code = run(["fit", "--data", str(synth_dir / "features.csv"),
+                    "--groups", str(bad), "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert field in err
+
     def test_malformed_csv_exit_1(self, synth_dir, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("sample_id,f1,label\na,not_a_number,1\n")
@@ -115,6 +140,45 @@ class TestFit:
                     "--groups", str(synth_dir / "groups.json"),
                     "--out", str(tmp_path / "m.json")])
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def id_csv(synth_dir, tmp_path_factory):
+    # the synthetic features CSV with a sample_id column in front
+    rows = (synth_dir / "features.csv").read_text().splitlines()
+    ids = [f"s{r:03d}" for r in range(len(rows) - 1)]
+    path = tmp_path_factory.mktemp("ids") / "features.csv"
+    path.write_text("".join(f"{sid},{row}\n" for sid, row
+                            in zip(["sample_id"] + ids, rows)))
+    return path, ids
+
+
+class TestSampleIdColumn:
+    def test_ids_carried_and_not_a_feature(self, synth_dir, model_path,
+                                           id_csv, tmp_path):
+        path, ids = id_csv
+        model = tmp_path / "m.json"
+        assert run(["fit", "--data", str(path),
+                    "--groups", str(synth_dir / "groups.json"),
+                    "--lambda", "0.05", "--out", str(model)]) == 0
+        doc, plain = (json.loads(p.read_text()) for p in (model, model_path))
+        assert doc.pop("train_sample_ids") == ids
+        plain.pop("train_sample_ids")
+        assert doc == plain
+
+        assert run(["predict", "--model", str(model), "--data", str(path),
+                    "--out", str(tmp_path / "p.csv")]) == 0
+        rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ids
+
+        assert run(["interpret", "--model", str(model), "--data", str(path),
+                    "--grid-size", "4", "--scatter",
+                    "--out", str(tmp_path / "i")]) == 0
+        for g in ("g1", "g2", "g3", "g4"):
+            rows = (tmp_path / "i" / f"component_scatter_{g}.csv"
+                    ).read_text().splitlines()
+            assert rows[0] == "sample_id,value"
+            assert [r.split(",")[0] for r in rows[1:]] == ids
 
 
 class TestPredict:

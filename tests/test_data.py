@@ -53,6 +53,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="label column"):
             gska.load_csv(path, "label")
 
+    def test_sample_id_column_gives_ids_not_a_feature(self, tmp_path):
+        path = make_csv(tmp_path, "f1,sample_id,label\n1,x7,1\n2,007,0\n")
+        d = gska.load_csv(path, "label")
+        assert d.feature_names == ("f1",)
+        assert d.sample_ids == ("x7", "007")
+        np.testing.assert_array_equal(d.samples, [[1], [2]])
+
     def test_roundtrip_stability(self, tmp_path):
         rng = np.random.default_rng(1)
         d = Dataset(rng.standard_normal((5, 3)),
@@ -151,6 +158,13 @@ class TestGroupPartition:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(DataError):
             GroupPartition(((0,), (1,)), ("a", "b"), (1.0, 0.0))
+
+    @pytest.mark.parametrize("names", [("a", "a"), ("a", ""), ("a", "b/c"),
+                                       ("a", "b\\c")],
+                             ids=["duplicate", "empty", "slash", "backslash"])
+    def test_rejects_names_that_cannot_name_a_file(self, names):
+        with pytest.raises(DataError, match="group"):
+            GroupPartition(((0,), (1,)), names)
 
     def test_sqrt_size_weights(self):
         part = GroupPartition(((0, 1, 2, 3), (4,)), ("a", "b"))

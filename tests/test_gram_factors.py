@@ -18,7 +18,8 @@ import gska
 from gska import kernels
 from gska.coherence import ClassWeights
 from gska.data import Dataset, GroupPartition
-from gska.interpret import group_contribution, rkhs_contribution
+from gska.interpret import (_component_matrix, group_contribution,
+                            rkhs_contribution)
 from gska.solver import (SolverConfig, group_gradient, lambda_max, objective,
                          solve)
 
@@ -201,14 +202,21 @@ class TestExactPublicValues:
         assert rel(lambda_max(gram, y, part, cfg),
                    lambda_max(dense, y, part, cfg)) < 1e-12
 
-    def test_group_contribution(self, low_rank):
+    def test_group_contribution(self, low_rank, factor_calls):
+        # the fit solves on factors; the components are exact all the same
         data, part, spec, cfg = low_rank
         model = gska.fit(data, part, cfg, spec)
-        assert all(model.gram.factored(j) for j in range(part.d))
-        fresh = replace(model)          # builds its Gram again, dense
-        assert not any(fresh.gram.factored(j) for j in range(part.d))
-        for a, b in zip(group_contribution(model), group_contribution(fresh)):
-            assert rel(a.contribution, b.contribution) < 1e-12
+        assert len(factor_calls) == part.d
+        dense = gska.gram_blocks(model.train, part, spec)
+        exact = np.vstack([a @ K for a, K in zip(model.alpha, dense)])
+        assert np.array_equal(_component_matrix(model), exact)
+        contrib = np.sqrt(np.mean(exact ** 2, axis=1))
+        importances = group_contribution(model)
+        assert [gi.contribution for gi in importances] == contrib.tolist()
+        assert [gi.normalized_share for gi in importances] \
+            == (contrib / contrib.sum()).tolist()
+        assert np.array_equal(rkhs_contribution(model), [
+            np.sqrt(max(c @ a, 0.0)) for c, a in zip(exact, model.alpha)])
 
 
 def traced_peak(fn, *args):
@@ -221,30 +229,16 @@ def traced_peak(fn, *args):
     return result, peak
 
 
-class TestLeftDot:
-    def test_factored_block_bit_identical_in_column_tiles(self, low_rank):
-        data, part, spec, cfg = low_rank
-        gram = gska.gram_blocks(data, part, spec)
-        dense = [np.array(K) for K in gram]
-        alpha, _ = solve(gram, data.labels, part, cfg)
-        block_bytes = dense[0].nbytes
-        for j, a in enumerate(alpha):
-            assert gram.factored(j)
-            out, peak = traced_peak(gram.left_dot, j, a)
-            assert np.array_equal(out, a @ gram[j])
-            assert np.array_equal(out, a @ dense[j])
-            assert peak < block_bytes
-
-    def test_interpretation_never_rebuilds_a_block(self, low_rank):
+class TestTrainingComponents:
+    def test_interpretation_never_rebuilds_a_block(self, low_rank,
+                                                   factor_calls):
+        # n = 300 is above one scoring tile, so a tile is under n x n
         data, part, spec, cfg = low_rank
         model = gska.fit(data, part, cfg, spec)
-        assert all(model.gram.factored(j) for j in range(part.d))
-        fresh = replace(model)          # builds its Gram again, dense
-        contrib, peak = traced_peak(group_contribution, model)
-        assert contrib == group_contribution(fresh)
-        rkhs, peak_rkhs = traced_peak(rkhs_contribution, model)
-        assert np.array_equal(rkhs, rkhs_contribution(fresh))
-        assert max(peak, peak_rkhs) < data.n * data.n * 8
+        assert len(factor_calls) == part.d
+        peaks = [traced_peak(fn, model)[1] for fn in
+                 (_component_matrix, group_contribution, rkhs_contribution)]
+        assert max(peaks) < data.n * data.n * 8
 
 
 class TestCurvatureConstants:

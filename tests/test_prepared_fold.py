@@ -1,5 +1,8 @@
-"""Each training set's Gram is built once, and the default lambda grid
-matches its public definition."""
+"""Each training set's Gram is built once and freed with its fold, and the
+default lambda grid matches its public definition."""
+
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,13 +21,15 @@ def synth():
 
 @pytest.fixture
 def gram_builds(rebind):
-    """Count calls through every gska module binding of gram_blocks."""
+    """A weak reference to each Gram built through any gska module binding
+    of gram_blocks."""
     calls = []
     original = kernels.gram_blocks
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        gram = original(*args, **kwargs)
+        calls.append(weakref.ref(gram))
+        return gram
 
     rebind(original, counted)
     return calls
@@ -42,16 +47,31 @@ class TestGramBuiltOncePerFold:
                     seed=0)
         assert len(gram_builds) == 3
 
-    def test_export_interpretation_of_loaded_model(self, synth, tmp_path,
+    def test_export_interpretation_of_loaded_model(self, tmp_path,
                                                    gram_builds):
-        data, part = synth
+        # n = 600 is above one scoring tile, so a tile is under n x n
+        data, part, _ = gska.synth_generate(600, 70, 0.2)
         gska.save(gska.fit(data, part, SolverConfig(0.05, 1.0)),
                   tmp_path / "model.json")
         model = gska.load(tmp_path / "model.json")
         gram_builds.clear()
-        gska.export_interpretation(model, data, tmp_path / "interp",
-                                   grid_size=5, scatter=True)
-        assert len(gram_builds) == 1
+        tracemalloc.start()
+        try:
+            gska.export_interpretation(model, data, tmp_path / "interp",
+                                       grid_size=5, scatter=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(gram_builds) == 0
+        assert peak < data.n * data.n * 8
+
+
+def test_fitted_model_keeps_no_gram(synth, gram_builds):
+    data, part = synth
+    model = gska.fit(data, part, SolverConfig(0.05, 1.0))
+    assert not hasattr(model, "gram")
+    assert len(gram_builds) == 1
+    assert gram_builds[0]() is None
 
 
 def test_default_lambda_grid_matches_public_route(synth):
