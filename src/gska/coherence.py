@@ -80,12 +80,16 @@ def loss_grad(margin, params: CoherenceParams):
     return float(out) if np.isscalar(margin) else out
 
 
-def curvature_bound(params: CoherenceParams) -> float:
-    """Global upper bound on the loss second derivative.
+def loss_curvature(margin, params: CoherenceParams):
+    """loss''(u) = s(1-s) / (sigma^2 normalizer), s = sigmoid((1-u)/sigma);
+    s(1-s) is formed as sigmoid(x) sigmoid(-x), finite at every margin."""
+    x = (1.0 - _check_margin(margin)) / params.sigma
+    out = expit(x) * expit(-x) / (params.sigma ** 2 * params.normalizer)
+    return float(out) if np.isscalar(margin) else out
 
-    loss''(u) = s(1-s) / (sigma^2 normalizer) with s = sigmoid((1-u)/sigma),
-    maximized at s = 1/2.
-    """
+
+def curvature_bound(params: CoherenceParams) -> float:
+    """Global upper bound on loss_curvature: its value at margin 1."""
     return 1.0 / (4.0 * params.sigma ** 2 * params.normalizer)
 
 

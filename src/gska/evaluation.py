@@ -114,10 +114,11 @@ def cross_validate(data: Dataset, partition: GroupPartition, cfg: SolverConfig,
 
 
 DEFAULT_SIGMAS = (0.5, 1.0, 2.0)
+_DEFAULT_LAMBDA_POINTS = 20
 
 
 def default_lambda_grid(data: Dataset, partition: GroupPartition,
-                        sigmas=DEFAULT_SIGMAS, n_points: int = 20,
+                        sigmas=DEFAULT_SIGMAS,
                         kernel: KernelSpec | None = None) -> tuple[float, ...]:
     """20 log-spaced points from 1e-4 up to the largest lambda_max over sigmas."""
     fold = model_mod._prepare_fold(data, partition, kernel)
@@ -125,7 +126,7 @@ def default_lambda_grid(data: Dataset, partition: GroupPartition,
                          SolverConfig(0.0, s, class_weights=fold.class_weights))
               for s in sigmas)
     top = max(top, 2e-4)
-    return tuple(np.geomspace(1e-4, top, n_points))
+    return tuple(np.geomspace(1e-4, top, _DEFAULT_LAMBDA_POINTS))
 
 
 def _grid_values(values, name: str) -> list[float]:

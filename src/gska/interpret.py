@@ -129,22 +129,35 @@ def export_interpretation(model: ModelState, train: Dataset, out_dir,
 
     With scatter=True, also writes per-sample component scatters
     (component_scatter_<group>.csv with columns sample_id,value).
-    Returns the list of written paths.
+    Returns the list of written paths. Raises DataError, before writing
+    anything, if a feature name holds a path separator or two (group,
+    feature) pairs would share a PD file name.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for j in range(model.partition.d):
-        gname = model.partition.group_names[j]
+    pd_files = {}       # file name -> (group id, group name, feature name)
+    for j, gname in enumerate(model.partition.group_names):
         for col in model.partition.groups[j]:
             fname = model.train.feature_names[col]
-            curve = partial_dependence(model, train, j, fname, grid_size)
-            path = os.path.join(out_dir, f"pd_{gname}_{fname}.csv")
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["grid", "value"])
-                for g, v in zip(curve.grid, curve.values):
-                    writer.writerow([repr(float(g)), repr(float(v))])
-            written.append(path)
+            if "/" in fname or "\\" in fname:
+                raise DataError(f"feature {fname!r} contains a path "
+                                "separator, so it cannot name a PD file")
+            name = f"pd_{gname}_{fname}.csv"
+            if name in pd_files:
+                _, g0, f0 = pd_files[name]
+                raise DataError(f"group {g0!r} feature {f0!r} and group "
+                                f"{gname!r} feature {fname!r} both name "
+                                f"the PD file {name}")
+            pd_files[name] = (j, gname, fname)
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for name, (j, _, fname) in pd_files.items():
+        curve = partial_dependence(model, train, j, fname, grid_size)
+        path = os.path.join(out_dir, name)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["grid", "value"])
+            for g, v in zip(curve.grid, curve.values):
+                writer.writerow([repr(float(g)), repr(float(v))])
+        written.append(path)
     comps = _component_matrix(model)
     imp_path = os.path.join(out_dir, "group_importance.csv")
     with open(imp_path, "w", newline="", encoding="utf-8") as fh:

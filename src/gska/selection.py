@@ -15,6 +15,9 @@ from scipy.special import expit
 
 from .data import DataError, Dataset, standardize, stratified_kfold
 
+# coordinate-descent sweeps per lambda before a path point stops unconverged
+_MAX_SWEEPS = 10000
+
 
 @dataclass(frozen=True)
 class ENConfig:
@@ -23,7 +26,6 @@ class ENConfig:
     k: int = 10
     folds: int = 5
     kkt_tol: float = 1e-6
-    max_sweeps: int = 10000
 
     def __post_init__(self):
         if not (0.0 <= self.alpha_mix <= 1.0):
@@ -124,7 +126,7 @@ def en_logistic_path(data: Dataset, cfg: ENConfig):
     intercepts = np.empty(len(grid))
     for t, lam in enumerate(grid):
         beta, intercept, _ = _cd_fit(X, y, lam, cfg.alpha_mix, beta,
-                                     intercept, cfg.kkt_tol, cfg.max_sweeps)
+                                     intercept, cfg.kkt_tol, _MAX_SWEEPS)
         coefs[t] = beta
         intercepts[t] = intercept
     return grid, coefs, intercepts

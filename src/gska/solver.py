@@ -18,6 +18,12 @@ KKT residual at the returned point, in units of lam * w_j: once it meets
 tol, up to 8 more iterations aim for tol / 10. Deterministic given
 inputs: no randomization, fixed summation order.
 
+With fit_intercept, every margin gains an unpenalized b. Before the first
+iteration and after each accepted step, b takes one Newton step on the
+weighted risk with the loss's exact second derivative, halved until the
+risk does not rise. The KKT residual then also holds |dR/db| in units of
+lam * min_j w_j, so `converged` certifies b as well.
+
 Products with the Gram blocks go through a kernels.GramBlocks (plain arrays
 are wrapped in one). A solve still running after 50 iterations asks it to
 factor its blocks by pivoted Cholesky, and the remaining iterations, like
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import (ClassWeights, CoherenceParams, curvature_bound,
-                        empirical_risk, loss_grad, slope_bound)
+                        empirical_risk, loss_curvature, loss_grad, slope_bound)
 from .data import DataError, GroupPartition
 from .kernels import _FACTOR_EPS, GramBlocks
 
@@ -61,6 +67,9 @@ _SETTLE_SHRINK = 0.1
 _FACTOR_AFTER = 50
 # share of tol * lam * w_j a factor's trace error may move a block gradient
 _FACTOR_SHARE = 0.01
+# power iteration: relative change that ends it, and its iteration cap
+_POWER_TOL = 1e-8
+_POWER_MAX_ITERS = 500
 _UNIT_WEIGHTS = ClassWeights()
 
 
@@ -119,13 +128,25 @@ def _risk(f, b, labels, cfg: SolverConfig) -> float:
                           cfg.loss_params)
 
 
-def _grads(f, b, dot, groups, labels, cfg: SolverConfig) -> list[np.ndarray]:
-    # block gradients K^(j) (1/n) c(y) loss'(y (f + b)) y of the risk, j in
-    # groups
+def _slopes(f, b, labels, cfg: SolverConfig) -> np.ndarray:
+    # dR/df = (1/n) c(y) loss'(y (f + b)) y: block j's risk gradient is
+    # K^(j) of it, and dR/db is its sum
     c = _class_weights(cfg).per_sample(labels)
     slope = loss_grad(labels * (f + b), cfg.loss_params)
-    common = c * slope * labels / labels.size
+    return c * slope * labels / labels.size
+
+
+def _grads(f, b, dot, groups, labels, cfg: SolverConfig) -> list[np.ndarray]:
+    # block gradients of the risk, j in groups
+    common = _slopes(f, b, labels, cfg)
     return [dot(j, common) for j in groups]
+
+
+def _grad_b(f, b, labels, cfg: SolverConfig) -> float:
+    # dR/db where the solve fits an intercept, else 0
+    if not cfg.fit_intercept:
+        return 0.0
+    return float(np.sum(_slopes(f, b, labels, cfg)))
 
 
 def objective(alpha, gram, labels, partition: GroupPartition,
@@ -146,29 +167,29 @@ def _penalty(alpha, weights, lam: float) -> float:
 
 
 def group_gradient(alpha, gram, labels, partition: GroupPartition,
-                   cfg: SolverConfig, j: int) -> np.ndarray:
+                   cfg: SolverConfig, j: int,
+                   intercept: float = 0.0) -> np.ndarray:
     if not (0 <= j < partition.d):
         raise DataError(f"invalid group id {j}")
     alpha = np.asarray(alpha, dtype=float)
     labels = np.asarray(labels, dtype=float)
     dot = _as_blocks(gram).dot
-    return _grads(_scores(alpha, dot), 0.0, dot, (j,), labels, cfg)[0]
+    return _grads(_scores(alpha, dot), intercept, dot, (j,), labels, cfg)[0]
 
 
-def spectral_norm_sq(K: np.ndarray, tol: float = 1e-8,
-                     max_iters: int = 500) -> float:
+def spectral_norm_sq(K: np.ndarray) -> float:
     """Largest eigenvalue of K^T K by power iteration, deterministic start."""
     n = K.shape[0]
     w = K.T @ (K @ (np.ones(n) / np.sqrt(n)))
     est = 0.0
-    for _ in range(max_iters):
+    for _ in range(_POWER_MAX_ITERS):
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v = w / norm
         w = K.T @ (K @ v)       # the estimate's product is the next iterate's
         new_est = float(v @ w)
-        if abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+        if abs(new_est - est) <= _POWER_TOL * max(1.0, abs(new_est)):
             return new_est
         est = new_est
     raise SolverError("power iteration failed to converge")
@@ -205,32 +226,29 @@ def group_update(alpha_j, grad_j, gamma_j: float, lam: float,
     return (u / gamma_j) * (1.0 - thresh / norm)
 
 
-def _fit_intercept_1d(f_no_b, labels, cfg: SolverConfig, b0: float) -> float:
-    # scalar Newton with backtracking on the weighted risk in b
+def _intercept_step(f, b, labels, cfg: SolverConfig) -> float:
+    # one Newton step in b, halved while the weighted risk rises; the floor
+    # keeps it finite where every margin is in a linear piece of the loss
     c = _class_weights(cfg).per_sample(labels)
-    params = cfg.loss_params
-    L = curvature_bound(params) * float(np.mean(c))
-    b = b0
-    for _ in range(100):
-        g = float(np.mean(c * loss_grad(labels * (f_no_b + b), params) * labels))
-        step = g / L
-        if abs(step) < 1e-12:
-            break
-        r0 = _risk(f_no_b, b, labels, cfg)
-        t = 1.0
-        while _risk(f_no_b, b - t * step, labels, cfg) > r0 and t > 1e-8:
-            t *= 0.5
-        b -= t * step
-    return b
+    h = max(np.mean(c * loss_curvature(labels * (f + b), cfg.loss_params)),
+            1e-12 * curvature_bound(cfg.loss_params) * np.mean(c))
+    step = _grad_b(f, b, labels, cfg) / float(h)
+    r0, t = _risk(f, b, labels, cfg), 1.0
+    while _risk(f, b - t * step, labels, cfg) > r0:
+        t *= 0.5
+    return b - t * step
 
 
-def _kkt_residual(alpha, grads, lam: float, weights) -> float:
-    """Largest per-group KKT violation, in units of lam * w_j (w_j at lam 0).
+def _kkt_residual(alpha, grads, lam: float, weights,
+                  grad_b: float = 0.0) -> float:
+    """Largest KKT violation, in units of lam * w_j (w_j at lam 0).
 
     An active block needs g_j + lam w_j alpha_j / ||alpha_j|| = 0, a zero
-    block ||g_j|| <= lam w_j.
+    block ||g_j|| <= lam w_j, and a fitted intercept dR/db = grad_b = 0,
+    measured in units of lam * min_j w_j.
     """
-    worst = 0.0
+    w_min = min(weights)
+    worst = abs(grad_b) / (lam * w_min if lam > 0 else w_min)
     for a, g, w in zip(alpha, grads, weights):
         thresh = lam * w
         norm_a = float(np.linalg.norm(a))
@@ -248,12 +266,13 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
 
     Returns (alpha, SolveReport). Converged means the largest per-group KKT
     residual at the returned alpha is at most cfg.tol * lam * w_j (cfg.tol *
-    w_j when lam is 0). Once the residual is first found within cfg.tol, the
-    solve stops when it reaches cfg.tol / 10 or, from 8 iterations later, at
-    the first iterate within cfg.tol. Otherwise it stops after cfg.max_iters
-    iterations, or earlier once not even a plain prox-gradient step lowers
-    the computed objective (the rounding floor, near 1e-6 lam w_j), and
-    warns on stderr.
+    w_j when lam is 0) and, with cfg.fit_intercept, that |dR/db| at the
+    returned intercept is at most cfg.tol * lam * min_j w_j. Once the
+    residual is first found within cfg.tol, the solve stops when it reaches
+    cfg.tol / 10 or, from 8 iterations later, at the first iterate within
+    cfg.tol. Otherwise it stops after cfg.max_iters iterations, or earlier
+    once not even a plain prox-gradient step lowers the computed objective
+    (the rounding floor, near 1e-6 lam w_j), and warns on stderr.
 
     On a GramBlocks from kernels.gram_blocks, iterations past the 50th may
     run on pivoted-Cholesky factors of the blocks (see the module
@@ -287,10 +306,11 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     f = _scores(alpha, dot)
     intercept = 0.0
     if cfg.fit_intercept:
-        intercept = _fit_intercept_1d(f, labels, cfg, intercept)
+        intercept = _intercept_step(f, intercept, labels, cfg)
     obj = _risk(f, intercept, labels, cfg) + _penalty(alpha, weights, lam)
     g = _grads(f, intercept, dot, groups, labels, cfg)  # at alpha, or None
-    kkt = _kkt_residual(alpha, g, lam, weights)
+    kkt = _kkt_residual(alpha, g, lam, weights,
+                        _grad_b(f, intercept, labels, cfg))
     met = 0 if kkt <= cfg.tol else None     # iteration kkt first met tol
     trace = [obj]
     alpha_prev, f_prev = alpha, f
@@ -345,7 +365,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         t = 1.0 if restart else t_next
         alpha_prev, f_prev, alpha, f = alpha, f, z, f_z
         if cfg.fit_intercept:
-            intercept = _fit_intercept_1d(f, labels, cfg, intercept)
+            intercept = _intercept_step(f, intercept, labels, cfg)
             obj_z = (_risk(f, intercept, labels, cfg)
                      + _penalty(alpha, weights, lam))
         obj = obj_z
@@ -357,7 +377,8 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
                       for gm, s, w in zip(gammas, step, weights))
         if mapping <= cfg.tol or met is not None:
             g = _grads(f, intercept, dot, groups, labels, cfg)
-            kkt = _kkt_residual(alpha, g, lam, weights)
+            kkt = _kkt_residual(alpha, g, lam, weights,
+                                _grad_b(f, intercept, labels, cfg))
             if met is None and kkt <= cfg.tol:
                 met = it
         scale *= 0.97
@@ -367,7 +388,8 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     trace[-1] = (_risk(f, intercept, labels, cfg)
                  + _penalty(alpha, weights, lam))
     g = _grads(f, intercept, blocks.dot, groups, labels, cfg)
-    kkt = _kkt_residual(alpha, g, lam, weights)
+    kkt = _kkt_residual(alpha, g, lam, weights,
+                        _grad_b(f, intercept, labels, cfg))
     converged = kkt <= cfg.tol
     if not converged:
         print(f"gska: warning: solve stopped after {it} iterations "

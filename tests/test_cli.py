@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gska import model as model_mod
 from gska.cli import run
 from gska.data import load_csv
 from gska.interpret import read_pd_csv
@@ -445,6 +447,107 @@ class TestInterpret:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: grid_size must be at least 2\n")
+
+    def _fit_named(self, tmp_path, groups):
+        """Fit on random rows whose features and groups carry these names."""
+        names = [f for _, feats in groups for f in feats]
+        rng = np.random.default_rng(5)
+        rows = [",".join(names + ["label"])]
+        for i in range(30):
+            vals = rng.standard_normal(len(names))
+            rows.append(",".join([repr(float(v)) for v in vals]
+                                 + ["1" if i % 2 else "-1"]))
+        csv_path = tmp_path / "named.csv"
+        csv_path.write_text("\n".join(rows) + "\n")
+        groups_path = tmp_path / "named_groups.json"
+        groups_path.write_text(json.dumps({"groups": [
+            {"name": g, "features": feats} for g, feats in groups]}))
+        model = tmp_path / "named_model.json"
+        assert run(["fit", "--data", str(csv_path), "--groups",
+                    str(groups_path), "--lambda", "0.05",
+                    "--out", str(model)]) == 0
+        return model, csv_path
+
+    def _interpret_fails(self, tmp_path, capsys, groups):
+        model, csv_path = self._fit_named(tmp_path, groups)
+        capsys.readouterr()
+        out = tmp_path / "interp"
+        code = run(["interpret", "--model", str(model), "--data",
+                    str(csv_path), "--grid-size", "4", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()        # nothing was written
+        return capsys.readouterr().err
+
+    def test_path_separator_in_feature_name_exit_1(self, tmp_path, capsys):
+        err = self._interpret_fails(tmp_path, capsys,
+                                    [("a", ["x/y", "z"])])
+        assert err == ("error: feature 'x/y' contains a path separator, "
+                       "so it cannot name a PD file\n")
+
+    def test_colliding_pd_file_names_exit_1(self, tmp_path, capsys):
+        err = self._interpret_fails(tmp_path, capsys,
+                                    [("a", ["b_c"]), ("a_b", ["c"])])
+        assert err == ("error: group 'a' feature 'b_c' and group 'a_b' "
+                       "feature 'c' both name the PD file pd_a_b_c.csv\n")
+
+
+@pytest.fixture(scope="module")
+def intercept_fit(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("intercept")
+    args = ["fit", "--data", str(synth_dir / "features.csv"),
+            "--groups", str(synth_dir / "groups.json"),
+            "--lambda", "0.05", "--intercept"]
+    assert run(args + ["--out", str(out / "model.json")]) == 0
+    return args, out / "model.json"
+
+
+class TestIntercept:
+    def test_fit_writes_nonzero_intercept(self, intercept_fit):
+        _, path = intercept_fit
+        doc = json.loads(path.read_text())
+        assert doc["report"]["intercept"] != 0.0
+        assert doc["report"]["converged"] is True
+
+    def test_predict_reproduces_decision_function(self, synth_dir,
+                                                  intercept_fit, tmp_path):
+        _, path = intercept_fit
+        out = tmp_path / "pred.csv"
+        assert run(["predict", "--model", str(path),
+                    "--data", str(synth_dir / "features.csv"),
+                    "--out", str(out)]) == 0
+        scores = np.array([float(row.split(",")[1]) for row in
+                           out.read_text().strip().splitlines()[1:]])
+        model = model_mod.load(path)
+        query = load_csv(synth_dir / "features.csv", "label")
+        assert np.array_equal(scores,
+                              model_mod.decision_function(model, query))
+        b = model.report.intercept
+        no_b = replace(model, report=replace(model.report, intercept=0.0))
+        np.testing.assert_allclose(
+            scores - b, model_mod.decision_function(no_b, query),
+            rtol=0, atol=1e-12)
+
+    def test_reruns_identical(self, synth_dir, intercept_fit, tmp_path):
+        args, path = intercept_fit
+        assert run(args + ["--out", str(tmp_path / "m.json")]) == 0
+        assert (tmp_path / "m.json").read_bytes() == path.read_bytes()
+        cv = ["cv", "--data", str(synth_dir / "features.csv"),
+              "--groups", str(synth_dir / "groups.json"),
+              "--lambda", "0.05", "--folds", "4", "--seed", "3",
+              "--intercept"]
+        assert run(cv + ["--out", str(tmp_path / "cv1.json")]) == 0
+        assert run(cv + ["--out", str(tmp_path / "cv2.json")]) == 0
+        assert ((tmp_path / "cv1.json").read_bytes()
+                == (tmp_path / "cv2.json").read_bytes())
+
+    def test_cv_exits_0(self, synth_dir, tmp_path, capsys):
+        code = run(["cv", "--data", str(synth_dir / "features.csv"),
+                    "--groups", str(synth_dir / "groups.json"),
+                    "--lambda", "0.05", "--folds", "3", "--intercept",
+                    "--out", str(tmp_path / "cv.json")])
+        assert code == 0
+        doc = json.loads((tmp_path / "cv.json").read_text())
+        assert 0.0 <= doc["mean"]["auroc"] <= 1.0
 
 
 class TestSelect:

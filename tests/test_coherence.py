@@ -3,7 +3,7 @@ import pytest
 
 import gska
 from gska.coherence import (ClassWeights, CoherenceParams, curvature_bound,
-                            empirical_risk, loss, loss_grad)
+                            empirical_risk, loss, loss_curvature, loss_grad)
 from gska.data import DataError
 
 
@@ -79,6 +79,31 @@ class TestLossGrad:
         bound = 1.0 / (params.sigma * params.normalizer)
         assert np.all(g < 0)
         assert np.all(np.abs(g) <= bound + 1e-12)
+
+
+class TestLossCurvature:
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("u", [-2.0, -0.5, 0.0, 0.7, 3.0])
+    def test_finite_difference_of_grad(self, sigma, u):
+        params = CoherenceParams(sigma)
+        fd = central_diff(lambda x: loss_grad(x, params), u)
+        assert abs(loss_curvature(u, params) - fd) < 1e-6
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 3.0])
+    def test_bound_attained_at_margin_one(self, sigma):
+        params = CoherenceParams(sigma)
+        assert loss_curvature(1.0, params) == curvature_bound(params)
+        u = np.linspace(-20, 20, 4001)
+        curv = loss_curvature(u, params)
+        assert np.all(curv >= 0)
+        assert np.all(curv <= curvature_bound(params))
+
+    def test_finite_far_from_the_kink(self):
+        # |1 - u| / sigma = 1e4: the curvature underflows to 0, not NaN
+        params = CoherenceParams(0.1)
+        curv = loss_curvature(np.array([1.0 - 1e3, 1.0 + 1e3]), params)
+        assert np.all(np.isfinite(curv))
+        assert np.all((curv >= 0) & (curv < 1e-300))
 
 
 class TestCurvatureBound:

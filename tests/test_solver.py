@@ -219,10 +219,13 @@ class TestSolve:
         assert abs(report.objective_trace[-1] - oracle_obj) < 1e-6
 
     def test_objective_trace_non_increasing(self):
-        gram, y, part, cfg = make_instance(25, [(0, 1), (2, 3)], 15, lam=0.02)
-        _, report = solve(gram, y, part, cfg)
-        trace = np.array(report.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-10)
+        for fit_intercept in (False, True):
+            gram, y, part, cfg = make_instance(25, [(0, 1), (2, 3)], 15,
+                                               lam=0.02,
+                                               fit_intercept=fit_intercept)
+            _, report = solve(gram, y, part, cfg)
+            trace = np.array(report.objective_trace)
+            assert np.all(np.diff(trace) <= 1e-10)
 
     def test_deterministic(self):
         gram, y, part, cfg = make_instance(15, [(0,), (1, 2)], 16, lam=0.05)
@@ -276,11 +279,11 @@ class TestSolve:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
-def kkt_violations(alpha, gram, y, part, cfg):
+def kkt_violations(alpha, gram, y, part, cfg, intercept=0.0):
     """Per-group KKT violation in units of lam * w_j, via group_gradient."""
     out = []
     for j, w in enumerate(part.weights):
-        g = group_gradient(alpha, gram, y, part, cfg, j)
+        g = group_gradient(alpha, gram, y, part, cfg, j, intercept)
         tw = cfg.lam * w
         nj = np.linalg.norm(alpha[j])
         viol = (np.linalg.norm(g + tw * alpha[j] / nj) if nj > 0
@@ -290,20 +293,34 @@ def kkt_violations(alpha, gram, y, part, cfg):
 
 
 class TestStoppingRule:
-    @pytest.mark.parametrize("seed,frac,tol", [(22, 0.3, 1e-2),
-                                               (23, 0.1, 1e-4),
-                                               (24, 0.6, 1e-6)])
-    def test_converged_means_kkt_within_tol(self, seed, frac, tol):
+    @pytest.mark.parametrize("seed,frac,tol,fit_intercept", [
+        pytest.param(22, 0.3, 1e-2, False, id="22-0.3-0.01"),
+        pytest.param(23, 0.1, 1e-4, False, id="23-0.1-0.0001"),
+        pytest.param(24, 0.6, 1e-6, False, id="24-0.6-1e-06"),
+        pytest.param(22, 0.3, 1e-2, True, id="22-0.3-0.01-intercept"),
+        pytest.param(23, 0.1, 1e-4, True, id="23-0.1-0.0001-intercept"),
+        pytest.param(24, 0.6, 1e-6, True, id="24-0.6-1e-06-intercept")])
+    def test_converged_means_kkt_within_tol(self, seed, frac, tol,
+                                            fit_intercept):
         gram, y, part, _ = make_instance(40, [(0, 1), (2,), (3, 4)], seed)
         part = part.sqrt_size_weights()
         cw = ClassWeights(1.3, 0.8)
         lmax = lambda_max(gram, y, part,
                           SolverConfig(0.0, 0.7, class_weights=cw))
         cfg = SolverConfig(frac * lmax, 0.7, tol=tol, max_iters=20000,
-                           class_weights=cw)
+                           class_weights=cw, fit_intercept=fit_intercept)
         alpha, report = solve(gram, y, part, cfg)
+        b = report.intercept
         assert report.converged
-        assert max(kkt_violations(alpha, gram, y, part, cfg)) <= tol
+        assert max(kkt_violations(alpha, gram, y, part, cfg, b)) <= tol
+        if not fit_intercept:
+            assert b == 0.0
+            return
+        # dR/db = d objective / d intercept, by central difference
+        h = 1e-6
+        grad_b = (objective(alpha, gram, y, part, cfg, b + h)
+                  - objective(alpha, gram, y, part, cfg, b - h)) / (2 * h)
+        assert abs(grad_b) <= tol * cfg.lam * min(part.weights)
 
     @pytest.mark.parametrize("frac", [0.8, 0.3])
     def test_settles_within_eight_iterations_of_meeting_tol(self, frac,
@@ -328,13 +345,19 @@ class TestStoppingRule:
     # inverse-frequency weights, sigma = 1: long runs stopped at the
     # rounding floor (KKT <= 5e-6 lam w_j; the lam = 0.03 value agrees
     # with an independent accelerated run to KKT 4e-9, objective 0.644051).
-    @pytest.mark.parametrize("lam,reference", [(0.05, 0.7419846932),
-                                               (0.03, 0.6440507746),
-                                               (0.01, 0.4651543006)])
-    def test_tol_1e4_reaches_long_run_objective(self, lam, reference):
+    # The intercept fit's reference is a run at tol 1e-6.
+    @pytest.mark.parametrize("lam,reference,fit_intercept", [
+        pytest.param(0.05, 0.7419846932, False, id="0.05-0.7419846932"),
+        pytest.param(0.03, 0.6440507746, False, id="0.03-0.6440507746"),
+        pytest.param(0.01, 0.4651543006, False, id="0.01-0.4651543006"),
+        pytest.param(0.03, 0.625720772434, True,
+                     id="0.03-0.625720772434-intercept")])
+    def test_tol_1e4_reaches_long_run_objective(self, lam, reference,
+                                                fit_intercept):
         data, part, _ = gska.synth_generate(500, 1, 0.2)
         model = gska.fit(data, part,
-                         SolverConfig(lam, 1.0, tol=1e-4, max_iters=5000))
+                         SolverConfig(lam, 1.0, tol=1e-4, max_iters=5000,
+                                      fit_intercept=fit_intercept))
         assert model.report.converged
         assert abs(model.report.objective_trace[-1] - reference) \
             <= 1e-6 * reference
@@ -423,3 +446,12 @@ class TestIntercept:
         _, rep_b = solve(gram, y, part, cfg_b)
         assert rep_b.objective_trace[-1] < rep_no.objective_trace[-1]
         assert rep_b.intercept > 0
+
+    def test_step_stays_finite_where_curvature_underflows(self, capsys):
+        # at sigma = 0.001 the loss curvature at zero margins underflows to 0
+        gram, y, part, cfg = make_instance(25, [(0, 1), (2, 3)], 15,
+                                           sigma=0.001, lam=0.02,
+                                           fit_intercept=True, max_iters=50)
+        _, report = solve(gram, y, part, cfg)
+        assert np.isfinite(report.intercept) and report.intercept != 0.0
+        assert np.all(np.diff(report.objective_trace) <= 1e-10)
