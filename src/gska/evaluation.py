@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata, t as t_dist
+from scipy.special import stdtr
 
 from . import interpret, model as model_mod
 from .data import DataError, Dataset, GroupPartition, stratified_kfold
@@ -50,7 +50,8 @@ class GridResult:
 def auroc(scores, labels) -> float:
     """P(score of a random positive > random negative), ties counted half.
 
-    Exact rank-statistic computation (Mann-Whitney U with average ranks).
+    Exact Mann-Whitney U: for each positive, the negatives scored below it
+    plus half those tied with it, counted by binary search.
     """
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -60,8 +61,10 @@ def auroc(scores, labels) -> float:
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC requires both classes")
-    ranks = rankdata(s)
-    u = float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0
+    neg = np.sort(s[~pos])
+    below = np.searchsorted(neg, s[pos], side="left")
+    at_or_below = np.searchsorted(neg, s[pos], side="right")
+    u = float(np.sum(below + at_or_below)) / 2.0
     return u / (n_pos * n_neg)
 
 
@@ -214,5 +217,5 @@ def paired_ttest(a, b) -> tuple[float, float]:
             return 0.0, 1.0
         return float(np.sign(mean)) * np.inf, 0.0
     t = mean / (sd / np.sqrt(k))
-    p = 2.0 * float(t_dist.sf(abs(t), k - 1))
+    p = 2.0 * float(stdtr(k - 1, -abs(t)))
     return t, p

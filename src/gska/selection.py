@@ -1,13 +1,20 @@
 """Elastic-net penalized logistic regression for top-k feature screening.
 
-Coordinate descent with warm starts along a decreasing lambda grid. The
-penalty is lam * (rho ||beta||_1 + (1 - rho)/2 ||beta||_2^2) with an
-unpenalized intercept. Features are ranked by mean absolute standardized
-coefficient at the CV-chosen lambda across folds.
+The penalty is lam * (rho ||beta||_1 + (1 - rho)/2 ||beta||_2^2) with an
+unpenalized intercept b. Each lambda of a decreasing grid is solved from the
+previous point by accelerated proximal gradient (FISTA, Beck & Teboulle 2009)
+over (b, beta) together: a fixed step 1/L with L = (||X||_2^2 + n)/(4n) +
+lam (1 - rho), which bounds the logistic loss's curvature, a soft-threshold
+of beta only, and a momentum restart when the step turns against it
+(O'Donoghue & Candes 2015). A point stops once its KKT residual is below
+kkt_tol; a path with points that hit the iteration cap warns on stderr.
+Features are ranked by mean absolute standardized coefficient at the
+CV-chosen lambda across folds.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,8 +22,11 @@ from scipy.special import expit
 
 from .data import DataError, Dataset, standardize, stratified_kfold
 
-# coordinate-descent sweeps per lambda before a path point stops unconverged
-_MAX_SWEEPS = 10000
+# proximal-gradient iterations per lambda before a path point stops unconverged
+_MAX_ITERS = 10000
+# default grid: this many points from en_lambda_max down to _GRID_SPAN of it
+_GRID_POINTS = 50
+_GRID_SPAN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,34 +78,32 @@ def en_lambda_max(X: np.ndarray, y: np.ndarray, rho: float) -> float:
     return float(np.max(np.abs(g))) / rho
 
 
-def _cd_fit(X, y, lam, rho, beta, intercept, kkt_tol, max_sweeps):
-    """Proximal coordinate descent from a warm start; returns (beta, b, kkt)."""
-    n, p = X.shape
+def _prox_grad_fit(X, y, lam, rho, beta, intercept, kkt_tol, x_norm_sq):
+    """Restarted FISTA over (b, beta) from a warm start; returns (beta, b, kkt).
+
+    x_norm_sq is ||X||_2^2, so L bounds the curvature of the smooth part
+    over (b, beta) jointly and the fixed step 1/L needs no backtracking.
+    """
+    n = X.shape[0]
     l1 = lam * rho
     l2 = lam * (1.0 - rho)
-    M = (X ** 2).mean(axis=0) / 4.0 + l2       # per-coordinate curvature bound
-    M = np.where(M > 0, M, 1.0)                # constant zero column guard
-    m = y * (intercept + X @ beta)
-    for _ in range(max_sweeps):
-        # intercept step (curvature bound 1/4)
-        s = expit(-m)
-        g0 = float(np.mean(-y * s))
-        db = -g0 / 0.25
-        if db != 0.0:
-            intercept += db
-            m += y * db
-        for j in range(p):
-            s = expit(-m)
-            gj = float(np.mean(-y * X[:, j] * s)) + l2 * beta[j]
-            z = beta[j] - gj / M[j]
-            new = np.sign(z) * max(abs(z) - l1 / M[j], 0.0)
-            if new != beta[j]:
-                m += y * X[:, j] * (new - beta[j])
-                beta[j] = new
-        kkt = _kkt_residual(X, y, m, beta, l1, l2)
+    L = (x_norm_sq + n) / (4.0 * n) + l2
+    w = np.concatenate(([intercept], beta))      # (b, beta)
+    w_prev = w
+    t = 1.0         # momentum sequence; 1 means restarted
+    for _ in range(_MAX_ITERS):
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = w + (t - 1.0) / t_next * (w - w_prev)
+        r = -y * expit(-y * (z[0] + X @ z[1:])) / n
+        u = z - np.concatenate(([r.sum()], X.T @ r + l2 * z[1:])) / L
+        u[1:] = np.sign(u[1:]) * np.maximum(np.abs(u[1:]) - l1 / L, 0.0)
+        # adaptive restart when the step turns against the momentum
+        t = 1.0 if float((z - u) @ (u - w)) > 0.0 else t_next
+        w_prev, w = w, u
+        kkt = _kkt_residual(X, y, y * (w[0] + X @ w[1:]), w[1:], l1, l2)
         if kkt < kkt_tol:
-            return beta, intercept, kkt
-    return beta, intercept, _kkt_residual(X, y, m, beta, l1, l2)
+            break
+    return w[1:], float(w[0]), kkt
 
 
 def _kkt_residual(X, y, m, beta, l1, l2):
@@ -107,9 +115,9 @@ def _kkt_residual(X, y, m, beta, l1, l2):
     return max(float(res.max(initial=0.0)), abs(g0))
 
 
-def _default_grid(X, y, rho, n_points=50, span=1e-3):
+def _default_grid(X, y, rho):
     top = en_lambda_max(X, y, rho)
-    return tuple(np.geomspace(top, top * span, n_points))
+    return tuple(np.geomspace(top, top * _GRID_SPAN, _GRID_POINTS))
 
 
 def en_logistic_path(data: Dataset, cfg: ENConfig):
@@ -120,15 +128,24 @@ def en_logistic_path(data: Dataset, cfg: ENConfig):
     """
     X, y = data.samples, data.labels
     grid = cfg.lambda_grid or _default_grid(X, y, cfg.alpha_mix)
+    x_norm_sq = float(np.linalg.norm(X, 2)) ** 2
     beta = np.zeros(data.p)
     intercept = _null_intercept(y)
     coefs = np.empty((len(grid), data.p))
     intercepts = np.empty(len(grid))
+    kkts = np.empty(len(grid))
     for t, lam in enumerate(grid):
-        beta, intercept, _ = _cd_fit(X, y, lam, cfg.alpha_mix, beta,
-                                     intercept, cfg.kkt_tol, _MAX_SWEEPS)
+        beta, intercept, kkts[t] = _prox_grad_fit(
+            X, y, lam, cfg.alpha_mix, beta, intercept, cfg.kkt_tol, x_norm_sq)
         coefs[t] = beta
         intercepts[t] = intercept
+    missed = kkts >= cfg.kkt_tol
+    if missed.any():
+        worst = int(np.argmax(kkts))
+        print(f"gska: warning: {int(missed.sum())} of {len(grid)} elastic-net "
+              f"path points stopped after {_MAX_ITERS} iterations; worst at "
+              f"lambda={grid[worst]!r} with KKT residual {kkts[worst]:.3g} >= "
+              f"kkt_tol={cfg.kkt_tol!r}", file=sys.stderr)
     return grid, coefs, intercepts
 
 

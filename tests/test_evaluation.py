@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,17 @@ from gska.evaluation import (accuracy_f1, auroc, cross_validate, grid_search,
 from gska.solver import SolverConfig
 
 from oracles import brute_force_auroc, naive_pearson, t_sf_high_precision
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes about half a second to import
+    src = os.path.dirname(os.path.dirname(gska.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gska; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestAuroc:

@@ -68,11 +68,42 @@ class TestPath:
         assert np.argmax(np.abs(coefs[-1])) == 2
 
     def test_kkt_residual_small(self):
-        from gska.selection import _cd_fit, _kkt_residual
+        from gska.selection import _prox_grad_fit
         data = random_dataset(50, 6, 34, beta=np.array([1, 0, -0.5, 0, 0, 0.0]))
-        beta, b, kkt = _cd_fit(data.samples, data.labels, 0.05, 0.5,
-                               np.zeros(6), 0.0, 1e-6, 10000)
+        x_norm_sq = np.linalg.norm(data.samples, 2) ** 2
+        beta, b, kkt = _prox_grad_fit(data.samples, data.labels, 0.05, 0.5,
+                                      np.zeros(6), 0.0, 1e-6, x_norm_sq)
         assert kkt < 1e-5
+
+    @pytest.mark.parametrize("signal", [True, False], ids=["signal", "null"])
+    def test_every_point_certified_when_p_exceeds_n(self, signal):
+        beta = np.zeros(80)
+        if signal:
+            beta[:3] = (1.0, -1.0, 0.5)
+        data = random_dataset(60, 80, 42, beta=beta)
+        cfg = ENConfig(0.5)
+        grid, coefs, intercepts = en_logistic_path(data, cfg)
+        X, y = data.samples, data.labels
+        for lam, coef, b in zip(grid, coefs, intercepts):
+            s = y / (1.0 + np.exp(y * (b + X @ coef)))     # y * expit(-m)
+            g = -(X.T @ s) / 60 + lam * 0.5 * coef
+            res = np.where(coef != 0, np.abs(g + lam * 0.5 * np.sign(coef)),
+                           np.maximum(np.abs(g) - lam * 0.5, 0.0))
+            assert max(res.max(), abs(s.sum()) / 60) <= cfg.kkt_tol
+
+    def test_point_at_the_iteration_cap_warns(self, monkeypatch, capsys):
+        data = random_dataset(60, 5, 35, beta=np.array([1.5, -1, 0.5, 0, 0.0]))
+        lmax = en_lambda_max(data.samples, data.labels, 0.5)
+        cfg = ENConfig(0.5, (0.5 * lmax, 0.1 * lmax))
+        en_logistic_path(data, cfg)
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(selection, "_MAX_ITERS", 1)
+        en_logistic_path(data, cfg)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "2 of 2 elastic-net path points" in err[0]
+        assert "kkt_tol=1e-06" in err[0]
+        assert any(f"lambda={lam!r}" in err[0] for lam in cfg.lambda_grid)
 
     def test_path_continuity(self):
         data = random_dataset(60, 5, 35, beta=np.array([1.5, -1, 0.5, 0, 0.0]))
@@ -122,6 +153,14 @@ class TestSelectTopK:
                                   lambda_grid=res.lambda_grid)
                    for _, cfg, _ in calls)
         np.testing.assert_array_equal(calls[-1][2][1], res.coef_path)
+
+    def test_demo_selection_pinned(self):
+        data, _, _ = gska.synth_generate(n=800, seed=4, noise=0.1)
+        res = select_top_k(data, ENConfig(alpha_mix=0.5, k=6, folds=5), seed=4)
+        assert res.selected == ("f1", "f7", "f5", "f2", "f8", "f3")
+        assert res.chosen_lambda == pytest.approx(0.08177325765615613,
+                                                  rel=1e-12)
+        assert res.padded
 
     def test_k_too_large(self):
         data = random_dataset(40, 3, 38)
