@@ -166,6 +166,7 @@ def grid_search(data: Dataset, partition: GroupPartition,
                 scores = model_mod.decision_function(fitted, test)
                 sums[(lam, s)] += auroc(scores, test.labels)
                 alpha = fitted.alpha
+        del fold    # free this fold's Gram before the next one is built
     points = tuple((lam, s, sums[(lam, s)] / k)
                    for lam in lambdas for s in sigmas)
     best = max(points, key=lambda pt: (pt[2], pt[0], pt[1]))

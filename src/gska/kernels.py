@@ -4,13 +4,18 @@ One bandwidth gamma per group; the default comes from the per-group median
 heuristic, with a shared-gamma override available at the call sites that
 build KernelSpec. `gram_blocks` returns a GramBlocks container holding a
 training set's d blocks. Each starts dense; the solver may ask the container,
-once, to replace its blocks by pivoted-Cholesky factors L (n x r, Fine &
-Scheinberg 2001; Harbrecht, Peters & Schneider 2012) when a solve runs long,
-so that a product costs O(n r) instead of O(n^2). By construction a factor's
-trace error tr(K - L L^T) is at most n * 1e-10. A factored block's exact
-values are rebuilt from the training rows on demand, entry for entry as
-first built. A GramBlocks serves the solver only: scoring and interpretation
-build `cross_gram` blocks for one tile of rows at a time.
+once, to replace every block by an orthonormal eigenbasis U_j with
+eigenvalues Lambda_j, K_j ~ U_j diag(Lambda_j) U_j^T, when a solve runs long.
+A block whose pivoted-Cholesky factor L (n x r, Fine & Scheinberg 2001;
+Harbrecht, Peters & Schneider 2012) has rank below n / 2 takes its basis
+from the thin SVD of L, so that a product costs O(n r) instead of O(n^2);
+its trace error tr(K - L L^T) is at most n * 1e-10 by construction. Any
+other block takes its basis from a full eigendecomposition, keeping the
+eigenvalues above 1e-10. The basis is held in place of the dense array or
+the factor, never beside it. A block's exact values are rebuilt from the
+training rows on demand, entry for entry as first built. A GramBlocks serves
+the solver only: scoring and interpretation build `cross_gram` blocks for
+one tile of rows at a time.
 """
 
 from __future__ import annotations
@@ -19,19 +24,25 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.spatial.distance import cdist, pdist
 
 from .data import DataError, Dataset, GroupPartition
 
 # Pivoted Cholesky stops once every remaining diagonal entry of K - L L^T is
 # at most _FACTOR_EPS, so tr(K - L L^T) <= n * _FACTOR_EPS, and gives up at
-# rank n / 2, where two products with L cost as much as one with K.
+# rank n / 2, where two products with L cost as much as one with K. A full
+# eigendecomposition drops the eigenvalues at or below _FACTOR_EPS, so the
+# dropped part's spectral norm is at most _FACTOR_EPS.
 _FACTOR_EPS = 1e-10
 # Rows rebuilt at once: of a factored block, for an exact product with it,
 # and of a scored set of rows (query or training), whose cross-Gram blocks
 # are never built whole, so scoring holds d n_train x _CHUNK_ROWS kernel
 # values at a time.
 _CHUNK_ROWS = 256
+# Rows of Q multiplied at once where a factor's basis is formed over it: few,
+# so that the tile's temporary adds little to the decomposition's workspace
+_QR_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -103,23 +114,64 @@ def _pivoted_cholesky(kernel_row, n: int):
     return None
 
 
-class GramBlocks(Sequence):
-    """A training set's Gram blocks K_j, each dense or as a low-rank factor.
+def _basis_from_factor(Lt):
+    """(U^T, s^2) with L = U diag(s) V^T, so L L^T = U s^2 U^T; Lt's memory.
 
-    `blocks[j]` is K_j as a read-only array (a factored block is rebuilt in
-    full for the caller). `dot(j, v)` is the exact K_j v: a factored block's
-    rows are rebuilt _CHUNK_ROWS at a time, bit for bit as first built.
-    `fast_dot(j, v)` is L_j (L_j^T v) where block j is factored. Factoring
-    is tried once, until `drop_factors` rebuilds the blocks dense; built from
-    plain arrays (no training rows), the container never factors.
-    `norms_sq` caches each block's spectral norm squared, taken while dense.
+    Householder QR L = Q R in place, then the SVD R = W diag(s) V^T of the
+    small r x r factor: U = Q W is orthonormal to rounding (eigenvectors of
+    an explicit L^T L are not). U is formed over Q a tile of rows at a
+    time, so the basis occupies the factor's memory and nothing beside it.
+    """
+    Q, R = scipy.linalg.qr(Lt.T, mode="economic", overwrite_a=True,
+                           check_finite=False)
+    # R^T = V diag(s) W^T, taken from R^T's own (Fortran-ordered) memory
+    _, s, Wt = scipy.linalg.svd(R.T, overwrite_a=True, check_finite=False)
+    del R
+    for start in range(0, len(Q), _QR_TILE):
+        Q[start:start + _QR_TILE] = Q[start:start + _QR_TILE] @ Wt.T
+    return Q.T, s * s
+
+
+def _basis_from_gram(K):
+    """(U^T, eigenvalues) of the eigenpairs of K above _FACTOR_EPS.
+
+    Divide and conquer (LAPACK syevd). K is symmetric, so its transpose is
+    the Fortran-ordered K that the eigensolver overwrites with the
+    eigenvectors instead of copying.
+    """
+    w, U, info = scipy.linalg.lapack.dsyevd(K.T, compute_v=1, lower=1,
+                                            overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"eigendecomposition failed ({info})")
+    keep = int(np.searchsorted(w, _FACTOR_EPS, side="right"))
+    return U[:, keep:].T.copy(), w[keep:]
+
+
+class GramBlocks(Sequence):
+    """A training set's Gram blocks K_j, each dense or held in an eigenbasis.
+
+    `blocks[j]` is K_j as a read-only array (a block held in a basis is
+    rebuilt in full for the caller). `dot(j, v)` is the exact K_j v: a basis
+    block's rows are rebuilt _CHUNK_ROWS at a time, bit for bit as first
+    built. `to_eigenbasis` replaces every block by U_j (n x r_j, orthonormal)
+    and Lambda_j; it is tried once, until `drop_bases` rebuilds the blocks
+    dense. Built from plain arrays (no training rows), the container never
+    leaves them.
+
+    A solve works in each block's coordinates: alpha_j itself while the
+    block is dense, beta_j = U_j^T alpha_j in its basis, padded with zeros
+    to length n (`coords`; `expand` maps back). `eigvals(j)` is Lambda_j,
+    padded alike, or None while dense. `margins(j, x)` is K_j alpha_j and
+    `gradient(j, s)` the gradient K_j s in block j's coordinates:
+    U_j (Lambda_j x) and Lambda_j U_j^T s in a basis. `norms_sq` caches
+    each block's spectral norm squared, taken while dense.
     """
 
     def __init__(self, blocks, rows=None, gammas=None):
         self._dense = list(blocks)
         self._rows, self._gammas = rows, gammas
-        self._factors = [None] * len(self._dense)   # L_j^T where factored
-        self._may_factor = rows is not None         # factoring not yet tried
+        self._bases = [None] * len(self._dense)   # (U_j^T, padded Lambda_j)
+        self._may_switch = rows is not None      # basis not yet tried
         self.n = self._dense[0].shape[0] if self._dense else 0
         if any(K.shape != (self.n, self.n) for K in self._dense):
             raise DataError("Gram blocks must be square and of one size")
@@ -139,8 +191,9 @@ class GramBlocks(Sequence):
         X = self._rows[j]
         return _kernel_matrix(X[start:stop], X, self._gammas[j])
 
-    def factored(self, j) -> bool:
-        return self._factors[j] is not None
+    def eigvals(self, j):
+        """Lambda_j padded with zeros to length n, or None while dense."""
+        return None if self._bases[j] is None else self._bases[j][1]
 
     def dot(self, j, v) -> np.ndarray:
         """Exact K_j v."""
@@ -152,39 +205,74 @@ class GramBlocks(Sequence):
             out[start:stop] = self._kernel_rows(j, start, stop) @ v
         return out
 
-    def fast_dot(self, j, v) -> np.ndarray:
-        """K_j v, through the factor L_j (L_j^T v) where block j has one."""
-        Lt = self._factors[j]
-        return self._dense[j] @ v if Lt is None else Lt.T @ (Lt @ v)
+    def coords(self, j, a) -> np.ndarray:
+        """Block j's coordinates of alpha_j: U_j^T alpha_j, or alpha_j."""
+        if self._bases[j] is None:
+            return a
+        Ut = self._bases[j][0]
+        out = np.zeros(self.n)
+        out[:len(Ut)] = Ut @ a
+        return out
 
-    def drop_factors(self):
-        """Rebuild every factored block dense; factoring may then run again."""
-        for j, Lt in enumerate(self._factors):
-            if Lt is not None:
+    def expand(self, j, x) -> np.ndarray:
+        """alpha_j from block j's coordinates: U_j x, or x."""
+        if self._bases[j] is None:
+            return x
+        Ut = self._bases[j][0]
+        return x[:len(Ut)] @ Ut
+
+    def margins(self, j, x) -> np.ndarray:
+        """K_j alpha_j from block j's coordinates x."""
+        if self._bases[j] is None:
+            return self._dense[j] @ x
+        Ut, lam = self._bases[j]
+        r = len(Ut)
+        return (lam[:r] * x[:r]) @ Ut
+
+    def gradient(self, j, s) -> np.ndarray:
+        """K_j s in block j's coordinates: Lambda_j U_j^T s, or K_j s."""
+        if self._bases[j] is None:
+            return self._dense[j] @ s
+        Ut, lam = self._bases[j]
+        out = np.zeros(self.n)
+        out[:len(Ut)] = lam[:len(Ut)] * (Ut @ s)
+        return out
+
+    def drop_bases(self):
+        """Rebuild every block dense; the basis may then be built again."""
+        for j, basis in enumerate(self._bases):
+            if basis is not None:
                 self._dense[j] = self[j]
-                self._factors[j] = None
-                self._may_factor = True
+                self._bases[j] = None
+                self._may_switch = True
 
-    def factorize(self) -> bool:
-        """Factor every block that allows it; True if any was factored.
+    def to_eigenbasis(self) -> bool:
+        """Hold every block in an eigenbasis; True if this call built them.
 
-        Tried once; later calls do nothing until `drop_factors`. A block is
-        factored, and its dense array dropped, when its pivoted Cholesky
-        factor has rank below n / 2; tr(K - L L^T) is at most n * 1e-10 by
-        construction. The factor reads kernel rows rebuilt from the training
-        rows, so the dense array is dropped first (and rebuilt if the block
-        stays dense): memory never holds a factor beside all d dense blocks.
+        Tried once; later calls do nothing until `drop_bases`. Each block's
+        dense array is dropped first, and pivoted Cholesky reads kernel rows
+        rebuilt from the training rows. Only once every block has been tried
+        does the decomposition run: the thin SVD of a factor of rank below
+        n / 2, or else an eigendecomposition of the block rebuilt dense. So
+        memory never holds a basis or its workspace beside all d dense
+        blocks, and each basis replaces the factor or array it came from.
         """
-        if not self._may_factor:
+        if not self._may_switch:
             return False
-        self._may_factor = False
+        self._may_switch = False
+        factors = []
         for j in range(len(self)):
             self._dense[j] = None
-            self._factors[j] = _pivoted_cholesky(
-                lambda p: self._kernel_rows(j, p, p + 1)[0], self.n)
-            if self._factors[j] is None:
-                self._dense[j] = self[j]
-        return any(Lt is not None for Lt in self._factors)
+            factors.append(_pivoted_cholesky(
+                lambda p: self._kernel_rows(j, p, p + 1)[0], self.n))
+        for j in range(len(self)):
+            Lt, factors[j] = factors[j], None
+            Ut, lam = (_basis_from_gram(self._kernel_rows(j, 0, self.n))
+                       if Lt is None else _basis_from_factor(Lt))
+            padded = np.zeros(self.n)
+            padded[:len(lam)] = lam
+            self._bases[j] = (Ut, padded)
+        return True
 
 
 def gram_blocks(train: Dataset, partition: GroupPartition,

@@ -108,7 +108,7 @@ def _prox_grad_fit(X, y, lam, rho, beta, intercept, kkt_tol, x_norm_sq):
 
 def _kkt_residual(X, y, m, beta, l1, l2):
     s = expit(-m)
-    g = (X * (-y * s)[:, None]).mean(axis=0) + l2 * beta
+    g = X.T @ (-y * s) / X.shape[0] + l2 * beta
     g0 = float(np.mean(-y * s))
     res = np.where(beta != 0, np.abs(g + l1 * np.sign(beta)),
                    np.maximum(np.abs(g) - l1, 0.0))

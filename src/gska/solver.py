@@ -26,16 +26,25 @@ lam * min_j w_j, so `converged` certifies b as well.
 
 Products with the Gram blocks go through a kernels.GramBlocks (plain arrays
 are wrapped in one). A solve still running after 50 iterations asks it to
-factor its blocks by pivoted Cholesky, and the remaining iterations, like
-later solves on the same blocks, multiply by L_j (L_j^T v). A factor's
-trace error is at most n * 1e-10 by construction; a solve allows factors
-only when that bound cannot move a gradient by more than 1% of
-tol * lam * w_j, so one that asks for a tiny tol runs dense (rebuilding
-blocks an earlier solve factored). The objective then moves by at most 1%
-of tol times the penalty term, which bounds how far the trace can rise
-where a solve switches to factors and at its last entry. That entry, the
-KKT residual that decides `converged`, and the public objective,
-group_gradient and lambda_max use exact kernel values.
+hold every block in an orthonormal eigenbasis, K_j ~ U_j diag(Lambda_j)
+U_j^T, and the remaining iterations, like later solves on the same blocks,
+run in beta_j = U_j^T alpha_j (variable-metric forward-backward splitting:
+Becker & Fadili 2012; Chouzenoux, Pesquet & Repetti 2014). There
+||beta_j|| = ||alpha_j||, so the penalty is unchanged, and block j's
+curvature is bounded coordinate by coordinate, m_j = 1.01 * L * c_max *
+Lambda_j^2 / n, in place of the one scalar gamma_j that the largest
+eigenvalue sets; the prox step is the group soft-threshold in that metric.
+The shared multiplier s still backtracks, and s >= d still bounds the
+coupling between blocks by Cauchy-Schwarz. A basis from a pivoted-Cholesky
+factor has trace error at most n * 1e-10, one from a full eigendecomposition
+drops eigenvalues at or below 1e-10; a solve allows bases only when that
+error cannot move a gradient by more than 1% of tol * lam * w_j, so one that
+asks for a tiny tol runs dense (rebuilding blocks an earlier solve held in a
+basis). The objective then moves by at most 1% of tol times the penalty
+term, which bounds how far the trace can rise where a solve switches to the
+bases and at its last entry. That entry, the KKT residual that decides
+`converged`, and the public objective, group_gradient and lambda_max use
+exact kernel values at alpha_j = U_j beta_j.
 """
 
 from __future__ import annotations
@@ -63,10 +72,16 @@ class SolverError(RuntimeError):
 _SETTLE_ITERS = 8
 _SETTLE_SHRINK = 0.1
 # After this many iterations (in dense products, about the cost of factoring
-# the blocks at n = 2000) a solve asks for factors; shorter solves stay dense.
+# the blocks at n = 2000) a solve asks for eigenbases; shorter solves stay
+# dense.
 _FACTOR_AFTER = 50
-# share of tol * lam * w_j a factor's trace error may move a block gradient
+# share of tol * lam * w_j a basis's approximation error may move a block
+# gradient
 _FACTOR_SHARE = 0.01
+# Newton steps for the metric prox's scalar equation, which converges
+# monotonically and quadratically (a dozen steps at most in practice)
+_PROX_MAX_ITERS = 100
+_PROX_STOP = 1.0 + 4.0 * np.finfo(float).eps
 # power iteration: relative change that ends it, and its iteration cap
 _POWER_TOL = 1e-8
 _POWER_MAX_ITERS = 500
@@ -195,35 +210,84 @@ def spectral_norm_sq(K: np.ndarray) -> float:
     raise SolverError("power iteration failed to converge")
 
 
-def majorization_constant(gram, labels, cfg: SolverConfig, j: int) -> float:
-    """Curvature constant for group j's quadratic upper bound.
+def majorization_constant(gram, labels, cfg: SolverConfig, j: int):
+    """Curvature of group j's quadratic upper bound, in its coordinates.
 
-    gamma_j = 1.01 * L * c_max * lambda_max(K^T K) / n with L the global
-    loss curvature bound and c_max the larger class weight. A GramBlocks
-    keeps lambda_max(K^T K) of each block from its first use, while the
-    block is dense; K - L L^T is PSD, so the value still bounds a factor.
+    On a dense block, gamma_j = 1.01 * L * c_max * lambda_max(K^T K) / n
+    with L the global loss curvature bound and c_max the larger class
+    weight; a GramBlocks keeps lambda_max(K^T K) of each block from its
+    first use. On a block held in an eigenbasis, the diagonal
+    m_j = 1.01 * L * c_max * Lambda_j^2 / n, one value per coordinate.
     """
     labels = np.asarray(labels)
     blocks = _as_blocks(gram)
-    if j not in blocks.norms_sq:
-        blocks.norms_sq[j] = spectral_norm_sq(blocks[j])
+    eig = blocks.eigvals(j)
+    if eig is not None:
+        spectrum = eig * eig
+    else:
+        if j not in blocks.norms_sq:
+            blocks.norms_sq[j] = spectral_norm_sq(blocks[j])
+        spectrum = blocks.norms_sq[j]
     L = curvature_bound(cfg.loss_params)
     cw = _class_weights(cfg)
     c_max = max(cw.weight_pos, cw.weight_neg)
-    return 1.01 * L * c_max * blocks.norms_sq[j] / labels.size
+    return 1.01 * L * c_max * spectrum / labels.size
 
 
-def group_update(alpha_j, grad_j, gamma_j: float, lam: float,
+def group_update(alpha_j, grad_j, gamma_j, lam: float,
                  w_j: float) -> np.ndarray:
-    """Closed-form proximal step: group soft-threshold of the majorizer."""
-    if gamma_j <= 0:
-        raise DataError("gamma_j must be positive")
-    u = gamma_j * np.asarray(alpha_j, dtype=float) - np.asarray(grad_j, dtype=float)
-    norm = float(np.linalg.norm(u))
+    """Proximal step of lam * w_j ||.|| in the majorizer's metric.
+
+    Minimizes (1/2)(b - u)^T diag(gamma_j) (b - u) + lam w_j ||b|| with
+    u = alpha_j - grad_j / gamma_j. A scalar gamma_j gives the closed-form
+    group soft-threshold. A vector gamma_j >= 0 (one curvature per
+    coordinate, zero only where grad_j is) gives b = 0 when
+    ||gamma_j u|| <= lam w_j, and otherwise b = gamma_j u / (gamma_j + mu),
+    where mu > 0 solves mu ||gamma_j u / (gamma_j + mu)|| = lam w_j.
+    gamma_j u = gamma_j alpha_j - grad_j is formed directly, so a zero
+    curvature never divides.
+    """
+    alpha_j = np.asarray(alpha_j, dtype=float)
+    grad_j = np.asarray(grad_j, dtype=float)
     thresh = lam * w_j
+    if np.ndim(gamma_j) == 0:
+        if gamma_j <= 0:
+            raise DataError("gamma_j must be positive")
+        u = gamma_j * alpha_j - grad_j
+        norm = float(np.linalg.norm(u))
+        if norm <= thresh:
+            return np.zeros_like(u)
+        return (u / gamma_j) * (1.0 - thresh / norm)
+    m = np.asarray(gamma_j, dtype=float)
+    m_max = float(np.max(m))
+    if not (m_max > 0 and float(np.min(m)) >= 0):
+        raise DataError("gamma_j must be non-negative and not all zero")
+    a = m * alpha_j - grad_j
+    norm = float(np.linalg.norm(a))
     if norm <= thresh:
-        return np.zeros_like(u)
-    return (u / gamma_j) * (1.0 - thresh / norm)
+        return np.zeros_like(a)
+    if thresh == 0:
+        return np.divide(a, m, out=np.zeros_like(a), where=m > 0)
+    # With nu = 1 / mu, b = nu a / (1 + nu m) and ||b|| / nu = thresh. The
+    # reciprocal 1 / ||a / (1 + nu m)|| is concave and increasing in nu
+    # (the perspective of the trust-region secular function), so Newton on
+    # it from a nu left of the root climbs to the root without passing it.
+    # At nu0, ||a / (1 + nu0 m)|| >= norm / (1 + nu0 max m) = thresh.
+    nu = (norm / thresh - 1.0) / m_max
+    a2 = a * a
+    a2m = a2 * m
+    for _ in range(_PROX_MAX_ITERS):
+        inv = 1.0 / (1.0 + nu * m)
+        inv2 = inv * inv
+        qn = np.sqrt(float(a2 @ inv2))       # ||a / (1 + nu m)||
+        if qn <= thresh * _PROX_STOP:
+            break
+        # d(1/qn)/dnu = sum(a^2 m / (1 + nu m)^3) / qn^3
+        step = (1.0 / thresh - 1.0 / qn) * qn ** 3 / float(a2m @ (inv2 * inv))
+        if not step > 1e-15 * nu:
+            break
+        nu += step
+    return nu * a / (1.0 + nu * m)
 
 
 def _intercept_step(f, b, labels, cfg: SolverConfig) -> float:
@@ -260,6 +324,22 @@ def _kkt_residual(alpha, grads, lam: float, weights,
     return worst
 
 
+def _to_coords(blocks: GramBlocks, alpha) -> np.ndarray:
+    return np.array([blocks.coords(j, a) for j, a in enumerate(alpha)])
+
+
+def _quad(c, s) -> float:
+    # s^T diag(c) s, for a scalar or per-coordinate curvature c
+    return c * float(s @ s) if np.ndim(c) == 0 else float(s @ (c * s))
+
+
+def _scaled_norm(c, s) -> float:
+    # ||diag(c) s||, for a scalar or per-coordinate curvature c
+    if np.ndim(c) == 0:
+        return c * float(np.linalg.norm(s))
+    return float(np.linalg.norm(c * s))
+
+
 def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
           init=None):
     """Run monotone accelerated proximal gradient (FISTA) to convergence.
@@ -275,9 +355,10 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     (the rounding floor, near 1e-6 lam w_j), and warns on stderr.
 
     On a GramBlocks from kernels.gram_blocks, iterations past the 50th may
-    run on pivoted-Cholesky factors of the blocks (see the module
-    docstring); the objective reported last in the trace and `converged`
-    are still computed from exact kernel values at the returned alpha.
+    run in the blocks' eigenbases with a per-coordinate majorizer (see the
+    module docstring); alpha is returned in its own coordinates, and the
+    objective reported last in the trace and `converged` are still computed
+    from exact kernel values at the returned alpha.
     """
     labels = np.asarray(labels, dtype=float)
     n, d = labels.size, partition.d
@@ -290,25 +371,29 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
 
     lam, weights = cfg.lam, partition.weights
     groups = range(d)
-    gammas = [majorization_constant(blocks, labels, cfg, j) for j in groups]
-    # With E = K - L L^T PSD, ||E v|| <= tr(E) ||v|| <= n _FACTOR_EPS ||v||,
-    # and the vector a block gradient multiplies has norm at most
-    # c_max sup|loss'| / sqrt(n).
+    # A basis's error E = K - U Lambda U^T has ||E v|| <= n _FACTOR_EPS ||v||
+    # (tr(E) bounds it for a PSD factor's error, _FACTOR_EPS for dropped
+    # eigenvalues), and the vector a block gradient multiplies has norm at
+    # most c_max sup|loss'| / sqrt(n).
     cw = _class_weights(cfg)
     c_max = max(cw.weight_pos, cw.weight_neg)
     may_factor = n * _FACTOR_EPS <= (
         _FACTOR_SHARE * cfg.tol * (lam if lam > 0 else 1.0) * min(weights)
         * np.sqrt(n) / (c_max * slope_bound(cfg.loss_params)))
     if not may_factor:
-        blocks.drop_factors()
-    dot = blocks.fast_dot
+        blocks.drop_bases()
+    # iterates live in each block's coordinates: alpha_j, or U_j^T alpha_j
+    alpha = _to_coords(blocks, alpha)
+    curv = [majorization_constant(blocks, labels, cfg, j) for j in groups]
+    dot = blocks.margins
 
     f = _scores(alpha, dot)
     intercept = 0.0
     if cfg.fit_intercept:
         intercept = _intercept_step(f, intercept, labels, cfg)
     obj = _risk(f, intercept, labels, cfg) + _penalty(alpha, weights, lam)
-    g = _grads(f, intercept, dot, groups, labels, cfg)  # at alpha, or None
+    grad = blocks.gradient
+    g = _grads(f, intercept, grad, groups, labels, cfg)  # at alpha, or None
     kkt = _kkt_residual(alpha, g, lam, weights,
                         _grad_b(f, intercept, labels, cfg))
     met = 0 if kkt <= cfg.tol else None     # iteration kkt first met tol
@@ -319,8 +404,12 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     it = 0
     while it < cfg.max_iters and not (kkt <= cfg.tol and (
             kkt <= _SETTLE_SHRINK * cfg.tol or it >= met + _SETTLE_ITERS)):
-        if it == _FACTOR_AFTER and may_factor and blocks.factorize():
-            # go on from the same point with margins through the factors
+        if it == _FACTOR_AFTER and may_factor and blocks.to_eigenbasis():
+            # go on from the same point in the blocks' eigenbases
+            alpha = _to_coords(blocks, alpha)
+            alpha_prev = _to_coords(blocks, alpha_prev)
+            curv = [majorization_constant(blocks, labels, cfg, j)
+                    for j in groups]
             f, f_prev = _scores(alpha, dot), _scores(alpha_prev, dot)
             obj = _risk(f, intercept, labels, cfg) + _penalty(alpha, weights,
                                                               lam)
@@ -330,22 +419,22 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         beta = (t - 1.0) / t_next
         if beta == 0.0:
             if g is None:
-                g = _grads(f, intercept, dot, groups, labels, cfg)
+                g = _grads(f, intercept, grad, groups, labels, cfg)
             y, f_y, g_y = alpha, f, g
         else:
             # margins are linear in alpha, so extrapolating them is exact
             y = alpha + beta * (alpha - alpha_prev)
             f_y = f + beta * (f - f_prev)
-            g_y = _grads(f_y, intercept, dot, groups, labels, cfg)
+            g_y = _grads(f_y, intercept, grad, groups, labels, cfg)
         r_y = _risk(f_y, intercept, labels, cfg)
         while True:
-            z = np.array([group_update(y[j], g_y[j], scale * gammas[j], lam,
+            z = np.array([group_update(y[j], g_y[j], scale * curv[j], lam,
                                        weights[j]) for j in range(d)])
             f_z = _scores(z, dot)
             r_z = _risk(f_z, intercept, labels, cfg)
             step = z - y
             bound = r_y + float(np.sum(g_y * step)) + 0.5 * scale * sum(
-                gm * float(s @ s) for gm, s in zip(gammas, step))
+                _quad(c, s) for c, s in zip(curv, step))
             # by Cauchy-Schwarz over the d blocks, scale >= d always bounds
             if r_z <= bound or scale >= d:
                 break
@@ -372,11 +461,11 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         trace.append(obj)
         g = None
         # gradient mapping at z: the KKT residual there if grad(z) = grad(y)
-        mapping = max(scale * gm * float(np.linalg.norm(s))
+        mapping = max(_scaled_norm(scale * c, s)
                       / (lam * w if lam > 0 else w)
-                      for gm, s, w in zip(gammas, step, weights))
+                      for c, s, w in zip(curv, step, weights))
         if mapping <= cfg.tol or met is not None:
-            g = _grads(f, intercept, dot, groups, labels, cfg)
+            g = _grads(f, intercept, grad, groups, labels, cfg)
             kkt = _kkt_residual(alpha, g, lam, weights,
                                 _grad_b(f, intercept, labels, cfg))
             if met is None and kkt <= cfg.tol:
@@ -384,6 +473,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         scale *= 0.97
 
     # the reported objective and KKT residual use exact kernel values
+    alpha = np.array([blocks.expand(j, x) for j, x in enumerate(alpha)])
     f = _scores(alpha, blocks.dot)
     trace[-1] = (_risk(f, intercept, labels, cfg)
                  + _penalty(alpha, weights, lam))

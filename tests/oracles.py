@@ -187,3 +187,36 @@ def lambda_max_two_products(gram, labels, weights, sigma, cpos, cneg):
     common = np.where(labels > 0, cpos, cneg) * slope * labels / n
     return max(float(np.linalg.norm(K @ common)) / w
                for K, w in zip(gram, weights))
+
+
+def metric_prox_newton(u, m, thresh, max_iters=100):
+    """argmin_b (1/2)(b - u)^T diag(m) (b - u) + thresh ||b||, for m > 0.
+
+    Zero when 0 is in the subdifferential there (||m u|| <= thresh).
+    Otherwise damped Newton on b itself, in all coordinates at once, with
+    exact gradients and Hessians of the smoothed objective that replaces
+    ||b|| by sqrt(||b||^2 + eps^2), warm-started from b = u through
+    eps = 1, 0.1, ..., 1e-15 (smooth and strongly convex at each eps).
+    """
+    u = np.asarray(u, dtype=float)
+    m = np.asarray(m, dtype=float)
+    if np.linalg.norm(m * u) <= thresh:
+        return np.zeros_like(u)
+    b = u.copy()
+    for eps in 10.0 ** -np.arange(16):
+        def value(v):
+            return (0.5 * np.sum(m * (v - u) ** 2)
+                    + thresh * np.sqrt(v @ v + eps * eps))
+        for _ in range(max_iters):
+            r = np.sqrt(b @ b + eps * eps)
+            grad = m * (b - u) + thresh * b / r
+            hess = np.diag(m) + (thresh / r) * (np.eye(b.size)
+                                                 - np.outer(b, b) / r ** 2)
+            step = np.linalg.solve(hess, grad)
+            t = 1.0
+            while value(b - t * step) > value(b) and t > 1e-12:
+                t *= 0.5
+            b = b - t * step
+            if np.linalg.norm(t * step) <= 1e-16 * (1.0 + np.linalg.norm(b)):
+                break
+    return b

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gska
+from gska import model as model_mod
 from gska.data import DataError
 from gska.evaluation import (accuracy_f1, auroc, cross_validate, grid_search,
                              paired_ttest, pearson_matrix, stratified_kfold)
@@ -179,6 +180,28 @@ class TestGridSearch:
                           sigmas=[1.0], k=4, seed=0)
         assert res.best_lambda < 10.0
 
+
+    def test_paper_grid_never_caps(self, monkeypatch, capsys):
+        # demo 01's grid: 5 folds x 2 sigmas x 3 warm-started lambdas
+        reports = []
+        original = model_mod._solve_fold
+
+        def recording(fold, cfg, init=None):
+            fitted = original(fold, cfg, init)
+            reports.append((cfg.lam, cfg.sigma, fitted.report))
+            return fitted
+
+        monkeypatch.setattr(model_mod, "_solve_fold", recording)
+        data, part, _ = gska.synth_generate(500, 1, 0.2)
+        grid_search(data, part, lambdas=[0.01, 0.03, 0.1], sigmas=[0.5, 1.0],
+                    k=5, seed=1)
+        assert len(reports) == 30
+        assert [(lam, s) for lam, s, _ in reports[:6]] == [
+            (0.1, 0.5), (0.03, 0.5), (0.01, 0.5),
+            (0.1, 1.0), (0.03, 1.0), (0.01, 1.0)]
+        assert all(rep.converged and rep.iterations < 1000
+                   for _, _, rep in reports)
+        assert "max_iters" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("lambdas,sigmas,repeated", [
         ([0.1, 0.02, 0.1], [1.0], "lambda grid repeats the value 0.1"),

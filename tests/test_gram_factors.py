@@ -1,12 +1,15 @@
-"""Long solves on pivoted-Cholesky factors of the Gram blocks.
+"""Long solves in eigenbases of the Gram blocks.
 
 A GramBlocks from `gram_blocks` switches a solve that is still running after
-50 iterations to low-rank factors of its blocks. The oracle is the same
-solve on a plain list of the dense blocks, which never factors. The
-instances use one- and two-feature groups so that the blocks have rank well
-below n / 2 at n = 300.
+50 iterations to an eigenbasis of each block: from the thin SVD of a
+pivoted-Cholesky factor where the block's rank is below n / 2, else from a
+full eigendecomposition. The oracle is the same solve on a plain list of the
+dense blocks, which never switches. The low-rank instances use one- and
+two-feature groups so that the blocks have rank well below n / 2 at n = 300;
+five-feature groups at n = 120 have full numerical rank.
 """
 
+import json
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -16,6 +19,7 @@ import pytest
 
 import gska
 from gska import kernels
+from gska.cli import run
 from gska.coherence import ClassWeights
 from gska.data import Dataset, GroupPartition
 from gska.interpret import (_component_matrix, group_contribution,
@@ -40,6 +44,7 @@ def instance(n, groups, seed=3):
 
 
 LOW_RANK = [(0,), (1,), (2, 3)]
+FULL_RANK = [(0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +60,10 @@ def low_rank():
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def in_basis(gram, j):
+    return gram.eigvals(j) is not None
 
 
 @pytest.fixture
@@ -78,7 +87,7 @@ class TestLongSolve:
         alpha, rep = solve(gram, data.labels, part, cfg)
         alpha_d, rep_d = solve(dense, data.labels, part, cfg)
         assert rep.iterations > 50
-        assert all(gram.factored(j) for j in range(part.d))
+        assert all(in_basis(gram, j) for j in range(part.d))
         assert rep.converged and rep_d.converged
         assert rel(rep.objective_trace[-1], rep_d.objective_trace[-1]) < 1e-8
         assert max(kkt_violations(alpha, dense, data.labels, part,
@@ -106,7 +115,7 @@ class TestLongSolve:
         solve(gram, data.labels, part, cfg)
         v = np.random.default_rng(0).standard_normal(data.n)
         for j in range(part.d):
-            assert gram.factored(j)
+            assert in_basis(gram, j)
             assert np.array_equal(gram[j], dense[j])
             np.testing.assert_allclose(gram.dot(j, v), dense[j] @ v,
                                        rtol=1e-12, atol=1e-12)
@@ -117,14 +126,14 @@ class TestLongSolve:
         _, rep = solve(gram, data.labels, part, replace(cfg, lam=cfg.lam * 5))
         assert rep.converged and rep.iterations < 50
         assert factor_calls == []
-        assert not any(gram.factored(j) for j in range(part.d))
+        assert not any(in_basis(gram, j) for j in range(part.d))
 
     def test_tiny_tol_stays_dense(self, low_rank, factor_calls):
         data, part, spec, cfg = low_rank
         gram = gska.gram_blocks(data, part, spec)
         _, rep = solve(gram, data.labels, part, replace(cfg, tol=1e-9))
         assert rep.iterations > 50
-        assert not any(gram.factored(j) for j in range(part.d))
+        assert not any(in_basis(gram, j) for j in range(part.d))
         assert factor_calls == []
 
     def test_tiny_tol_after_factors_rebuilds_dense(self, low_rank):
@@ -135,7 +144,7 @@ class TestLongSolve:
         tight = replace(cfg, tol=1e-9)
         alpha, rep = solve(gram, data.labels, part, tight)
         alpha_d, rep_d = solve(dense, data.labels, part, tight)
-        assert not any(gram.factored(j) for j in range(part.d))
+        assert not any(in_basis(gram, j) for j in range(part.d))
         assert np.array_equal(alpha, alpha_d)
         assert rep.objective_trace == rep_d.objective_trace
 
@@ -145,10 +154,10 @@ class TestLongSolve:
         alpha, _ = solve(gram, data.labels, part, cfg)
         assert len(factor_calls) == part.d
         solve(gram, data.labels, part, replace(cfg, tol=1e-9))
-        assert not any(gram.factored(j) for j in range(part.d))
+        assert not any(in_basis(gram, j) for j in range(part.d))
         assert len(factor_calls) == part.d
         again, _ = solve(gram, data.labels, part, cfg)
-        assert all(gram.factored(j) for j in range(part.d))
+        assert all(in_basis(gram, j) for j in range(part.d))
         assert len(factor_calls) == 2 * part.d
         assert np.array_equal(again, alpha)
 
@@ -164,8 +173,10 @@ class TestLongSolve:
 
 
 class TestFullRankBlock:
-    def test_stays_dense_and_is_not_tried_again(self, factor_calls):
-        # a five-feature group at n = 120 has numerical rank above n / 2
+    def test_takes_a_full_eigenbasis_and_is_not_tried_again(self,
+                                                            factor_calls):
+        # a five-feature group at n = 120 has numerical rank above n / 2, so
+        # its basis comes from an eigendecomposition, the others' from factors
         data, part, spec = instance(120, [(0,), (1,), (2, 3, 4, 5, 6)])
         cw = ClassWeights.inverse_frequency(data.labels)
         gram = gska.gram_blocks(data, part, spec)
@@ -173,14 +184,16 @@ class TestFullRankBlock:
                          SolverConfig(0.0, 1.0, class_weights=cw))
         cfg = SolverConfig(0.05 * top, 1.0, tol=1e-4, max_iters=5000,
                            class_weights=cw)
-        full = gram[2]
+        full = np.array(gram[2])
         _, rep = solve(gram, data.labels, part, cfg)
         assert rep.iterations > 50
-        assert [gram.factored(j) for j in range(3)] == [True, True, False]
+        assert all(in_basis(gram, j) for j in range(3))
+        ranks = [np.count_nonzero(gram.eigvals(j)) for j in range(3)]
+        assert [r < data.n // 2 for r in ranks] == [True, True, False]
         assert np.array_equal(gram[2], full)
         tried = len(factor_calls)
         assert tried == 3
-        _, rep = solve(gram, data.labels, part, replace(cfg, lam=cfg.lam * 2))
+        _, rep = solve(gram, data.labels, part, replace(cfg, lam=cfg.lam / 2))
         assert rep.iterations > 50
         assert len(factor_calls) == tried
 
@@ -191,7 +204,7 @@ class TestExactPublicValues:
         gram = gska.gram_blocks(data, part, spec)
         dense = [np.array(K) for K in gram]
         alpha, rep = solve(gram, data.labels, part, cfg)
-        assert all(gram.factored(j) for j in range(part.d))
+        assert all(in_basis(gram, j) for j in range(part.d))
         y = data.labels
         assert rel(objective(alpha, gram, y, part, cfg),
                    objective(alpha, dense, y, part, cfg)) < 1e-12
@@ -261,3 +274,90 @@ class TestCurvatureConstants:
         assert len(calls) == 2 * part.d
         # the cached values are the ones the power iteration gives
         assert rep.objective_trace[:50] == rep_d.objective_trace[:50]
+
+
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """Which decomposition built each basis: "eigh" or "svd", in order."""
+    calls = []
+    for name, tag in (("_basis_from_gram", "eigh"),
+                      ("_basis_from_factor", "svd")):
+        def counted(*args, _original=getattr(kernels, name), _tag=tag):
+            calls.append(_tag)
+            return _original(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+class TestSwitch:
+    @pytest.mark.parametrize("n,groups,frac,path", [
+        (300, LOW_RANK, 0.1, "svd"), (120, FULL_RANK, 0.05, "eigh")],
+        ids=["svd", "eigh"])
+    def test_objective_trace_non_increasing(self, basis_calls, n, groups,
+                                            frac, path):
+        data, part, spec = instance(n, groups)
+        cw = ClassWeights.inverse_frequency(data.labels)
+        for fit_intercept in (False, True):
+            gram = gska.gram_blocks(data, part, spec)
+            top = lambda_max(gram, data.labels, part,
+                             SolverConfig(0.0, 1.0, class_weights=cw))
+            cfg = SolverConfig(frac * top, 1.0, tol=1e-4, max_iters=5000,
+                               class_weights=cw, fit_intercept=fit_intercept)
+            _, rep = solve(gram, data.labels, part, cfg)
+            assert rep.iterations > 50 and rep.converged
+            assert all(in_basis(gram, j) for j in range(part.d))
+            trace = np.array(rep.objective_trace)
+            assert np.all(np.diff(trace) <= 1e-10)
+        assert basis_calls == [path] * (2 * part.d)
+
+    def test_grid_size_basis_holds_less_than_the_dense_blocks(self):
+        # a grid fold's training set: n = 400, the paper's 3-feature groups
+        data, part, _ = gska.synth_generate(400, 1, 0.2)
+        data, _ = gska.standardize(data)
+        spec = gska.median_heuristic_gamma(data, part)
+        cfg = SolverConfig(0.01, 0.5, class_weights=ClassWeights
+                           .inverse_frequency(data.labels))
+        tracemalloc.start()
+        try:
+            gram = gska.gram_blocks(data, part, spec)
+            alpha, rep = solve(gram, data.labels, part, cfg)
+            del alpha
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.iterations > 50
+        assert all(in_basis(gram, j) for j in range(part.d))
+        assert held <= part.d * data.n ** 2 * 8
+
+
+@pytest.fixture(scope="module")
+def switch_data(tmp_path_factory):
+    # n = 200: the paper's 3-feature groups have rank above n / 2 (eigh);
+    # twelve 1-feature groups have rank far below it (SVD of the factor)
+    out = tmp_path_factory.mktemp("switch")
+    assert run(["synth", "--n", "200", "--seed", "5", "--noise", "0.2",
+                "--out", str(out)]) == 0
+    singles = [{"name": f"s{i}", "features": [f"f{i}"], "weight": 1.0}
+               for i in range(1, 13)]
+    (out / "singles.json").write_text(json.dumps({"groups": singles}))
+    return out
+
+
+class TestSwitchedReruns:
+    @pytest.mark.parametrize("groups,path", [("groups.json", "eigh"),
+                                             ("singles.json", "svd")],
+                             ids=["eigh", "svd"])
+    def test_fit_and_grid_byte_identical(self, switch_data, tmp_path,
+                                         basis_calls, groups, path):
+        data = ["--data", str(switch_data / "features.csv"),
+                "--groups", str(switch_data / groups)]
+        commands = {
+            "fit": ["fit", *data, "--lambda", "0.03", "--sigma", "0.5"],
+            "grid": ["grid", *data, "--lambdas", "0.03", "--sigmas", "0.5",
+                     "--folds", "2"]}
+        for name, argv in commands.items():
+            outs = [tmp_path / f"{name}{k}.json" for k in range(2)]
+            for out in outs:
+                assert run([*argv, "--out", str(out)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert basis_calls and set(basis_calls) == {path}
