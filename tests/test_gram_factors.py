@@ -310,6 +310,28 @@ class TestSwitch:
             assert np.all(np.diff(trace) <= 1e-10)
         assert basis_calls == [path] * (2 * part.d)
 
+    @pytest.mark.parametrize("n,groups,frac", [
+        (300, LOW_RANK, 0.1), (120, FULL_RANK, 0.05)], ids=["svd", "eigh"])
+    def test_basis_is_orthonormal(self, n, groups, frac):
+        # ||U_j beta_j|| = ||beta_j|| is what keeps the penalty unchanged
+        data, part, spec = instance(n, groups)
+        gram = gska.gram_blocks(data, part, spec)
+        cw = ClassWeights.inverse_frequency(data.labels)
+        top = lambda_max(gram, data.labels, part,
+                         SolverConfig(0.0, 1.0, class_weights=cw))
+        solve(gram, data.labels, part, SolverConfig(
+            frac * top, 1.0, tol=1e-4, max_iters=5000, class_weights=cw))
+        rng = np.random.default_rng(5)
+        for j in range(part.d):
+            r = np.count_nonzero(gram.eigvals(j))
+            x = np.zeros(n)
+            x[:r] = rng.standard_normal(r)
+            a = gram.expand(j, x)
+            assert abs(np.linalg.norm(a) - np.linalg.norm(x)) \
+                <= 1e-13 * np.linalg.norm(x)
+            np.testing.assert_allclose(gram.coords(j, a), x, rtol=0,
+                                       atol=1e-13 * np.linalg.norm(x))
+
     def test_grid_size_basis_holds_less_than_the_dense_blocks(self):
         # a grid fold's training set: n = 400, the paper's 3-feature groups
         data, part, _ = gska.synth_generate(400, 1, 0.2)
