@@ -15,8 +15,9 @@ Momentum restarts when the step turns against it (O'Donoghue & Candes
 2015), and a step that would raise the objective is rejected, so the
 objective trace never increases. The solve stops on the largest per-group
 KKT residual at the returned point, in units of lam * w_j: once it meets
-tol, up to 8 more iterations aim for tol / 10. Deterministic given
-inputs: no randomization, fixed summation order.
+tol, up to 8 more iterations aim for tol / 10 (as many as it takes where
+it meets tol in the eigenbases below). Deterministic given inputs: no
+randomization, fixed summation order.
 
 With fit_intercept, every margin gains an unpenalized b. Before the first
 iteration and after each accepted step, b takes one Newton step on the
@@ -68,7 +69,10 @@ class SolverError(RuntimeError):
 # lambda_max a solve meets tol in ~6 iterations), the first residual below
 # tol lands anywhere in (0, tol]. A few more iterations towards tol / 10
 # make the answer's accuracy steady there; a slow solve, whose residual
-# falls ~1% per iteration, pays at most _SETTLE_ITERS more.
+# falls ~1% per iteration, pays at most _SETTLE_ITERS more. In the
+# eigenbases the residual falls 10-30% per iteration, so _SETTLE_ITERS would
+# leave it anywhere in (tol / 10, tol / 2]; a solve that meets tol there runs
+# on to tol / 10, a few iterations more.
 _SETTLE_ITERS = 8
 _SETTLE_SHRINK = 0.1
 # After this many iterations (in dense products, about the cost of factoring
@@ -349,10 +353,11 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     w_j when lam is 0) and, with cfg.fit_intercept, that |dR/db| at the
     returned intercept is at most cfg.tol * lam * min_j w_j. Once the
     residual is first found within cfg.tol, the solve stops when it reaches
-    cfg.tol / 10 or, from 8 iterations later, at the first iterate within
-    cfg.tol. Otherwise it stops after cfg.max_iters iterations, or earlier
-    once not even a plain prox-gradient step lowers the computed objective
-    (the rounding floor, near 1e-6 lam w_j), and warns on stderr.
+    cfg.tol / 10 or, unless it met cfg.tol in the blocks' eigenbases, from
+    8 iterations later at the first iterate within cfg.tol. Otherwise it
+    stops after cfg.max_iters iterations, or earlier once not even a plain
+    prox-gradient step lowers the computed objective (the rounding floor,
+    near 1e-6 lam w_j), and warns on stderr.
 
     On a GramBlocks from kernels.gram_blocks, iterations past the 50th may
     run in the blocks' eigenbases with a per-coordinate majorizer (see the
@@ -386,6 +391,8 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     alpha = _to_coords(blocks, alpha)
     curv = [majorization_constant(blocks, labels, cfg, j) for j in groups]
     dot = blocks.margins
+    # a solve that meets tol in the eigenbases settles all the way to tol / 10
+    settle_fully = blocks.eigvals(0) is not None
 
     f = _scores(alpha, dot)
     intercept = 0.0
@@ -403,9 +410,11 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     scale = 1.0     # backtracked multiplier on the curvature constants
     it = 0
     while it < cfg.max_iters and not (kkt <= cfg.tol and (
-            kkt <= _SETTLE_SHRINK * cfg.tol or it >= met + _SETTLE_ITERS)):
+            kkt <= _SETTLE_SHRINK * cfg.tol
+            or (not settle_fully and it >= met + _SETTLE_ITERS))):
         if it == _FACTOR_AFTER and may_factor and blocks.to_eigenbasis():
             # go on from the same point in the blocks' eigenbases
+            settle_fully = met is None
             alpha = _to_coords(blocks, alpha)
             alpha_prev = _to_coords(blocks, alpha_prev)
             curv = [majorization_constant(blocks, labels, cfg, j)

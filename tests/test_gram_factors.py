@@ -332,6 +332,21 @@ class TestSwitch:
             np.testing.assert_allclose(gram.coords(j, a), x, rtol=0,
                                        atol=1e-13 * np.linalg.norm(x))
 
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_settles_to_a_tenth_of_tol_in_the_bases(self, seed):
+        # In the bases the residual falls 10-30% per iteration, so eight
+        # settle iterations would leave it anywhere in (tol / 10, tol / 2]
+        # (0.0039 and 0.0049 for these seeds); the solve goes on to tol / 10.
+        # The exact residual may exceed the one in the bases by 1% of tol.
+        data, part, _ = gska.synth_generate(500, seed, 0.2)
+        model = gska.fit(data, part, SolverConfig(0.03, 1.0))
+        cfg = SolverConfig(0.03, 1.0, class_weights=model.class_weights)
+        dense = [np.array(K) for K in
+                 gska.gram_blocks(model.train, part, model.kernel)]
+        assert model.report.iterations > 50 and model.report.converged
+        assert max(kkt_violations(model.alpha, dense, model.train.labels,
+                                  part, cfg)) <= 0.11 * cfg.tol
+
     def test_grid_size_basis_holds_less_than_the_dense_blocks(self):
         # a grid fold's training set: n = 400, the paper's 3-feature groups
         data, part, _ = gska.synth_generate(400, 1, 0.2)
