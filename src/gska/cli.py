@@ -24,6 +24,8 @@ from .data import DataError, FileError
 from .kernels import KernelSpec
 from .solver import SolverConfig
 
+_DEFAULTS = SolverConfig(lam=0.0)
+
 
 def _write_json(doc, path):
     with open(path, "w", encoding="utf-8") as fh:
@@ -54,7 +56,22 @@ def _load_model_data(args, fitted):
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(lam=args.lam, sigma=args.sigma,
+                        max_iters=args.max_iters, tol=args.tol,
                         fit_intercept=args.intercept)
+
+
+def _positive(convert):
+    """An argparse type: a finite, positive value of type `convert`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be a positive {convert.__name__}, got {text!r}")
+        return value
+    return parse
 
 
 def _kernel(args, d: int) -> KernelSpec | None:
@@ -214,6 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=None,
                        help="shared kernel bandwidth override")
         p.add_argument("--intercept", action="store_true")
+        p.add_argument("--tol", type=_positive(float), default=_DEFAULTS.tol,
+                       help="KKT tolerance, a multiple of lambda w_j")
+        p.add_argument("--max-iters", type=_positive(int),
+                       default=_DEFAULTS.max_iters, dest="max_iters",
+                       help="iteration cap of each solve")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--n", type=int, required=True)

@@ -79,17 +79,28 @@ def test_captured_signatures_unchanged(tree, qualname, expect):
     assert _package_params(fn) == expect
 
 
-def test_gram_blocks_is_used_only_by_prepare_fold():
-    # the tracer's Gram build counts must come from the prepared-fold path
+def _package_users(name):
+    """module.top-level-name of every package definition that names `name`."""
     users = set()
     for path in sorted(Path(gska.__file__).resolve().parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Name) and node.id == "gram_blocks"
+                if (isinstance(node, ast.Name) and node.id == name
                         or isinstance(node, ast.Attribute)
-                        and node.attr == "gram_blocks"):
+                        and node.attr == name):
                     users.add(f"{path.stem}.{getattr(top, 'name', '')}")
-    assert users == {"model._prepare_fold"}
+    return users
+
+
+def test_gram_blocks_is_used_only_by_prepare_fold():
+    # the tracer's Gram build counts must come from the prepared-fold path
+    assert _package_users("gram_blocks") == {"model._prepare_fold"}
+
+
+def test_median_heuristic_gamma_is_used_only_by_prepare_fold():
+    # the tracer's kernels.median_heuristic_gamma.* metrics must count every
+    # bandwidth computation, on the prepared-fold path
+    assert _package_users("median_heuristic_gamma") == {"model._prepare_fold"}
 
 
 @pytest.fixture(scope="module")

@@ -77,6 +77,51 @@ class TestFit:
              "--lambda", "0.05", "--out", str(out)])
         assert out.read_bytes() == model_path.read_bytes()
 
+    def _fit(self, synth_dir, out, *extra):
+        return run(["fit", "--data", str(synth_dir / "features.csv"),
+                    "--groups", str(synth_dir / "groups.json"),
+                    "--lambda", "0.05", *extra, "--out", str(out)])
+
+    def test_default_solver_controls_byte_identical(self, synth_dir,
+                                                    model_path, tmp_path):
+        out = tmp_path / "m.json"
+        assert self._fit(synth_dir, out, "--tol", "0.01",
+                         "--max-iters", "1000") == 0
+        assert out.read_bytes() == model_path.read_bytes()
+
+    def test_max_iters_cap_warns_and_more_iterations_converge(
+            self, synth_dir, tmp_path, capsys):
+        assert self._fit(synth_dir, tmp_path / "a.json",
+                         "--max-iters", "3") == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out.strip())
+        assert (doc["converged"], doc["iterations"]) == (False, 3)
+        assert "stopped after 3 iterations (max_iters=3)" in captured.err
+        assert self._fit(synth_dir, tmp_path / "b.json",
+                         "--max-iters", "300") == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out.strip())["converged"] is True
+        assert "warning" not in captured.err
+
+    def test_loose_tol_stops_sooner(self, synth_dir, tmp_path, capsys):
+        iterations = []
+        for tol in ("0.01", "1"):
+            assert self._fit(synth_dir, tmp_path / f"{tol}.json",
+                             "--tol", tol) == 0
+            iterations.append(
+                json.loads(capsys.readouterr().out.strip())["iterations"])
+        assert iterations[1] < iterations[0]
+
+    @pytest.mark.parametrize("option,value", [
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+        ("--max-iters", "0"), ("--max-iters", "2.5")])
+    def test_bad_solver_control_exit_1(self, synth_dir, tmp_path, capsys,
+                                       option, value):
+        assert self._fit(synth_dir, tmp_path / "m.json", option, value) == 1
+        assert f"argument {option}: must be a positive" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_data_file_exit_2(self, synth_dir, tmp_path):
         code = run(["fit", "--data", str(tmp_path / "nope.csv"),
                     "--groups", str(synth_dir / "groups.json"),
@@ -308,6 +353,20 @@ class TestCv:
         assert 0.0 <= doc["mean"]["auroc"] <= 1.0
         assert len(doc["fold_assignments"]) == 120
         assert doc["group_names"] == ["g1", "g2", "g3", "g4"]
+
+    def test_solver_controls_reach_every_fold(self, synth_dir, tmp_path,
+                                              capsys):
+        code = run(["cv", "--data", str(synth_dir / "features.csv"),
+                    "--groups", str(synth_dir / "groups.json"),
+                    "--lambda", "0.05", "--folds", "3", "--max-iters", "3",
+                    "--out", str(tmp_path / "cv.json")])
+        assert code == 0
+        assert capsys.readouterr().err.count("(max_iters=3)") == 3
+        code = run(["cv", "--data", str(synth_dir / "features.csv"),
+                    "--groups", str(synth_dir / "groups.json"),
+                    "--tol", "0", "--out", str(tmp_path / "cv0.json")])
+        assert code == 1
+        assert "argument --tol" in capsys.readouterr().err
 
     def test_too_many_folds_exit_1(self, synth_dir, tmp_path):
         code = run(["cv", "--data", str(synth_dir / "features.csv"),

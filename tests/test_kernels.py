@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 import gska
+from gska import kernels
 from gska.data import DataError, Dataset, GroupPartition
 
 
@@ -157,6 +160,26 @@ class TestMedianHeuristic:
         with pytest.raises(DataError):
             gska.median_heuristic_gamma(d, part)
 
+    def test_all_identical_error_names_the_group(self):
+        samples = np.column_stack([np.arange(4.0), np.full(4, 2.5)])
+        d = Dataset(samples, np.array([1, -1, 1, -1.0]), ("x", "y"),
+                    ("0", "1", "2", "3"))
+        part = GroupPartition(((0,), (1,)), ("varied", "flat"))
+        with pytest.raises(DataError, match="in group 'flat'"):
+            gska.median_heuristic_gamma(d, part)
+
+    def test_memory_bounded_at_n10000(self):
+        # the m = 5e7 squared distances alone would take 400 MB
+        d = random_dataset(10_000, 3, 21)
+        part = GroupPartition(((0, 1, 2),), ("g",))
+        tracemalloc.start()
+        try:
+            gska.median_heuristic_gamma(d, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
 
 class TestBitIdentity:
     """The kernel layer matches the plain full-matrix formulas exactly."""
@@ -173,6 +196,80 @@ class TestBitIdentity:
             A = d.samples[:, idx]
             d2 = cdist(A, A, "sqeuclidean")[iu]
             assert spec.gammas[j] == 1.0 / float(np.median(d2[d2 > 0]))
+
+    @staticmethod
+    def _reference_gamma(X):
+        iu = np.triu_indices(len(X), k=1)
+        d2 = cdist(X, X, "sqeuclidean")[iu]
+        return 1.0 / float(np.median(d2[d2 > 0]))
+
+    def _check(self, X):
+        d = Dataset(X, np.where(np.arange(len(X)) % 2, 1.0, -1.0),
+                    tuple(f"f{i}" for i in range(X.shape[1])),
+                    tuple(str(i) for i in range(len(X))))
+        part = GroupPartition((tuple(range(X.shape[1])),), ("g",))
+        gamma = gska.median_heuristic_gamma(d, part).gammas[0]
+        assert gamma == self._reference_gamma(X)
+
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 513])
+    def test_median_heuristic_default_tiles(self, n):
+        # 65536 // n rows a tile: one tile up to n = 256, then two, then five
+        self._check(np.random.default_rng(n).standard_normal((n, 3)))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 8, 9, 15, 16])
+    def test_median_heuristic_small_tiles(self, n, monkeypatch):
+        # 7-row tiles: n = tile - 1, tile, tile + 1 (one tile of pairs, the
+        # last row having none), tile + 2, 2 tile + 1 and 2 tile + 2
+        monkeypatch.setattr(kernels, "_MEDIAN_TILE_ENTRIES", 7 * n)
+        self._check(np.random.default_rng(n).standard_normal((n, 2)))
+
+    @pytest.mark.parametrize("shape", ["duplicates", "rounded", "sorted",
+                                       "few_values"])
+    def test_median_heuristic_ties_and_order(self, shape, monkeypatch):
+        monkeypatch.setattr(kernels, "_MEDIAN_TILE_ENTRIES", 30 * 200)
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((200, 3))
+        if shape == "duplicates":
+            X = X[rng.integers(0, 40, len(X))]
+        elif shape == "rounded":
+            X = np.round(X, 1)
+        elif shape == "sorted":
+            X = X[np.argsort(X[:, 0])]
+        else:
+            X = np.round(X[:, :1]) * 0.5    # few distinct distances, many 0
+        self._check(X)
+
+    @pytest.mark.parametrize("miss", ["low", "high", "straddle"])
+    def test_median_heuristic_bracket_miss(self, miss, monkeypatch):
+        # a first bracket that misses the median widens on the side it
+        # missed only, and the second sweep still finds np.median's value
+        X = np.random.default_rng(23).standard_normal((40, 2))
+        d2 = np.sort(cdist(X, X, "sqeuclidean")[np.triu_indices(40, k=1)])
+        assert d2[0] > 0 and len(d2) % 2 == 0
+        a, b = d2[len(d2) // 2 - 1], d2[len(d2) // 2]
+        assert a < b
+        forced = {"low": (d2[-20], d2[-10]), "high": (d2[10], d2[20]),
+                  "straddle": ((a + b) / 2, (a + b) / 2)}[miss]
+        calls, sweeps = [], []
+        bracket, sweep = kernels._median_bracket, kernels._sweep_sq_dists
+
+        def forced_first(sample, below, above):
+            calls.append((below, above))
+            return forced if len(calls) == 1 else bracket(sample, below,
+                                                          above)
+
+        def counted(*args):
+            sweeps.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(kernels, "_median_bracket", forced_first)
+        monkeypatch.setattr(kernels, "_sweep_sq_dists", counted)
+        self._check(X)
+        (below, above), widened = calls[0], calls[1]
+        assert widened == {"low": (4 * below, above),
+                           "high": (below, 4 * above),
+                           "straddle": (4 * below, 4 * above)}[miss]
+        assert len(sweeps) == 2
 
     def test_blocks_equal_exp_of_scaled_distances(self):
         train = random_dataset(30, 4, 17)
