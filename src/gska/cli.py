@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     def hyper(p):
         p.add_argument("--lambda", type=float, default=0.001, dest="lam")
         p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--gamma", type=float, default=None,
+        p.add_argument("--gamma", type=_positive(float), default=None,
                        help="shared kernel bandwidth override")
         p.add_argument("--intercept", action="store_true")
         p.add_argument("--tol", type=_positive(float), default=_DEFAULTS.tol,
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="hyperparameter grid search")
     common(p)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=_positive(float), default=None)
     p.add_argument("--lambdas", type=float, nargs="+", default=None)
     p.add_argument("--sigmas", type=float, nargs="+", default=None)
     p.add_argument("--folds", type=int, default=5)

@@ -22,8 +22,16 @@ class CoherenceParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise DataError("sigma must be positive")
+        # the solver divides by curvature_bound, which is positive and finite
+        # only for sigma in about [1e-160, 1e154]
+        try:
+            with np.errstate(all="ignore"):
+                bound = curvature_bound(self) if self.sigma > 0 else 0.0
+        except OverflowError:       # sigma ** 2 past the largest float
+            bound = 0.0
+        if not 0 < bound < np.inf:
+            raise DataError(f"sigma must be positive, with a positive, finite "
+                            f"loss curvature bound, got {self.sigma!r}")
 
     @property
     def normalizer(self) -> float:
@@ -80,16 +88,9 @@ def loss_grad(margin, params: CoherenceParams):
     return float(out) if np.isscalar(margin) else out
 
 
-def loss_curvature(margin, params: CoherenceParams):
-    """loss''(u) = s(1-s) / (sigma^2 normalizer), s = sigmoid((1-u)/sigma);
-    s(1-s) is formed as sigmoid(x) sigmoid(-x), finite at every margin."""
-    x = (1.0 - _check_margin(margin)) / params.sigma
-    out = expit(x) * expit(-x) / (params.sigma ** 2 * params.normalizer)
-    return float(out) if np.isscalar(margin) else out
-
-
 def curvature_bound(params: CoherenceParams) -> float:
-    """Global upper bound on loss_curvature: its value at margin 1."""
+    """Global upper bound on loss'': s(1-s) / (sigma^2 normalizer) with
+    s = sigmoid((1-u)/sigma), at most 1/4, attained at margin 1."""
     return 1.0 / (4.0 * params.sigma ** 2 * params.normalizer)
 
 

@@ -81,6 +81,8 @@ def stratified_kfold(labels, k: int, seed: int) -> np.ndarray:
     y = np.asarray(labels, dtype=float)
     if k < 2:
         raise DataError("k must be at least 2")
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     assign = np.full(y.size, -1, dtype=int)
     for cls in (1.0, -1.0):

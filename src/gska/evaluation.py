@@ -134,9 +134,13 @@ def default_lambda_grid(data: Dataset, partition: GroupPartition,
 
 def _grid_values(values, name: str) -> list[float]:
     """Sorted grid; a repeated value would add each fold's AUROC twice."""
-    values = sorted(float(v) for v in values)
+    values = [float(v) for v in values]
     if not values:
         raise DataError("grids must be non-empty")
+    for v in values:
+        if not np.isfinite(v):
+            raise DataError(f"{name} grid value {v!r} is not finite")
+    values.sort()
     for a, b in zip(values, values[1:]):
         if a == b:
             raise DataError(f"{name} grid repeats the value {a!r}")
@@ -148,10 +152,10 @@ def grid_search(data: Dataset, partition: GroupPartition,
                 seed: int = 0, kernel: KernelSpec | None = None) -> GridResult:
     """Mean CV AUROC per (lambda, sigma), warm-starting along decreasing
     lambda. Ties break toward larger lambda, then larger sigma."""
+    sigmas = _grid_values(sigmas, "sigma")
     if lambdas is None:
         lambdas = default_lambda_grid(data, partition, sigmas, kernel=kernel)
     lambdas = _grid_values(lambdas, "lambda")
-    sigmas = _grid_values(sigmas, "sigma")
     assign = stratified_kfold(data.labels, k, seed)
     sums = {(lam, s): 0.0 for lam in lambdas for s in sigmas}
     for f in range(k):

@@ -71,6 +71,9 @@ class KernelSpec:
         gammas = tuple(float(g) for g in self.gammas)
         if any(g <= 0 for g in gammas):
             raise DataError("kernel bandwidths must be positive")
+        if not all(g < np.inf for g in gammas):
+            raise DataError(f"kernel bandwidths must be finite, got "
+                            f"gammas={gammas!r}")
         object.__setattr__(self, "gammas", gammas)
 
     @classmethod

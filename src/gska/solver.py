@@ -19,11 +19,12 @@ tol, up to 8 more iterations aim for tol / 10 (as many as it takes where
 it meets tol in the eigenbases below). Deterministic given inputs: no
 randomization, fixed summation order.
 
-With fit_intercept, every margin gains an unpenalized b. Before the first
-iteration and after each accepted step, b takes one Newton step on the
-weighted risk with the loss's exact second derivative, halved until the
-risk does not rise. The KKT residual then also holds |dR/db| in units of
-lam * min_j w_j, so `converged` certifies b as well.
+With fit_intercept, every margin gains an unpenalized b, one more FISTA
+coordinate: it shares the momentum, its gradient dR/db sums the per-sample
+slopes of the block gradients, and its curvature 1.01 * L * c_max, times s,
+joins the quadratic bound, the restart test and the gradient mapping. The
+backtracking cap becomes s >= d + 1 (Cauchy-Schwarz over d + 1 blocks). The
+KKT residual holds |dR/db| in units of lam * min_j w_j: `converged` covers b.
 
 Products with the Gram blocks go through a kernels.GramBlocks (plain arrays
 are wrapped in one). A solve still running after 50 iterations asks it to
@@ -35,7 +36,7 @@ Becker & Fadili 2012; Chouzenoux, Pesquet & Repetti 2014). There
 curvature is bounded coordinate by coordinate, m_j = 1.01 * L * c_max *
 Lambda_j^2 / n, in place of the one scalar gamma_j that the largest
 eigenvalue sets; the prox step is the group soft-threshold in that metric.
-The shared multiplier s still backtracks, and s >= d still bounds the
+The shared multiplier s still backtracks, and its cap still bounds the
 coupling between blocks by Cauchy-Schwarz. A basis from a pivoted-Cholesky
 factor has trace error at most n * 1e-10, one from a full eigendecomposition
 drops eigenvalues at or below 1e-10; a solve allows bases only when that
@@ -50,13 +51,15 @@ exact kernel values at alpha_j = U_j beta_j.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coherence import (ClassWeights, CoherenceParams, curvature_bound,
-                        empirical_risk, loss_curvature, loss_grad, slope_bound)
+                        empirical_risk, loss_grad, slope_bound)
 from .data import DataError, GroupPartition
 from .kernels import _FACTOR_EPS, GramBlocks
 
@@ -104,13 +107,18 @@ class SolverConfig:
     fit_intercept: bool = False
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise DataError("lam must be non-negative")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise DataError("tol must be positive and max_iters >= 1")
+        if not 0 <= self.lam < np.inf:
+            raise DataError(f"lam must be finite and non-negative, "
+                            f"got {self.lam!r}")
+        if not 0 < self.tol < np.inf or self.max_iters < 1:
+            raise DataError(f"tol must be finite and positive and max_iters "
+                            f">= 1, got tol={self.tol!r}, "
+                            f"max_iters={self.max_iters!r}")
+        self.loss_params        # rejects a bad sigma
 
-    @property
+    @cached_property
     def loss_params(self) -> CoherenceParams:
+        # built once: a solve reads it several times per iteration
         return CoherenceParams(self.sigma)
 
 
@@ -155,17 +163,12 @@ def _slopes(f, b, labels, cfg: SolverConfig) -> np.ndarray:
     return c * slope * labels / labels.size
 
 
-def _grads(f, b, dot, groups, labels, cfg: SolverConfig) -> list[np.ndarray]:
-    # block gradients of the risk, j in groups
+def _grads(f, b, dot, groups, labels, cfg: SolverConfig):
+    # block gradients of the risk, j in groups, and dR/db where the solve
+    # fits an intercept (else 0), from one set of per-sample slopes
     common = _slopes(f, b, labels, cfg)
-    return [dot(j, common) for j in groups]
-
-
-def _grad_b(f, b, labels, cfg: SolverConfig) -> float:
-    # dR/db where the solve fits an intercept, else 0
-    if not cfg.fit_intercept:
-        return 0.0
-    return float(np.sum(_slopes(f, b, labels, cfg)))
+    grad_b = float(np.sum(common)) if cfg.fit_intercept else 0.0
+    return [dot(j, common) for j in groups], grad_b
 
 
 def objective(alpha, gram, labels, partition: GroupPartition,
@@ -193,11 +196,17 @@ def group_gradient(alpha, gram, labels, partition: GroupPartition,
     alpha = np.asarray(alpha, dtype=float)
     labels = np.asarray(labels, dtype=float)
     dot = _as_blocks(gram).dot
-    return _grads(_scores(alpha, dot), intercept, dot, (j,), labels, cfg)[0]
+    return _grads(_scores(alpha, dot), intercept, dot, (j,), labels,
+                  cfg)[0][0]
 
 
 def spectral_norm_sq(K: np.ndarray) -> float:
-    """Largest eigenvalue of K^T K by power iteration, deterministic start."""
+    """Largest eigenvalue of K^T K by power iteration, deterministic start.
+
+    Where clustered top eigenvalues (a near-identity kernel at a large
+    gamma) keep the estimate creeping past the iteration cap, the exact
+    value from the singular values of K.
+    """
     n = K.shape[0]
     w = K.T @ (K @ (np.ones(n) / np.sqrt(n)))
     est = 0.0
@@ -211,7 +220,7 @@ def spectral_norm_sq(K: np.ndarray) -> float:
         if abs(new_est - est) <= _POWER_TOL * max(1.0, abs(new_est)):
             return new_est
         est = new_est
-    raise SolverError("power iteration failed to converge")
+    return float(np.linalg.norm(K, 2)) ** 2
 
 
 def majorization_constant(gram, labels, cfg: SolverConfig, j: int):
@@ -294,17 +303,10 @@ def group_update(alpha_j, grad_j, gamma_j, lam: float,
     return nu * a / (1.0 + nu * m)
 
 
-def _intercept_step(f, b, labels, cfg: SolverConfig) -> float:
-    # one Newton step in b, halved while the weighted risk rises; the floor
-    # keeps it finite where every margin is in a linear piece of the loss
-    c = _class_weights(cfg).per_sample(labels)
-    h = max(np.mean(c * loss_curvature(labels * (f + b), cfg.loss_params)),
-            1e-12 * curvature_bound(cfg.loss_params) * np.mean(c))
-    step = _grad_b(f, b, labels, cfg) / float(h)
-    r0, t = _risk(f, b, labels, cfg), 1.0
-    while _risk(f, b - t * step, labels, cfg) > r0:
-        t *= 0.5
-    return b - t * step
+def _units(lam: float, w: float) -> float:
+    # lam * w_j, or w_j where that is 0 (lam 0, or below the smallest float)
+    thresh = lam * w
+    return thresh if thresh > 0 else w
 
 
 def _kkt_residual(alpha, grads, lam: float, weights,
@@ -315,8 +317,7 @@ def _kkt_residual(alpha, grads, lam: float, weights,
     block ||g_j|| <= lam w_j, and a fitted intercept dR/db = grad_b = 0,
     measured in units of lam * min_j w_j.
     """
-    w_min = min(weights)
-    worst = abs(grad_b) / (lam * w_min if lam > 0 else w_min)
+    viols = [abs(grad_b) / _units(lam, min(weights))]
     for a, g, w in zip(alpha, grads, weights):
         thresh = lam * w
         norm_a = float(np.linalg.norm(a))
@@ -324,8 +325,10 @@ def _kkt_residual(alpha, grads, lam: float, weights,
             viol = float(np.linalg.norm(g + (thresh / norm_a) * a))
         else:
             viol = max(float(np.linalg.norm(g)) - thresh, 0.0)
-        worst = max(worst, viol / (thresh if thresh > 0 else w))
-    return worst
+        viols.append(viol / _units(lam, w))
+    # max would drop a NaN after the first entry; `converged` must never
+    # be true on one
+    return math.nan if any(map(math.isnan, viols)) else max(viols)
 
 
 def _to_coords(blocks: GramBlocks, alpha) -> np.ndarray:
@@ -358,6 +361,9 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     stops after cfg.max_iters iterations, or earlier once not even a plain
     prox-gradient step lowers the computed objective (the rounding floor,
     near 1e-6 lam w_j), and warns on stderr.
+
+    With cfg.fit_intercept, b starts at 0 and each step moves it with the
+    blocks under one line search, whose backtracking stops at s >= d + 1.
 
     On a GramBlocks from kernels.gram_blocks, iterations past the 50th may
     run in the blocks' eigenbases with a per-coordinate majorizer (see the
@@ -394,18 +400,23 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     # a solve that meets tol in the eigenbases settles all the way to tol / 10
     settle_fully = blocks.eigvals(0) is not None
 
-    f = _scores(alpha, dot)
-    intercept = 0.0
-    if cfg.fit_intercept:
-        intercept = _intercept_step(f, intercept, labels, cfg)
-    obj = _risk(f, intercept, labels, cfg) + _penalty(alpha, weights, lam)
+    # b's curvature (module docstring); without an intercept dR/db is 0, so
+    # b stays 0 and its terms below add exactly 0
+    curv_b = float(1.01 * curvature_bound(cfg.loss_params) * c_max)
+    # by Cauchy-Schwarz over the d blocks and a fitted b, scale >= cap bounds
+    cap = d + cfg.fit_intercept
+    # what the gradient mapping and the KKT residual are measured in
+    units = [_units(lam, w) for w in weights]
+    b_units = _units(lam, min(weights))
+
+    f, b = _scores(alpha, dot), 0.0
+    obj = _risk(f, b, labels, cfg) + _penalty(alpha, weights, lam)
     grad = blocks.gradient
-    g = _grads(f, intercept, grad, groups, labels, cfg)  # at alpha, or None
-    kkt = _kkt_residual(alpha, g, lam, weights,
-                        _grad_b(f, intercept, labels, cfg))
+    g, g_b = _grads(f, b, grad, groups, labels, cfg)    # at alpha, or None
+    kkt = _kkt_residual(alpha, g, lam, weights, g_b)
     met = 0 if kkt <= cfg.tol else None     # iteration kkt first met tol
     trace = [obj]
-    alpha_prev, f_prev = alpha, f
+    alpha_prev, b_prev, f_prev = alpha, b, f
     t = 1.0         # momentum sequence; 1 means restarted
     scale = 1.0     # backtracked multiplier on the curvature constants
     it = 0
@@ -420,32 +431,34 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
             curv = [majorization_constant(blocks, labels, cfg, j)
                     for j in groups]
             f, f_prev = _scores(alpha, dot), _scores(alpha_prev, dot)
-            obj = _risk(f, intercept, labels, cfg) + _penalty(alpha, weights,
-                                                              lam)
+            obj = _risk(f, b, labels, cfg) + _penalty(alpha, weights, lam)
             g = None
         it += 1
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         if beta == 0.0:
             if g is None:
-                g = _grads(f, intercept, grad, groups, labels, cfg)
-            y, f_y, g_y = alpha, f, g
+                g, g_b = _grads(f, b, grad, groups, labels, cfg)
+            y, y_b, f_y, g_y, gb_y = alpha, b, f, g, g_b
         else:
-            # margins are linear in alpha, so extrapolating them is exact
+            # margins are linear in alpha and b, so extrapolating them is exact
             y = alpha + beta * (alpha - alpha_prev)
+            y_b = b + beta * (b - b_prev)
             f_y = f + beta * (f - f_prev)
-            g_y = _grads(f_y, intercept, grad, groups, labels, cfg)
-        r_y = _risk(f_y, intercept, labels, cfg)
+            g_y, gb_y = _grads(f_y, y_b, grad, groups, labels, cfg)
+        r_y = _risk(f_y, y_b, labels, cfg)
         while True:
             z = np.array([group_update(y[j], g_y[j], scale * curv[j], lam,
                                        weights[j]) for j in range(d)])
+            z_b = y_b - gb_y / (scale * curv_b)
             f_z = _scores(z, dot)
-            r_z = _risk(f_z, intercept, labels, cfg)
-            step = z - y
-            bound = r_y + float(np.sum(g_y * step)) + 0.5 * scale * sum(
-                _quad(c, s) for c, s in zip(curv, step))
-            # by Cauchy-Schwarz over the d blocks, scale >= d always bounds
-            if r_z <= bound or scale >= d:
+            r_z = _risk(f_z, z_b, labels, cfg)
+            step, step_b = z - y, z_b - y_b
+            bound = (r_y + float(np.sum(g_y * step)) + gb_y * step_b
+                     + 0.5 * scale * (sum(_quad(c, s)
+                                          for c, s in zip(curv, step))
+                                      + curv_b * step_b * step_b))
+            if r_z <= bound or scale >= cap:
                 break
             scale *= 2.0
         obj_z = r_z + _penalty(z, weights, lam)
@@ -456,27 +469,23 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
             trace.append(obj)
             if beta == 0.0:
                 break       # not even a plain step descends: rounding floor
-            t, alpha_prev, f_prev = 1.0, alpha, f
+            t, alpha_prev, b_prev, f_prev = 1.0, alpha, b, f
             continue
         # adaptive restart when the step turns against the momentum
-        restart = float(np.sum((y - z) * (z - alpha))) > 0.0
+        restart = (float(np.sum((y - z) * (z - alpha)))
+                   + (y_b - z_b) * (z_b - b)) > 0.0
         t = 1.0 if restart else t_next
-        alpha_prev, f_prev, alpha, f = alpha, f, z, f_z
-        if cfg.fit_intercept:
-            intercept = _intercept_step(f, intercept, labels, cfg)
-            obj_z = (_risk(f, intercept, labels, cfg)
-                     + _penalty(alpha, weights, lam))
-        obj = obj_z
+        alpha_prev, b_prev, f_prev = alpha, b, f
+        alpha, b, f, obj = z, z_b, f_z, obj_z
         trace.append(obj)
         g = None
         # gradient mapping at z: the KKT residual there if grad(z) = grad(y)
-        mapping = max(_scaled_norm(scale * c, s)
-                      / (lam * w if lam > 0 else w)
-                      for c, s, w in zip(curv, step, weights))
+        mapping = max(scale * curv_b * abs(step_b) / b_units,
+                      *(_scaled_norm(scale * c, s) / u
+                        for c, s, u in zip(curv, step, units)))
         if mapping <= cfg.tol or met is not None:
-            g = _grads(f, intercept, grad, groups, labels, cfg)
-            kkt = _kkt_residual(alpha, g, lam, weights,
-                                _grad_b(f, intercept, labels, cfg))
+            g, g_b = _grads(f, b, grad, groups, labels, cfg)
+            kkt = _kkt_residual(alpha, g, lam, weights, g_b)
             if met is None and kkt <= cfg.tol:
                 met = it
         scale *= 0.97
@@ -484,11 +493,9 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     # the reported objective and KKT residual use exact kernel values
     alpha = np.array([blocks.expand(j, x) for j, x in enumerate(alpha)])
     f = _scores(alpha, blocks.dot)
-    trace[-1] = (_risk(f, intercept, labels, cfg)
-                 + _penalty(alpha, weights, lam))
-    g = _grads(f, intercept, blocks.dot, groups, labels, cfg)
-    kkt = _kkt_residual(alpha, g, lam, weights,
-                        _grad_b(f, intercept, labels, cfg))
+    trace[-1] = _risk(f, b, labels, cfg) + _penalty(alpha, weights, lam)
+    g, g_b = _grads(f, b, blocks.dot, groups, labels, cfg)
+    kkt = _kkt_residual(alpha, g, lam, weights, g_b)
     converged = kkt <= cfg.tol
     if not converged:
         print(f"gska: warning: solve stopped after {it} iterations "
@@ -499,7 +506,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     alpha.setflags(write=False)
     report = SolveReport(iterations=it, objective_trace=tuple(trace),
                          converged=converged, active_groups=active,
-                         intercept=intercept)
+                         intercept=b)
     return alpha, report
 
 
@@ -513,6 +520,6 @@ def lambda_max(gram, labels, partition: GroupPartition,
     """
     labels = np.asarray(labels, dtype=float)
     zero = np.zeros((partition.d, labels.size))
-    grads = _grads(zero[0], 0.0, _as_blocks(gram).dot, range(partition.d),
-                   labels, cfg)
+    grads, _ = _grads(zero[0], 0.0, _as_blocks(gram).dot, range(partition.d),
+                      labels, cfg)
     return _kkt_residual(zero, grads, 0.0, partition.weights)

@@ -3,7 +3,7 @@ import pytest
 
 import gska
 from gska.coherence import (ClassWeights, CoherenceParams, curvature_bound,
-                            empirical_risk, loss, loss_curvature, loss_grad)
+                            empirical_risk, loss, loss_grad)
 from gska.data import DataError
 
 
@@ -81,31 +81,6 @@ class TestLossGrad:
         assert np.all(np.abs(g) <= bound + 1e-12)
 
 
-class TestLossCurvature:
-    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("u", [-2.0, -0.5, 0.0, 0.7, 3.0])
-    def test_finite_difference_of_grad(self, sigma, u):
-        params = CoherenceParams(sigma)
-        fd = central_diff(lambda x: loss_grad(x, params), u)
-        assert abs(loss_curvature(u, params) - fd) < 1e-6
-
-    @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 3.0])
-    def test_bound_attained_at_margin_one(self, sigma):
-        params = CoherenceParams(sigma)
-        assert loss_curvature(1.0, params) == curvature_bound(params)
-        u = np.linspace(-20, 20, 4001)
-        curv = loss_curvature(u, params)
-        assert np.all(curv >= 0)
-        assert np.all(curv <= curvature_bound(params))
-
-    def test_finite_far_from_the_kink(self):
-        # |1 - u| / sigma = 1e4: the curvature underflows to 0, not NaN
-        params = CoherenceParams(0.1)
-        curv = loss_curvature(np.array([1.0 - 1e3, 1.0 + 1e3]), params)
-        assert np.all(np.isfinite(curv))
-        assert np.all((curv >= 0) & (curv < 1e-300))
-
-
 class TestCurvatureBound:
     def test_sigma_one_closed_form(self):
         expect = 1.0 / (4.0 * np.log(1 + np.e))
@@ -116,6 +91,27 @@ class TestCurvatureBound:
         expect = 1.0 / np.log(1 + np.exp(2.0))
         np.testing.assert_allclose(curvature_bound(CoherenceParams(0.5)),
                                    expect, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 3.0])
+    def test_bound_attained_at_margin_one(self, sigma):
+        # loss'' as a central difference of loss_grad: at most the bound,
+        # which it reaches at margin 1
+        params = CoherenceParams(sigma)
+        bound = curvature_bound(params)
+
+        def curv(u):
+            return central_diff(lambda x: loss_grad(x, params), u)
+
+        assert abs(curv(1.0) - bound) <= 1e-6 * bound
+        u = np.linspace(-20, 20, 4001)
+        assert np.all(curv(u) <= bound * (1 + 1e-6))
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 0.0, -1.0, 1e308,
+                                       5e-324])
+    def test_sigma_without_a_positive_finite_bound_rejected(self, sigma):
+        # the solver divides by the bound
+        with pytest.raises(DataError, match="sigma"):
+            CoherenceParams(sigma)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
     def test_bounds_second_difference_on_grid(self, sigma):

@@ -198,6 +198,29 @@ class TestFullRankBlock:
         assert len(factor_calls) == tried
 
 
+class TestIntercept:
+    # Each reference is the same fit at tol 1e-6 (max_iters 20000, run dense):
+    # 120/0.05 and 120/0.02 stop at the rounding floor with KKT 1.3e-6 and
+    # 2.1e-6 lam w_j, the others converge.
+    @pytest.mark.parametrize("n,frac,reference", [
+        (120, 0.1, 0.7457703329164678), (120, 0.05, 0.6164828817316569),
+        (120, 0.02, 0.4398404670617763), (500, 0.1, 0.8286535424507511),
+        (500, 0.05, 0.7399762547696882), (500, 0.02, 0.6152446738071254)])
+    def test_converges_within_1000_iterations(self, n, frac, reference):
+        # b moves with the blocks' momentum instead of zig-zagging against
+        # them along the blocks' near-constant top eigenvector
+        data, part, spec = instance(n, FULL_RANK)
+        cw = ClassWeights.inverse_frequency(data.labels)
+        gram = gska.gram_blocks(data, part, spec)
+        top = lambda_max(gram, data.labels, part,
+                         SolverConfig(0.0, 1.0, class_weights=cw))
+        cfg = SolverConfig(frac * top, 1.0, tol=1e-4, max_iters=5000,
+                           class_weights=cw, fit_intercept=True)
+        _, rep = solve(gram, data.labels, part, cfg)
+        assert rep.converged and rep.iterations <= 1000
+        assert rel(rep.objective_trace[-1], reference) <= 1e-6
+
+
 class TestExactPublicValues:
     def test_objective_gradient_lambda_max(self, low_rank):
         data, part, spec, cfg = low_rank

@@ -43,6 +43,11 @@ class TestGaussianKernel:
         with pytest.raises(DataError):
             gska.gaussian_kernel([np.inf], [1.0], 1.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_nonfinite_bandwidth_rejected(self, gamma):
+        with pytest.raises(DataError, match="gammas"):
+            gska.KernelSpec((1.0, gamma))
+
 
 class TestGramBlocks:
     def test_n1_block_is_one(self):

@@ -6,9 +6,9 @@ import pytest
 import gska
 from gska.coherence import ClassWeights
 from gska.data import DataError, Dataset, GroupPartition
-from gska.solver import (SolverConfig, group_gradient, group_update,
-                         spectral_norm_sq,
-                         lambda_max, majorization_constant, objective, solve)
+from gska.solver import (SolverConfig, _kkt_residual, group_gradient,
+                         group_update, spectral_norm_sq, lambda_max,
+                         majorization_constant, objective, solve)
 
 from oracles import (gd_smooth_risk, lambda_max_two_products,
                      metric_prox_newton, naive_objective,
@@ -292,6 +292,13 @@ class TestSolve:
             trace = np.array(report.objective_trace)
             assert np.all(np.diff(trace) <= 1e-10)
 
+    def test_subnormal_lambda_with_small_weights(self, capsys):
+        # lam * w_j underflows to 0; residuals are then in units of w_j
+        gram, y, part, cfg = make_instance(20, [(0, 1), (2,)], 13,
+                                           lam=5e-324, max_iters=20)
+        _, report = solve(gram, y, part.with_weights((0.5, 0.5)), cfg)
+        assert np.isfinite(report.objective_trace[-1])
+
     def test_deterministic(self):
         gram, y, part, cfg = make_instance(15, [(0,), (1, 2)], 16, lam=0.05)
         a1, _ = solve(gram, y, part, cfg)
@@ -437,6 +444,15 @@ class TestStoppingRule:
         assert abs(model.report.objective_trace[-1] - reference) \
             <= 1e-6 * reference
 
+    def test_nan_gradient_is_never_within_tol(self):
+        # a NaN in any block, not only the first, makes the residual NaN
+        alpha = np.array([[1.0, 0.0], [0.0, 0.0]])
+        for grads in ([np.array([np.nan, 0.0]), np.zeros(2)],
+                      [np.zeros(2), np.array([0.0, np.nan])]):
+            assert np.isnan(_kkt_residual(alpha, grads, 0.1, (1.0, 1.0)))
+        assert np.isnan(_kkt_residual(alpha, [np.zeros(2)] * 2, 0.1,
+                                      (1.0, 1.0), grad_b=np.nan))
+
     def test_cap_warns_once_on_stderr(self, capsys):
         gram, y, part, _ = make_instance(30, [(0, 1), (2, 3)], 25)
         cfg = SolverConfig(0.01, 0.5, max_iters=2, tol=1e-8)
@@ -479,6 +495,12 @@ class TestSpectralNormSq:
         for K in (*gram, rng.standard_normal((30, 30)), np.eye(3),
                   np.zeros((4, 4))):
             assert spectral_norm_sq(K) == spectral_norm_sq_two_products(K)
+
+    def test_exact_where_clustered_eigenvalues_stall_the_iteration(self):
+        # eigenvalues 1, 0.9999, ...: the estimate still moves by more than
+        # its tolerance after the iteration cap
+        K = np.diag(1.0 - 1e-4 * np.arange(30))
+        assert spectral_norm_sq(K) == 1.0
 
     def test_one_product_per_iteration(self):
         gram, _, _, _ = make_instance(40, [(0, 1)], 28)
