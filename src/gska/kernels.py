@@ -98,7 +98,8 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     # symmetric and exactly zero for identical rows (unlike the gemm form),
     # and each entry is the same whichever rows are computed together.
     D = cdist(A, B, "sqeuclidean")
-    D *= -gamma
+    with np.errstate(over="ignore"):    # -inf where it overflows: exp gives 0
+        D *= -gamma
     np.exp(D, out=D)
     return D
 
@@ -173,9 +174,8 @@ class GramBlocks(Sequence):
     rebuilt in full for the caller). `dot(j, v)` is the exact K_j v: a basis
     block's rows are rebuilt _CHUNK_ROWS at a time, bit for bit as first
     built. `to_eigenbasis` replaces every block by U_j (n x r_j, orthonormal)
-    and Lambda_j; it is tried once, until `drop_bases` rebuilds the blocks
-    dense. Built from plain arrays (no training rows), the container never
-    leaves them.
+    and Lambda_j, and `drop_bases` rebuilds them dense. Built from plain
+    arrays (no training rows), the container never leaves them.
 
     A solve works in each block's coordinates: alpha_j itself while the
     block is dense, beta_j = U_j^T alpha_j in its basis, padded with zeros
@@ -190,7 +190,6 @@ class GramBlocks(Sequence):
         self._dense = list(blocks)
         self._rows, self._gammas = rows, gammas
         self._bases = [None] * len(self._dense)   # (U_j^T, padded Lambda_j)
-        self._may_switch = rows is not None      # basis not yet tried
         self.n = self._dense[0].shape[0] if self._dense else 0
         if any(K.shape != (self.n, self.n) for K in self._dense):
             raise DataError("Gram blocks must be square and of one size")
@@ -263,22 +262,21 @@ class GramBlocks(Sequence):
             if basis is not None:
                 self._dense[j] = self[j]
                 self._bases[j] = None
-                self._may_switch = True
 
     def to_eigenbasis(self) -> bool:
         """Hold every block in an eigenbasis; True if this call built them.
 
-        Tried once; later calls do nothing until `drop_bases`. Each block's
-        dense array is dropped first, and pivoted Cholesky reads kernel rows
-        rebuilt from the training rows. Only once every block has been tried
-        does the decomposition run: the thin SVD of a factor of rank below
-        n / 2, or else an eigendecomposition of the block rebuilt dense. So
-        memory never holds a basis or its workspace beside all d dense
-        blocks, and each basis replaces the factor or array it came from.
+        Does nothing without training rows or while the blocks hold bases
+        (until `drop_bases`). Each block's dense array is dropped first, and
+        pivoted Cholesky reads kernel rows rebuilt from the training rows.
+        Only once every block has been tried does the decomposition run:
+        the thin SVD of a factor of rank below n / 2, or else an
+        eigendecomposition of the block rebuilt dense. So memory never holds
+        a basis or its workspace beside all d dense blocks, and each basis
+        replaces the factor or array it came from.
         """
-        if not self._may_switch:
+        if self._rows is None or any(self._bases):
             return False
-        self._may_switch = False
         factors = []
         for j in range(len(self)):
             self._dense[j] = None

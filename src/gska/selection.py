@@ -53,7 +53,6 @@ class ENConfig:
 @dataclass(frozen=True)
 class SelectionResult:
     selected: tuple[str, ...]
-    coef_path: np.ndarray             # (n_lambda, p) full-data path
     chosen_lambda: float
     fold_scores: np.ndarray           # (n_lambda,) mean CV deviance
     lambda_grid: tuple[float, ...]
@@ -189,8 +188,7 @@ def select_top_k(data: Dataset, cfg: ENConfig, seed: int) -> SelectionResult:
         padded = True
     order = np.argsort(-rank_score, kind="stable")
     selected = tuple(data.feature_names[i] for i in order[:cfg.k])
-    _, coef_path, _ = en_logistic_path(std_data, cfg)
-    return SelectionResult(selected=selected, coef_path=coef_path,
+    return SelectionResult(selected=selected,
                            chosen_lambda=cfg.lambda_grid[best_t],
                            fold_scores=mean_dev, lambda_grid=cfg.lambda_grid,
                            padded=padded)

@@ -6,18 +6,19 @@ Minimizes, over coefficient blocks alpha^(j) in R^n,
     f_i = sum_j (K^(j) alpha^(j))_i
 
 with FISTA (Beck & Teboulle 2009) over all blocks at once. Each block's
-smooth term is upper-bounded by a quadratic with curvature gamma_j (global
-loss curvature times the spectral norm of K^(j)T K^(j) / n, times a 1.01
-safety factor); the prox step is the closed-form group soft-threshold with
-curvature s * gamma_j, where the shared multiplier s backtracks on the
-quadratic upper bound and shrinks by 0.97 after each accepted step.
-Momentum restarts when the step turns against it (O'Donoghue & Candes
-2015), and a step that would raise the objective is rejected, so the
-objective trace never increases. The solve stops on the largest per-group
-KKT residual at the returned point, in units of lam * w_j: once it meets
-tol, up to 8 more iterations aim for tol / 10 (as many as it takes where
-it meets tol in the eigenbases below). Deterministic given inputs: no
-randomization, fixed summation order.
+smooth term is upper-bounded by a quadratic with a diagonal curvature,
+every coordinate's gamma_j on a dense block (global loss curvature times
+the spectral norm of K^(j)T K^(j) / n, times a 1.01 safety factor). The
+prox step is the group soft-threshold in the metric s times that diagonal,
+in closed form where the diagonal is constant; the shared multiplier s
+backtracks on the quadratic upper bound and shrinks by 0.97 after each
+accepted step. Momentum restarts when the step turns against it
+(O'Donoghue & Candes 2015), and a step that would raise the objective is
+rejected, so the objective trace never increases. The solve stops on the
+largest per-group KKT residual at the returned point, in units of
+lam * w_j: once it meets tol, it runs on until the residual reaches
+tol / 10. Deterministic given inputs: no randomization, fixed summation
+order.
 
 With fit_intercept, every margin gains an unpenalized b, one more FISTA
 coordinate: it shares the momentum, its gradient dR/db sums the per-sample
@@ -46,7 +47,8 @@ basis). The objective then moves by at most 1% of tol times the penalty
 term, which bounds how far the trace can rise where a solve switches to the
 bases and at its last entry. That entry, the KKT residual that decides
 `converged`, and the public objective, group_gradient and lambda_max use
-exact kernel values at alpha_j = U_j beta_j.
+exact kernel values at alpha_j = U_j beta_j. A solve that meets tol within
+its first 50 iterations stays dense to the end.
 """
 
 from __future__ import annotations
@@ -70,17 +72,12 @@ class SolverError(RuntimeError):
 
 # Where momentum carries the residual through tol in one large step (near
 # lambda_max a solve meets tol in ~6 iterations), the first residual below
-# tol lands anywhere in (0, tol]. A few more iterations towards tol / 10
-# make the answer's accuracy steady there; a slow solve, whose residual
-# falls ~1% per iteration, pays at most _SETTLE_ITERS more. In the
-# eigenbases the residual falls 10-30% per iteration, so _SETTLE_ITERS would
-# leave it anywhere in (tol / 10, tol / 2]; a solve that meets tol there runs
-# on to tol / 10, a few iterations more.
-_SETTLE_ITERS = 8
+# tol lands anywhere in (0, tol]; a solve that meets tol runs on to
+# _SETTLE_SHRINK * tol, so that the answer's accuracy is steady.
 _SETTLE_SHRINK = 0.1
 # After this many iterations (in dense products, about the cost of factoring
-# the blocks at n = 2000) a solve asks for eigenbases; shorter solves stay
-# dense.
+# the blocks at n = 2000) a solve that has not met tol asks for eigenbases;
+# shorter solves stay dense.
 _FACTOR_AFTER = 50
 # share of tol * lam * w_j a basis's approximation error may move a block
 # gradient
@@ -224,13 +221,13 @@ def spectral_norm_sq(K: np.ndarray) -> float:
 
 
 def majorization_constant(gram, labels, cfg: SolverConfig, j: int):
-    """Curvature of group j's quadratic upper bound, in its coordinates.
+    """Curvature of group j's quadratic upper bound, one per coordinate.
 
-    On a dense block, gamma_j = 1.01 * L * c_max * lambda_max(K^T K) / n
-    with L the global loss curvature bound and c_max the larger class
-    weight; a GramBlocks keeps lambda_max(K^T K) of each block from its
-    first use. On a block held in an eigenbasis, the diagonal
-    m_j = 1.01 * L * c_max * Lambda_j^2 / n, one value per coordinate.
+    On a dense block, every coordinate's is gamma_j = 1.01 * L * c_max *
+    lambda_max(K^T K) / n with L the global loss curvature bound and c_max
+    the larger class weight; a GramBlocks keeps lambda_max(K^T K) of each
+    block from its first use. On a block held in an eigenbasis, the
+    diagonal m_j = 1.01 * L * c_max * Lambda_j^2 / n.
     """
     labels = np.asarray(labels)
     blocks = _as_blocks(gram)
@@ -240,7 +237,7 @@ def majorization_constant(gram, labels, cfg: SolverConfig, j: int):
     else:
         if j not in blocks.norms_sq:
             blocks.norms_sq[j] = spectral_norm_sq(blocks[j])
-        spectrum = blocks.norms_sq[j]
+        spectrum = np.full(labels.size, blocks.norms_sq[j])
     L = curvature_bound(cfg.loss_params)
     cw = _class_weights(cfg)
     c_max = max(cw.weight_pos, cw.weight_neg)
@@ -252,26 +249,19 @@ def group_update(alpha_j, grad_j, gamma_j, lam: float,
     """Proximal step of lam * w_j ||.|| in the majorizer's metric.
 
     Minimizes (1/2)(b - u)^T diag(gamma_j) (b - u) + lam w_j ||b|| with
-    u = alpha_j - grad_j / gamma_j. A scalar gamma_j gives the closed-form
-    group soft-threshold. A vector gamma_j >= 0 (one curvature per
-    coordinate, zero only where grad_j is) gives b = 0 when
-    ||gamma_j u|| <= lam w_j, and otherwise b = gamma_j u / (gamma_j + mu),
-    where mu > 0 solves mu ||gamma_j u / (gamma_j + mu)|| = lam w_j.
+    u = alpha_j - grad_j / gamma_j, where gamma_j >= 0 is one curvature per
+    coordinate (zero only where grad_j is) or a scalar, the same for every
+    coordinate. b = 0 when ||gamma_j u|| <= lam w_j, and otherwise
+    b = gamma_j u / (gamma_j + mu), where mu > 0 solves
+    mu ||gamma_j u / (gamma_j + mu)|| = lam w_j; at a constant gamma_j this
+    is the group soft-threshold u (1 - lam w_j / ||gamma_j u||).
     gamma_j u = gamma_j alpha_j - grad_j is formed directly, so a zero
     curvature never divides.
     """
     alpha_j = np.asarray(alpha_j, dtype=float)
     grad_j = np.asarray(grad_j, dtype=float)
     thresh = lam * w_j
-    if np.ndim(gamma_j) == 0:
-        if gamma_j <= 0:
-            raise DataError("gamma_j must be positive")
-        u = gamma_j * alpha_j - grad_j
-        norm = float(np.linalg.norm(u))
-        if norm <= thresh:
-            return np.zeros_like(u)
-        return (u / gamma_j) * (1.0 - thresh / norm)
-    m = np.asarray(gamma_j, dtype=float)
+    m = np.broadcast_to(np.asarray(gamma_j, dtype=float), alpha_j.shape)
     m_max = float(np.max(m))
     if not (m_max > 0 and float(np.min(m)) >= 0):
         raise DataError("gamma_j must be non-negative and not all zero")
@@ -279,14 +269,16 @@ def group_update(alpha_j, grad_j, gamma_j, lam: float,
     norm = float(np.linalg.norm(a))
     if norm <= thresh:
         return np.zeros_like(a)
-    if thresh == 0:
-        return np.divide(a, m, out=np.zeros_like(a), where=m > 0)
     # With nu = 1 / mu, b = nu a / (1 + nu m) and ||b|| / nu = thresh. The
     # reciprocal 1 / ||a / (1 + nu m)|| is concave and increasing in nu
     # (the perspective of the trust-region secular function), so Newton on
     # it from a nu left of the root climbs to the root without passing it.
-    # At nu0, ||a / (1 + nu0 m)|| >= norm / (1 + nu0 max m) = thresh.
-    nu = (norm / thresh - 1.0) / m_max
+    # At nu0, ||a / (1 + nu0 m)|| >= norm / (1 + nu0 max m) = thresh, with
+    # equality (the root) where m is constant. nu0 is infinite where thresh
+    # is 0 or norm / thresh overflows: the plain step a / m.
+    nu = (norm / thresh - 1.0) / m_max if thresh > 0 else math.inf
+    if nu == math.inf:
+        return np.divide(a, m, out=np.zeros_like(a), where=m > 0)
     a2 = a * a
     a2m = a2 * m
     for _ in range(_PROX_MAX_ITERS):
@@ -335,18 +327,6 @@ def _to_coords(blocks: GramBlocks, alpha) -> np.ndarray:
     return np.array([blocks.coords(j, a) for j, a in enumerate(alpha)])
 
 
-def _quad(c, s) -> float:
-    # s^T diag(c) s, for a scalar or per-coordinate curvature c
-    return c * float(s @ s) if np.ndim(c) == 0 else float(s @ (c * s))
-
-
-def _scaled_norm(c, s) -> float:
-    # ||diag(c) s||, for a scalar or per-coordinate curvature c
-    if np.ndim(c) == 0:
-        return c * float(np.linalg.norm(s))
-    return float(np.linalg.norm(c * s))
-
-
 def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
           init=None):
     """Run monotone accelerated proximal gradient (FISTA) to convergence.
@@ -354,22 +334,21 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     Returns (alpha, SolveReport). Converged means the largest per-group KKT
     residual at the returned alpha is at most cfg.tol * lam * w_j (cfg.tol *
     w_j when lam is 0) and, with cfg.fit_intercept, that |dR/db| at the
-    returned intercept is at most cfg.tol * lam * min_j w_j. Once the
-    residual is first found within cfg.tol, the solve stops when it reaches
-    cfg.tol / 10 or, unless it met cfg.tol in the blocks' eigenbases, from
-    8 iterations later at the first iterate within cfg.tol. Otherwise it
-    stops after cfg.max_iters iterations, or earlier once not even a plain
-    prox-gradient step lowers the computed objective (the rounding floor,
-    near 1e-6 lam w_j), and warns on stderr.
+    returned intercept is at most cfg.tol * lam * min_j w_j. The solve
+    stops once the residual reaches cfg.tol / 10, after cfg.max_iters
+    iterations, or once not even a plain prox-gradient step lowers the
+    computed objective (the rounding floor, near 1e-6 lam w_j); it warns on
+    stderr where the returned point is not within cfg.tol.
 
     With cfg.fit_intercept, b starts at 0 and each step moves it with the
     blocks under one line search, whose backtracking stops at s >= d + 1.
 
-    On a GramBlocks from kernels.gram_blocks, iterations past the 50th may
-    run in the blocks' eigenbases with a per-coordinate majorizer (see the
-    module docstring); alpha is returned in its own coordinates, and the
-    objective reported last in the trace and `converged` are still computed
-    from exact kernel values at the returned alpha.
+    On a GramBlocks from kernels.gram_blocks, iterations past the 50th of a
+    solve that has not met cfg.tol by then run in the blocks' eigenbases,
+    with a per-coordinate majorizer (see the module docstring); alpha is
+    returned in its own coordinates, and the objective reported last in the
+    trace and `converged` are still computed from exact kernel values at
+    the returned alpha.
     """
     labels = np.asarray(labels, dtype=float)
     n, d = labels.size, partition.d
@@ -397,8 +376,6 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     alpha = _to_coords(blocks, alpha)
     curv = [majorization_constant(blocks, labels, cfg, j) for j in groups]
     dot = blocks.margins
-    # a solve that meets tol in the eigenbases settles all the way to tol / 10
-    settle_fully = blocks.eigvals(0) is not None
 
     # b's curvature (module docstring); without an intercept dR/db is 0, so
     # b stays 0 and its terms below add exactly 0
@@ -414,18 +391,16 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     grad = blocks.gradient
     g, g_b = _grads(f, b, grad, groups, labels, cfg)    # at alpha, or None
     kkt = _kkt_residual(alpha, g, lam, weights, g_b)
-    met = 0 if kkt <= cfg.tol else None     # iteration kkt first met tol
+    met = kkt <= cfg.tol        # kkt has met tol at some iterate
     trace = [obj]
     alpha_prev, b_prev, f_prev = alpha, b, f
     t = 1.0         # momentum sequence; 1 means restarted
     scale = 1.0     # backtracked multiplier on the curvature constants
     it = 0
-    while it < cfg.max_iters and not (kkt <= cfg.tol and (
-            kkt <= _SETTLE_SHRINK * cfg.tol
-            or (not settle_fully and it >= met + _SETTLE_ITERS))):
-        if it == _FACTOR_AFTER and may_factor and blocks.to_eigenbasis():
+    while it < cfg.max_iters and not kkt <= _SETTLE_SHRINK * cfg.tol:
+        if (it == _FACTOR_AFTER and not met and may_factor
+                and blocks.to_eigenbasis()):
             # go on from the same point in the blocks' eigenbases
-            settle_fully = met is None
             alpha = _to_coords(blocks, alpha)
             alpha_prev = _to_coords(blocks, alpha_prev)
             curv = [majorization_constant(blocks, labels, cfg, j)
@@ -455,7 +430,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
             r_z = _risk(f_z, z_b, labels, cfg)
             step, step_b = z - y, z_b - y_b
             bound = (r_y + float(np.sum(g_y * step)) + gb_y * step_b
-                     + 0.5 * scale * (sum(_quad(c, s)
+                     + 0.5 * scale * (sum(float(s @ (c * s))
                                           for c, s in zip(curv, step))
                                       + curv_b * step_b * step_b))
             if r_z <= bound or scale >= cap:
@@ -481,13 +456,12 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         g = None
         # gradient mapping at z: the KKT residual there if grad(z) = grad(y)
         mapping = max(scale * curv_b * abs(step_b) / b_units,
-                      *(_scaled_norm(scale * c, s) / u
+                      *(float(np.linalg.norm(scale * c * s)) / u
                         for c, s, u in zip(curv, step, units)))
-        if mapping <= cfg.tol or met is not None:
+        if mapping <= cfg.tol or met:
             g, g_b = _grads(f, b, grad, groups, labels, cfg)
             kkt = _kkt_residual(alpha, g, lam, weights, g_b)
-            if met is None and kkt <= cfg.tol:
-                met = it
+            met = met or kkt <= cfg.tol
         scale *= 0.97
 
     # the reported objective and KKT residual use exact kernel values

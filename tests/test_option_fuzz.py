@@ -72,6 +72,7 @@ def _with_edges(test):
     return test
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,option", CASES,
                          ids=[f"{c}{o}" for c, o in CASES])
 @FUZZ
