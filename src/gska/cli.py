@@ -165,7 +165,8 @@ def cmd_grid(args):
     sigmas = args.sigmas or list(evaluation.DEFAULT_SIGMAS)
     result = evaluation.grid_search(data, partition, lambdas, sigmas,
                                     args.folds, args.seed,
-                                    _kernel(args, partition.d))
+                                    _kernel(args, partition.d),
+                                    tol=args.tol, max_iters=args.max_iters)
     doc = {"points": [{"lambda": lam, "sigma": s, "auroc": a}
                       for lam, s, a in result.points],
            "best": {"lambda": result.best_lambda, "sigma": result.best_sigma,
@@ -225,17 +226,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--weights-mode", choices=("config", "sqrt-size"),
                            default="config", dest="weights_mode")
 
+    def controls(p):
+        p.add_argument("--tol", type=_positive(float), default=_DEFAULTS.tol,
+                       help="KKT tolerance, a multiple of lambda w_j")
+        p.add_argument("--max-iters", type=_positive(int),
+                       default=_DEFAULTS.max_iters, dest="max_iters",
+                       help="iteration cap of each solve")
+
     def hyper(p):
         p.add_argument("--lambda", type=float, default=0.001, dest="lam")
         p.add_argument("--sigma", type=float, default=1.0)
         p.add_argument("--gamma", type=_positive(float), default=None,
                        help="shared kernel bandwidth override")
         p.add_argument("--intercept", action="store_true")
-        p.add_argument("--tol", type=_positive(float), default=_DEFAULTS.tol,
-                       help="KKT tolerance, a multiple of lambda w_j")
-        p.add_argument("--max-iters", type=_positive(int),
-                       default=_DEFAULTS.max_iters, dest="max_iters",
-                       help="iteration cap of each solve")
+        controls(p)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--n", type=int, required=True)
@@ -279,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_positive(float), default=None)
     p.add_argument("--lambdas", type=float, nargs="+", default=None)
     p.add_argument("--sigmas", type=float, nargs="+", default=None)
+    controls(p)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="grid report JSON")

@@ -4,12 +4,15 @@ loss(u) = softplus((1 - u) / sigma) / softplus(1 / sigma), expressed in the
 margin u = y * f(x). It is smooth, convex, strictly decreasing, equals 1 at
 zero margin, and converges uniformly to the hinge max(0, 1 - u) as
 sigma -> 0. All exponentials go through a stable softplus so margins with
-|1 - u| / sigma up to 1e4 evaluate without overflow.
+|1 - u| / sigma up to 1e4 evaluate without overflow. `LabelledRisk` is the
+class-weighted risk over fixed labels as a function of the scores, with
+every factor that depends only on the labels computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -33,9 +36,9 @@ class CoherenceParams:
             raise DataError(f"sigma must be positive, with a positive, finite "
                             f"loss curvature bound, got {self.sigma!r}")
 
-    @property
+    @cached_property
     def normalizer(self) -> float:
-        # log(1 + e^{1/sigma}), computed stably once per sigma
+        # log(1 + e^{1/sigma}), computed stably once per instance
         return _softplus(1.0 / self.sigma)
 
 
@@ -108,3 +111,33 @@ def empirical_risk(margins, labels, weights: ClassWeights,
         raise DataError("margins and labels must have equal length")
     c = weights.per_sample(y)
     return float(np.mean(c * loss(m, params)))
+
+
+class LabelledRisk:
+    """R(f, b) = empirical_risk(y (f + b)) and its slopes dR/df, fixed y.
+
+    Both come from one u = (1 - y (f + b)) / sigma: R = sum_i c_i
+    softplus(u_i) / (n N) and dR/df_i = -c_i y_i sigmoid(u_i) / (n sigma N),
+    with N the loss normalizer. The per-sample factors are formed once; the
+    margins are not checked for finiteness.
+    """
+
+    def __init__(self, labels, weights: ClassWeights,
+                 params: CoherenceParams):
+        y = np.asarray(labels, dtype=float)
+        self._inv_sigma = 1.0 / params.sigma
+        self._y_sigma = y / params.sigma
+        # c_i / (n N), and -c_i y_i / (n sigma N)
+        self._weights = weights.per_sample(y) / (y.size * params.normalizer)
+        self._slope_weights = -self._weights * self._y_sigma
+
+    def _u(self, f, b):
+        return self._inv_sigma - self._y_sigma * (f + b)
+
+    def risk(self, f, b=0.0) -> float:
+        return float(self._weights @ _softplus(self._u(f, b)))
+
+    def risk_and_slopes(self, f, b=0.0):
+        u = self._u(f, b)
+        return (float(self._weights @ _softplus(u)),
+                self._slope_weights * expit(u))

@@ -149,9 +149,12 @@ def _grid_values(values, name: str) -> list[float]:
 
 def grid_search(data: Dataset, partition: GroupPartition,
                 lambdas=None, sigmas=DEFAULT_SIGMAS, k: int = 5,
-                seed: int = 0, kernel: KernelSpec | None = None) -> GridResult:
+                seed: int = 0, kernel: KernelSpec | None = None, *,
+                tol: float = SolverConfig.tol,
+                max_iters: int = SolverConfig.max_iters) -> GridResult:
     """Mean CV AUROC per (lambda, sigma), warm-starting along decreasing
-    lambda. Ties break toward larger lambda, then larger sigma."""
+    lambda. Ties break toward larger lambda, then larger sigma. Every solve
+    runs to `tol` within `max_iters` (SolverConfig's)."""
     sigmas = _grid_values(sigmas, "sigma")
     if lambdas is None:
         lambdas = default_lambda_grid(data, partition, sigmas, kernel=kernel)
@@ -165,8 +168,8 @@ def grid_search(data: Dataset, partition: GroupPartition,
         for s in sigmas:
             alpha = None
             for lam in reversed(lambdas):
-                fitted = model_mod._solve_fold(fold, SolverConfig(lam, s),
-                                               init=alpha)
+                cfg = SolverConfig(lam, s, max_iters=max_iters, tol=tol)
+                fitted = model_mod._solve_fold(fold, cfg, init=alpha)
                 scores = model_mod.decision_function(fitted, test)
                 sums[(lam, s)] += auroc(scores, test.labels)
                 alpha = fitted.alpha

@@ -11,11 +11,13 @@ Harbrecht, Peters & Schneider 2012) has rank below n / 2 takes its basis
 from the thin SVD of L, so that a product costs O(n r) instead of O(n^2);
 its trace error tr(K - L L^T) is at most n * 1e-10 by construction. Any
 other block takes its basis from a full eigendecomposition, keeping the
-eigenvalues above 1e-10. The basis is held in place of the dense array or
-the factor, never beside it. A block's exact values are rebuilt from the
-training rows on demand, entry for entry as first built. A GramBlocks serves
-the solver only: scoring and interpretation build `cross_gram` blocks for
-one tile of rows at a time.
+eigenvalues above 1e-10. The d bases are held as one stacked array of the
+rows U_j^T, each written straight into its rows in place of the dense array
+or the factor, never beside it, so that a solve's gradients for all blocks
+take one product with the stack, and its summed margins another. A block's
+exact values are rebuilt from the training rows on demand, entry for entry
+as first built. A GramBlocks serves the solver only: scoring and
+interpretation build `cross_gram` blocks for one tile of rows at a time.
 
 The median heuristic selects its median by counting (Floyd & Rivest 1975):
 the quantiles of about m^(2/3) evenly spread pairs, of the m = n(n - 1)/2,
@@ -45,10 +47,7 @@ from .data import DataError, Dataset, GroupPartition
 # eigendecomposition drops the eigenvalues at or below _FACTOR_EPS, so the
 # dropped part's spectral norm is at most _FACTOR_EPS.
 _FACTOR_EPS = 1e-10
-# Rows rebuilt at once: of a factored block, for an exact product with it,
-# and of a scored set of rows (query or training), whose cross-Gram blocks
-# are never built whole, so scoring holds d n_train x _CHUNK_ROWS kernel
-# values at a time.
+# Rows of a block held in a basis rebuilt at once, for an exact product
 _CHUNK_ROWS = 256
 # Rows of Q multiplied at once where a factor's basis is formed over it: few,
 # so that the tile's temporary adds little to the decomposition's workspace
@@ -93,11 +92,12 @@ def gaussian_kernel(a, b, gamma: float) -> float:
     return float(np.exp(-gamma * np.sum((a - b) ** 2)))
 
 
-def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float,
+                   out=None) -> np.ndarray:
     # cdist sums explicit squared differences, so the result is exactly
     # symmetric and exactly zero for identical rows (unlike the gemm form),
     # and each entry is the same whichever rows are computed together.
-    D = cdist(A, B, "sqeuclidean")
+    D = cdist(A, B, "sqeuclidean", out=out)
     with np.errstate(over="ignore"):    # -inf where it overflows: exp gives 0
         D *= -gamma
     np.exp(D, out=D)
@@ -135,64 +135,81 @@ def _pivoted_cholesky(kernel_row, n: int):
 
 
 def _basis_from_factor(Lt):
-    """(U^T, s^2) with L = U diag(s) V^T, so L L^T = U s^2 U^T; Lt's memory.
+    """Eigenvalues s^2 of L L^T; Lt's memory is left holding U^T.
 
-    Householder QR L = Q R in place, then the SVD R = W diag(s) V^T of the
-    small r x r factor: U = Q W is orthonormal to rounding (eigenvectors of
-    an explicit L^T L are not). U is formed over Q a tile of rows at a
-    time, so the basis occupies the factor's memory and nothing beside it.
+    L = U diag(s) V^T, so L L^T = U s^2 U^T. Householder QR L = Q R in
+    place, then the SVD R = W diag(s) V^T of the small r x r factor: U = Q W
+    is orthonormal to rounding (eigenvectors of an explicit L^T L are not).
+    U is formed over Q a tile of rows at a time and written back into Lt, so
+    the basis occupies the factor's memory and nothing beside it.
     """
     Q, R = scipy.linalg.qr(Lt.T, mode="economic", overwrite_a=True,
                            check_finite=False)
     # R^T = V diag(s) W^T, taken from R^T's own (Fortran-ordered) memory
     _, s, Wt = scipy.linalg.svd(R.T, overwrite_a=True, check_finite=False)
     del R
+    U = Lt.T            # Q itself where the QR ran in place
     for start in range(0, len(Q), _QR_TILE):
-        Q[start:start + _QR_TILE] = Q[start:start + _QR_TILE] @ Wt.T
-    return Q.T, s * s
+        U[start:start + _QR_TILE] = Q[start:start + _QR_TILE] @ Wt.T
+    return s * s
 
 
 def _basis_from_gram(K):
-    """(U^T, eigenvalues) of the eigenpairs of K above _FACTOR_EPS.
+    """Eigenvalues of K above _FACTOR_EPS; K's first rows are left holding
+    the matching rows of U^T.
 
     Divide and conquer (LAPACK syevd). K is symmetric, so its transpose is
     the Fortran-ordered K that the eigensolver overwrites with the
-    eigenvectors instead of copying.
+    eigenvectors, one per row of K in ascending order, instead of copying.
+    The kept rows then move up over the dropped ones, in chunks that do not
+    overlap, so that no copy of them is made.
     """
     w, U, info = scipy.linalg.lapack.dsyevd(K.T, compute_v=1, lower=1,
                                             overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError(f"eigendecomposition failed ({info})")
+    if not np.may_share_memory(U, K):
+        K.T[...] = U
+    del U
     keep = int(np.searchsorted(w, _FACTOR_EPS, side="right"))
-    return U[:, keep:].T.copy(), w[keep:]
+    for start in range(keep, len(K), keep or len(K)):
+        stop = min(start + keep, len(K))
+        K[start - keep:stop - keep] = K[start:stop]
+    return w[keep:]
 
 
 class GramBlocks(Sequence):
-    """A training set's Gram blocks K_j, each dense or held in an eigenbasis.
+    """A training set's Gram blocks K_j, all dense or all in eigenbases.
 
     `blocks[j]` is K_j as a read-only array (a block held in a basis is
     rebuilt in full for the caller). `dot(j, v)` is the exact K_j v: a basis
     block's rows are rebuilt _CHUNK_ROWS at a time, bit for bit as first
-    built. `to_eigenbasis` replaces every block by U_j (n x r_j, orthonormal)
-    and Lambda_j, and `drop_bases` rebuilds them dense. Built from plain
-    arrays (no training rows), the container never leaves them.
+    built. `to_eigenbasis` replaces every block by U_j (n x r_j,
+    orthonormal) and Lambda_j, and `drop_bases` rebuilds them dense. Built
+    from plain arrays (no training rows), the container never leaves them.
 
-    A solve works in each block's coordinates: alpha_j itself while the
-    block is dense, beta_j = U_j^T alpha_j in its basis, padded with zeros
-    to length n (`coords`; `expand` maps back). `eigvals(j)` is Lambda_j,
-    padded alike, or None while dense. `margins(j, x)` is K_j alpha_j and
-    `gradient(j, s)` the gradient K_j s in block j's coordinates:
-    U_j (Lambda_j x) and Lambda_j U_j^T s in a basis. `norms_sq` caches
-    each block's spectral norm squared, taken while dense.
+    The d bases are held as one array, the rows U_j^T stacked in group
+    order (sum_j r_j x n), with the eigenvalues in one flat vector beside
+    it; the dense blocks are never stacked. A solve works on one flat vector
+    of coordinates, block j's at offsets[j]:offsets[j + 1]: alpha_j itself
+    while dense (n each), beta_j = U_j^T alpha_j in a basis (r_j each).
+    `coords(j, a)` maps alpha_j to block j's coordinates and `expand(j, x)`
+    back, and `eigvals(j)` is Lambda_j (None while dense); in a basis, all
+    three are views into or products with the stack. `gradients(s)` is every
+    block's K_j s in its coordinates, Lambda (U^T s) in a basis, and
+    `scores(x)` is sum_j K_j alpha_j, (Lambda x) U^T in a basis: one product
+    each with the stack. `norms_sq` caches each block's spectral norm
+    squared, taken while dense.
     """
 
     def __init__(self, blocks, rows=None, gammas=None):
         self._dense = list(blocks)
         self._rows, self._gammas = rows, gammas
-        self._bases = [None] * len(self._dense)   # (U_j^T, padded Lambda_j)
+        self._Ut = self._eig = None     # the stacked bases, or None
         self.n = self._dense[0].shape[0] if self._dense else 0
         if any(K.shape != (self.n, self.n) for K in self._dense):
             raise DataError("Gram blocks must be square and of one size")
+        self.offsets = np.arange(len(self._dense) + 1) * self.n
         self.norms_sq = {}
 
     def __len__(self):
@@ -205,13 +222,16 @@ class GramBlocks(Sequence):
             K.setflags(write=False)
         return K
 
-    def _kernel_rows(self, j, start, stop):
+    def _kernel_rows(self, j, start, stop, out=None):
         X = self._rows[j]
-        return _kernel_matrix(X[start:stop], X, self._gammas[j])
+        return _kernel_matrix(X[start:stop], X, self._gammas[j], out)
+
+    def _part(self, v, j):
+        return v[self.offsets[j]:self.offsets[j + 1]]
 
     def eigvals(self, j):
-        """Lambda_j padded with zeros to length n, or None while dense."""
-        return None if self._bases[j] is None else self._bases[j][1]
+        """Lambda_j, or None while dense."""
+        return None if self._eig is None else self._part(self._eig, j)
 
     def dot(self, j, v) -> np.ndarray:
         """Exact K_j v."""
@@ -225,43 +245,39 @@ class GramBlocks(Sequence):
 
     def coords(self, j, a) -> np.ndarray:
         """Block j's coordinates of alpha_j: U_j^T alpha_j, or alpha_j."""
-        if self._bases[j] is None:
-            return a
-        Ut = self._bases[j][0]
-        out = np.zeros(self.n)
-        out[:len(Ut)] = Ut @ a
-        return out
+        return a if self._Ut is None else self._part(self._Ut, j) @ a
 
     def expand(self, j, x) -> np.ndarray:
         """alpha_j from block j's coordinates: U_j x, or x."""
-        if self._bases[j] is None:
-            return x
-        Ut = self._bases[j][0]
-        return x[:len(Ut)] @ Ut
+        return x if self._Ut is None else x @ self._part(self._Ut, j)
 
-    def margins(self, j, x) -> np.ndarray:
-        """K_j alpha_j from block j's coordinates x."""
-        if self._bases[j] is None:
-            return self._dense[j] @ x
-        Ut, lam = self._bases[j]
-        r = len(Ut)
-        return (lam[:r] * x[:r]) @ Ut
-
-    def gradient(self, j, s) -> np.ndarray:
-        """K_j s in block j's coordinates: Lambda_j U_j^T s, or K_j s."""
-        if self._bases[j] is None:
-            return self._dense[j] @ s
-        Ut, lam = self._bases[j]
-        out = np.zeros(self.n)
-        out[:len(Ut)] = lam[:len(Ut)] * (Ut @ s)
+    def gradients(self, s) -> np.ndarray:
+        """Every block's K_j s in its coordinates, as one flat vector."""
+        if self._Ut is not None:
+            return self._eig * (self._Ut @ s)
+        out = np.empty(self.offsets[-1])
+        for j, K in enumerate(self._dense):
+            self._part(out, j)[:] = K @ s
         return out
 
+    def scores(self, x) -> np.ndarray:
+        """sum_j K_j alpha_j from the flat coordinates x."""
+        if self._Ut is not None:
+            return (self._eig * x) @ self._Ut
+        # a zero block adds exactly nothing, so it is skipped
+        f = np.zeros(self.n)
+        for j, K in enumerate(self._dense):
+            x_j = self._part(x, j)
+            if np.any(x_j):
+                f += K @ x_j
+        return f
+
     def drop_bases(self):
-        """Rebuild every block dense; the basis may then be built again."""
-        for j, basis in enumerate(self._bases):
-            if basis is not None:
-                self._dense[j] = self[j]
-                self._bases[j] = None
+        """Rebuild every block dense; the bases may then be built again."""
+        if self._Ut is not None:
+            self._Ut = self._eig = None
+            self._dense = [self[j] for j in range(len(self))]
+            self.offsets = np.arange(len(self) + 1) * self.n
 
     def to_eigenbasis(self) -> bool:
         """Hold every block in an eigenbasis; True if this call built them.
@@ -269,26 +285,44 @@ class GramBlocks(Sequence):
         Does nothing without training rows or while the blocks hold bases
         (until `drop_bases`). Each block's dense array is dropped first, and
         pivoted Cholesky reads kernel rows rebuilt from the training rows.
-        Only once every block has been tried does the decomposition run:
-        the thin SVD of a factor of rank below n / 2, or else an
-        eigendecomposition of the block rebuilt dense. So memory never holds
-        a basis or its workspace beside all d dense blocks, and each basis
-        replaces the factor or array it came from.
+        Only once every block has been tried does the decomposition run,
+        block by block in the stack's rows: a factor of rank below n / 2
+        is moved there and turned into its basis in place (the thin SVD of
+        the factor), and any other block is rebuilt dense there and
+        decomposed in place. The stack is allocated for n rows per such
+        block and cut to the rows kept once all are built. So memory never
+        holds a basis or its workspace beside all d dense blocks, and no
+        block's basis is held beside the stack.
         """
-        if self._rows is None or any(self._bases):
+        if self._rows is None or self._Ut is not None:
             return False
         factors = []
         for j in range(len(self)):
             self._dense[j] = None
             factors.append(_pivoted_cholesky(
                 lambda p: self._kernel_rows(j, p, p + 1)[0], self.n))
+        stack = np.empty((sum(self.n if Lt is None else len(Lt)
+                              for Lt in factors), self.n))
+        eig, offsets = [], [0]
         for j in range(len(self)):
             Lt, factors[j] = factors[j], None
-            Ut, lam = (_basis_from_gram(self._kernel_rows(j, 0, self.n))
-                       if Lt is None else _basis_from_factor(Lt))
-            padded = np.zeros(self.n)
-            padded[:len(lam)] = lam
-            self._bases[j] = (Ut, padded)
+            o = offsets[-1]
+            if Lt is None:
+                lam = _basis_from_gram(
+                    self._kernel_rows(j, 0, self.n, out=stack[o:o + self.n]))
+            else:
+                r = len(Lt)
+                stack[o:o + r] = Lt
+                del Lt
+                lam = _basis_from_factor(stack[o:o + r])
+            eig.append(lam)
+            offsets.append(o + len(lam))
+        # cut in place: no view of the stack outlives the calls that wrote
+        # it (a profiler's reference to `stack` itself may, so the
+        # reference count is not checked)
+        stack.resize((offsets[-1], self.n), refcheck=False)
+        self._Ut, self._eig = stack, np.concatenate(eig)
+        self.offsets = np.array(offsets)
         return True
 
 

@@ -6,10 +6,11 @@ keeps no Gram: it is plain data, the same whether fitted or loaded.
 
 The decision function is the additive kernel expansion over the stored
 (standardized) training points, so the model file carries the training
-features along with the coefficient blocks. Scoring walks the query
-kernels._CHUNK_ROWS (256) rows at a time, so it holds one tile's cross-Gram
-blocks, d n_train x 256 values, however many rows the query has; the
-training rows' components for interpretation are scored the same way.
+features along with the coefficient blocks. Scoring walks the query a tile
+of about 2^17 / n_train rows at a time (256 at 500 training rows, 48 at
+2400), so it holds one tile's cross-Gram blocks, at most 2^17 values (1 MB)
+per group, however many rows the query has; the training rows' components
+for interpretation are scored the same way.
 Serialization is versioned JSON with floats written via repr, which
 round-trips exactly.
 """
@@ -24,11 +25,13 @@ import numpy as np
 from .coherence import ClassWeights, CoherenceParams
 from .data import (DataError, Dataset, FileError, GroupPartition,
                    ScalingParams, apply_scaling, standardize)
-from .kernels import (_CHUNK_ROWS, GramBlocks, KernelSpec, cross_gram,
-                      gram_blocks, median_heuristic_gamma)
+from .kernels import (GramBlocks, KernelSpec, cross_gram, gram_blocks,
+                      median_heuristic_gamma)
 from .solver import SolveReport, SolverConfig, solve
 
 SCHEMA_VERSION = 1
+# Kernel values in one group's cross-Gram tile while scoring (1 MB)
+_TILE_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -119,16 +122,27 @@ def _align_query(model: ModelState, query: Dataset) -> Dataset:
     return apply_scaling(_model_columns(model, query), model.scaling)
 
 
+def _tile_rows(n_train: int) -> int:
+    """Query rows scored at once: _TILE_ENTRIES // n_train, down to a
+    multiple of 8 (at least 8). The BLAS product alpha_j K_j works on 8
+    columns at a time; tiles of other widths change the last bit of some
+    scores against a product over more columns. At 500 training rows this
+    is 256, the fixed tile it replaces."""
+    return max(8, _TILE_ENTRIES // n_train // 8 * 8)
+
+
 def _expansion(model: ModelState, q: Dataset, groups, base: float):
     """base + sum over j in groups of alpha_j K_j(train, q), per query row.
 
     q is aligned and scaled. The cross-Gram blocks are built for one tile of
-    _CHUNK_ROWS query rows at a time; each entry, and each tile column's
-    product with alpha_j, comes out as with the whole query at once.
+    _tile_rows(n_train) query rows at a time; each entry comes out as with
+    the whole query at once, and each tile column's product with alpha_j
+    does at the sizes the tests check.
     """
     f = np.full(q.n, base, dtype=float)
-    for lo in range(0, q.n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, q.n)
+    rows = _tile_rows(model.train.n)
+    for lo in range(0, q.n, rows):
+        hi = min(lo + rows, q.n)
         tile = Dataset(q.samples[lo:hi], q.labels[lo:hi], q.feature_names,
                        q.sample_ids[lo:hi])
         blocks = cross_gram(model.train, tile, model.partition, model.kernel,
@@ -143,8 +157,8 @@ def decision_function(model: ModelState, query: Dataset) -> np.ndarray:
     """Additive kernel score per query point (before taking the sign).
 
     Groups whose coefficients are all zero are skipped. Memory beyond the
-    query and the scores is one tile's cross-Gram blocks: at most
-    d n_train x 256 kernel values.
+    query and the scores is one tile's cross-Gram blocks: at most 2^17
+    kernel values per group (8 n_train past 16 384 training rows).
     """
     q = _align_query(model, query)
     active = [j for j in range(model.partition.d) if np.any(model.alpha[j])]

@@ -10,15 +10,15 @@ smooth term is upper-bounded by a quadratic with a diagonal curvature,
 every coordinate's gamma_j on a dense block (global loss curvature times
 the spectral norm of K^(j)T K^(j) / n, times a 1.01 safety factor). The
 prox step is the group soft-threshold in the metric s times that diagonal,
-in closed form where the diagonal is constant; the shared multiplier s
-backtracks on the quadratic upper bound and shrinks by 0.97 after each
-accepted step. Momentum restarts when the step turns against it
-(O'Donoghue & Candes 2015), and a step that would raise the objective is
-rejected, so the objective trace never increases. The solve stops on the
-largest per-group KKT residual at the returned point, in units of
-lam * w_j: once it meets tol, it runs on until the residual reaches
-tol / 10. Deterministic given inputs: no randomization, fixed summation
-order.
+one scalar equation per block whose Newton start is its root where the
+diagonal is constant; the shared multiplier s backtracks on the quadratic
+upper bound and shrinks by 0.97 after each accepted step. Momentum restarts
+when the step turns against it (O'Donoghue & Candes 2015), and a step that
+would raise the objective is rejected, so the objective trace never
+increases. The solve stops on the largest per-group KKT residual at the
+returned point, in units of lam * w_j: once it meets tol, it runs on until
+the residual reaches tol / 10. Deterministic given inputs: no
+randomization, fixed summation order.
 
 With fit_intercept, every margin gains an unpenalized b, one more FISTA
 coordinate: it shares the momentum, its gradient dR/db sums the per-sample
@@ -49,6 +49,18 @@ bases and at its last entry. That entry, the KKT residual that decides
 `converged`, and the public objective, group_gradient and lambda_max use
 exact kernel values at alpha_j = U_j beta_j. A solve that meets tol within
 its first 50 iterations stays dense to the end.
+
+Every iteration works on whole arrays, with a fixed number of numpy calls
+whatever d is. The blocks' coordinates are one flat vector, block j's at
+GramBlocks.offsets[j]:offsets[j + 1]. All blocks' gradients take one
+`gradients` call and the summed margins one `scores` call, a single product
+each with the stacked bases. One batched group_update solves the d secular
+equations together, each from its previous root rescaled by the change in s.
+The penalty, the quadratic bound, the restart test, the gradient mapping
+and the KKT check reduce the flat vectors group by group, and the loss's
+per-sample factors are formed once per solve (coherence.LabelledRisk). So
+iterates round differently from block-by-block arithmetic; the exact final
+objective and KKT check, objective, group_gradient and lambda_max keep it.
 """
 
 from __future__ import annotations
@@ -60,8 +72,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherence import (ClassWeights, CoherenceParams, curvature_bound,
-                        empirical_risk, loss_grad, slope_bound)
+from .coherence import (ClassWeights, CoherenceParams, LabelledRisk,
+                        curvature_bound, empirical_risk, loss_grad,
+                        slope_bound)
 from .data import DataError, GroupPartition
 from .kernels import _FACTOR_EPS, GramBlocks
 
@@ -244,55 +257,99 @@ def majorization_constant(gram, labels, cfg: SolverConfig, j: int):
     return 1.01 * L * c_max * spectrum / labels.size
 
 
-def group_update(alpha_j, grad_j, gamma_j, lam: float,
-                 w_j: float) -> np.ndarray:
-    """Proximal step of lam * w_j ||.|| in the majorizer's metric.
+def group_update(alpha, grad, gamma, lam: float, w, offsets=None,
+                 nu=None) -> np.ndarray:
+    """Proximal step of lam * w_j ||.|| in the majorizer's metric, per group.
 
-    Minimizes (1/2)(b - u)^T diag(gamma_j) (b - u) + lam w_j ||b|| with
-    u = alpha_j - grad_j / gamma_j, where gamma_j >= 0 is one curvature per
-    coordinate (zero only where grad_j is) or a scalar, the same for every
-    coordinate. b = 0 when ||gamma_j u|| <= lam w_j, and otherwise
-    b = gamma_j u / (gamma_j + mu), where mu > 0 solves
+    For one block, alpha, grad and gamma hold its coordinates and w is w_j.
+    For all blocks at once, they are flat vectors holding block j at
+    offsets[j]:offsets[j + 1], and w holds the d weights; the result is
+    flat alike. Block j minimizes (1/2)(b - u)^T diag(gamma_j) (b - u) +
+    lam w_j ||b|| with u = alpha_j - grad_j / gamma_j, where gamma_j >= 0 is
+    one curvature per coordinate (zero only where grad_j is) or a scalar,
+    the same for every coordinate. b = 0 when ||gamma_j u|| <= lam w_j, and
+    otherwise b = gamma_j u / (gamma_j + mu), where mu > 0 solves
     mu ||gamma_j u / (gamma_j + mu)|| = lam w_j; at a constant gamma_j this
     is the group soft-threshold u (1 - lam w_j / ||gamma_j u||).
     gamma_j u = gamma_j alpha_j - grad_j is formed directly, so a zero
     curvature never divides.
+
+    Newton runs on the d scalar equations together, each block stopping by
+    its own test. `nu`, an array of d starting multipliers nu = 1 / mu (0
+    for none), is overwritten with each block's root (0 where the block is
+    zero or takes the plain step). A start is taken only where the metric
+    is not constant and the start lies right of the block's own start nu0;
+    the root is the same as from nu0.
     """
-    alpha_j = np.asarray(alpha_j, dtype=float)
-    grad_j = np.asarray(grad_j, dtype=float)
-    thresh = lam * w_j
-    m = np.broadcast_to(np.asarray(gamma_j, dtype=float), alpha_j.shape)
-    m_max = float(np.max(m))
-    if not (m_max > 0 and float(np.min(m)) >= 0):
+    alpha = np.asarray(alpha, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    m = np.asarray(gamma, dtype=float)
+    if m.shape != alpha.shape:
+        m = np.broadcast_to(m, alpha.shape)
+    starts, sizes = ((0,), alpha.shape) if offsets is None else (
+        offsets[:-1], offsets[1:] - offsets[:-1])
+    thresh = lam * np.atleast_1d(np.asarray(w, dtype=float))
+    m_max = np.maximum.reduceat(m, starts)
+    m_min = np.minimum.reduceat(m, starts)
+    if not (m_max.min() > 0 and m_min.min() >= 0):
         raise DataError("gamma_j must be non-negative and not all zero")
-    a = m * alpha_j - grad_j
-    norm = float(np.linalg.norm(a))
-    if norm <= thresh:
-        return np.zeros_like(a)
+    a = m * alpha - grad
+    a2 = a * a
+    norm = np.sqrt(np.add.reduceat(a2, starts))
     # With nu = 1 / mu, b = nu a / (1 + nu m) and ||b|| / nu = thresh. The
     # reciprocal 1 / ||a / (1 + nu m)|| is concave and increasing in nu
     # (the perspective of the trust-region secular function), so Newton on
-    # it from a nu left of the root climbs to the root without passing it.
+    # it from a nu left of the root climbs to the root without passing it,
+    # and one step from right of the root lands left of it.
     # At nu0, ||a / (1 + nu0 m)|| >= norm / (1 + nu0 max m) = thresh, with
     # equality (the root) where m is constant. nu0 is infinite where thresh
     # is 0 or norm / thresh overflows: the plain step a / m.
-    nu = (norm / thresh - 1.0) / m_max if thresh > 0 else math.inf
-    if nu == math.inf:
-        return np.divide(a, m, out=np.zeros_like(a), where=m > 0)
-    a2 = a * a
-    a2m = a2 * m
-    for _ in range(_PROX_MAX_ITERS):
-        inv = 1.0 / (1.0 + nu * m)
-        inv2 = inv * inv
-        qn = np.sqrt(float(a2 @ inv2))       # ||a / (1 + nu m)||
-        if qn <= thresh * _PROX_STOP:
-            break
-        # d(1/qn)/dnu = sum(a^2 m / (1 + nu m)^3) / qn^3
-        step = (1.0 / thresh - 1.0 / qn) * qn ** 3 / float(a2m @ (inv2 * inv))
-        if not step > 1e-15 * nu:
-            break
-        nu += step
-    return nu * a / (1.0 + nu * m)
+    with np.errstate(all="ignore"):
+        nu0 = np.where(thresh > 0, (norm / thresh - 1.0) / m_max, np.inf)
+        inv_thresh, stop = 1.0 / thresh, thresh * _PROX_STOP
+    zero = norm <= thresh
+    newton = ~zero & (nu0 < np.inf)
+    v = np.where(newton, nu0, 0.0)
+    right = None
+    if nu is not None:
+        # warm starts right of nu0 where the metric is not constant
+        right = newton & (m_min < m_max) & (nu > nu0)
+        v = np.where(right, nu, v)
+    active = newton.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(_PROX_MAX_ITERS):
+            inv = np.repeat(v, sizes) * m
+            inv += 1.0
+            np.divide(1.0, inv, out=inv)
+            e = a2 * inv
+            e *= inv
+            q2 = np.add.reduceat(e, starts)     # ||a / (1 + nu m)||^2
+            qn = np.sqrt(q2)
+            # d(1/qn)/dnu = sum(a^2 m / (1 + nu m)^3) / qn^3
+            e *= inv
+            step = (q2 * (qn * inv_thresh - 1.0)
+                    / np.add.reduceat(e * m, starts))
+            go = (qn > stop) & (step > 1e-15 * v)
+            if right is not None:
+                # a warm start right of the root steps left, to nu0 at most
+                right &= qn < thresh
+                go |= right
+                np.maximum(step, nu0 - v, out=step, where=right)
+                right = None
+            active &= go
+            if not active.any():
+                break
+            np.add(v, step, out=v, where=active)
+        nu_c = np.repeat(v, sizes)
+        out = nu_c * a / (1.0 + nu_c * m)
+    if not newton.all():
+        out[np.repeat(zero, sizes)] = 0.0
+        p = np.repeat(~(zero | newton), sizes)
+        out[p] = np.divide(a[p], m[p], out=np.zeros(np.count_nonzero(p)),
+                           where=m[p] > 0)
+    if nu is not None:
+        nu[...] = v
+    return out
 
 
 def _units(lam: float, w: float) -> float:
@@ -323,8 +380,48 @@ def _kkt_residual(alpha, grads, lam: float, weights,
     return math.nan if any(map(math.isnan, viols)) else max(viols)
 
 
+class _Groups:
+    """The groups' segments of a solve's flat coordinates, with lam * w_j
+    and the units a residual is measured in, per group and for b."""
+
+    def __init__(self, offsets, lam: float, weights):
+        self.offsets = offsets
+        self._starts, self._sizes = offsets[:-1], np.diff(offsets)
+        self.weights = np.asarray(weights, dtype=float)
+        self.thresh = lam * self.weights
+        self._units = np.array([_units(lam, w) for w in weights])
+        self._b_units = _units(lam, min(weights))
+
+    def norms(self, v) -> np.ndarray:
+        return np.sqrt(np.add.reduceat(v * v, self._starts))
+
+    def penalty(self, x) -> float:
+        return float(self.thresh @ self.norms(x))
+
+    def mapping(self, v, v_b: float) -> float:
+        """Largest ||v_j|| and |v_b| in units: the gradient mapping's
+        residual, where v is the curvature times the step."""
+        with np.errstate(over="ignore"):
+            return max(float(np.max(self.norms(v) / self._units)),
+                       abs(v_b) / self._b_units)
+
+    def kkt(self, x, g, g_b: float) -> float:
+        """_kkt_residual at the flat coordinates x with gradients g."""
+        norm_x = self.norms(x)
+        with np.errstate(all="ignore"):
+            coef = np.where(norm_x > 0, self.thresh / norm_x, 0.0)
+            viols = np.where(
+                norm_x > 0, self.norms(g + np.repeat(coef, self._sizes) * x),
+                np.maximum(self.norms(g) - self.thresh, 0.0)) / self._units
+        viol_b = abs(g_b) / self._b_units
+        # max keeps a NaN only as its first argument: `converged` must
+        # never be true on one
+        return math.nan if math.isnan(viol_b) else max(float(np.max(viols)),
+                                                       viol_b)
+
+
 def _to_coords(blocks: GramBlocks, alpha) -> np.ndarray:
-    return np.array([blocks.coords(j, a) for j, a in enumerate(alpha)])
+    return np.concatenate([blocks.coords(j, a) for j, a in enumerate(alpha)])
 
 
 def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
@@ -343,12 +440,16 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     With cfg.fit_intercept, b starts at 0 and each step moves it with the
     blocks under one line search, whose backtracking stops at s >= d + 1.
 
-    On a GramBlocks from kernels.gram_blocks, iterations past the 50th of a
-    solve that has not met cfg.tol by then run in the blocks' eigenbases,
-    with a per-coordinate majorizer (see the module docstring); alpha is
-    returned in its own coordinates, and the objective reported last in the
-    trace and `converged` are still computed from exact kernel values at
-    the returned alpha.
+    Iterations work on whole arrays: the blocks' coordinates as one flat
+    vector (GramBlocks.offsets), every block's gradient from one
+    `gradients` call and the margins from one `scores` call, and one
+    batched `group_update` per backtracking attempt, warm-started from the
+    previous multipliers. On a GramBlocks from kernels.gram_blocks,
+    iterations past the 50th of a solve that has not met cfg.tol by then
+    run in the blocks' eigenbases, with a per-coordinate majorizer (see the
+    module docstring); alpha is returned in its own coordinates, and the
+    objective reported last in the trace and `converged` are still computed
+    block by block from exact kernel values at the returned alpha.
     """
     labels = np.asarray(labels, dtype=float)
     n, d = labels.size, partition.d
@@ -360,7 +461,6 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         raise DataError("init must have shape (d, n)")
 
     lam, weights = cfg.lam, partition.weights
-    groups = range(d)
     # A basis's error E = K - U Lambda U^T has ||E v|| <= n _FACTOR_EPS ||v||
     # (tr(E) bounds it for a PSD factor's error, _FACTOR_EPS for dropped
     # eigenvalues), and the vector a block gradient multiplies has norm at
@@ -372,71 +472,82 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         * np.sqrt(n) / (c_max * slope_bound(cfg.loss_params)))
     if not may_factor:
         blocks.drop_bases()
-    # iterates live in each block's coordinates: alpha_j, or U_j^T alpha_j
-    alpha = _to_coords(blocks, alpha)
-    curv = [majorization_constant(blocks, labels, cfg, j) for j in groups]
-    dot = blocks.margins
+    risk = LabelledRisk(labels, cw, cfg.loss_params)
+
+    def grads(f, b):
+        # the risk at margins f + b, the blocks' gradients as one flat
+        # vector, and dR/db where the solve fits an intercept (else 0)
+        r, s = risk.risk_and_slopes(f, b)
+        return (r, blocks.gradients(s),
+                float(np.sum(s)) if cfg.fit_intercept else 0.0)
+
+    def storage():
+        # the segments and curvatures of the blocks' coordinates as held
+        return _Groups(blocks.offsets, lam, weights), np.concatenate(
+            [majorization_constant(blocks, labels, cfg, j)
+             for j in range(d)])
 
     # b's curvature (module docstring); without an intercept dR/db is 0, so
     # b stays 0 and its terms below add exactly 0
     curv_b = float(1.01 * curvature_bound(cfg.loss_params) * c_max)
     # by Cauchy-Schwarz over the d blocks and a fitted b, scale >= cap bounds
     cap = d + cfg.fit_intercept
-    # what the gradient mapping and the KKT residual are measured in
-    units = [_units(lam, w) for w in weights]
-    b_units = _units(lam, min(weights))
 
-    f, b = _scores(alpha, dot), 0.0
-    obj = _risk(f, b, labels, cfg) + _penalty(alpha, weights, lam)
-    grad = blocks.gradient
-    g, g_b = _grads(f, b, grad, groups, labels, cfg)    # at alpha, or None
-    kkt = _kkt_residual(alpha, g, lam, weights, g_b)
+    # iterates live in the blocks' coordinates: alpha_j, or U_j^T alpha_j
+    groups, curv = storage()
+    x = _to_coords(blocks, alpha)
+    f, b = blocks.scores(x), 0.0
+    r, g, g_b = grads(f, b)                 # g: at x, or None
+    obj = r + groups.penalty(x)
+    kkt = groups.kkt(x, g, g_b)
     met = kkt <= cfg.tol        # kkt has met tol at some iterate
     trace = [obj]
-    alpha_prev, b_prev, f_prev = alpha, b, f
+    x_prev, b_prev, f_prev = x, b, f
     t = 1.0         # momentum sequence; 1 means restarted
     scale = 1.0     # backtracked multiplier on the curvature constants
+    # each block's last prox multiplier times scale: the next one's start
+    warm = np.zeros(d)
     it = 0
     while it < cfg.max_iters and not kkt <= _SETTLE_SHRINK * cfg.tol:
         if (it == _FACTOR_AFTER and not met and may_factor
                 and blocks.to_eigenbasis()):
             # go on from the same point in the blocks' eigenbases
-            alpha = _to_coords(blocks, alpha)
-            alpha_prev = _to_coords(blocks, alpha_prev)
-            curv = [majorization_constant(blocks, labels, cfg, j)
-                    for j in groups]
-            f, f_prev = _scores(alpha, dot), _scores(alpha_prev, dot)
-            obj = _risk(f, b, labels, cfg) + _penalty(alpha, weights, lam)
-            g = None
+            x, x_prev = (_to_coords(blocks, v.reshape(d, n))
+                         for v in (x, x_prev))
+            groups, curv = storage()
+            f, f_prev = blocks.scores(x), blocks.scores(x_prev)
+            r = risk.risk(f, b)
+            obj = r + groups.penalty(x)
+            g, warm = None, np.zeros(d)
         it += 1
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         if beta == 0.0:
             if g is None:
-                g, g_b = _grads(f, b, grad, groups, labels, cfg)
-            y, y_b, f_y, g_y, gb_y = alpha, b, f, g, g_b
+                r, g, g_b = grads(f, b)
+            y, y_b, f_y, r_y, g_y, gb_y = x, b, f, r, g, g_b
         else:
             # margins are linear in alpha and b, so extrapolating them is exact
-            y = alpha + beta * (alpha - alpha_prev)
+            y = x + beta * (x - x_prev)
             y_b = b + beta * (b - b_prev)
             f_y = f + beta * (f - f_prev)
-            g_y, gb_y = _grads(f_y, y_b, grad, groups, labels, cfg)
-        r_y = _risk(f_y, y_b, labels, cfg)
+            r_y, g_y, gb_y = grads(f_y, y_b)
         while True:
-            z = np.array([group_update(y[j], g_y[j], scale * curv[j], lam,
-                                       weights[j]) for j in range(d)])
+            nu = warm / scale
+            z = group_update(y, g_y, scale * curv, lam, groups.weights,
+                             groups.offsets, nu)
+            warm = nu * scale
             z_b = y_b - gb_y / (scale * curv_b)
-            f_z = _scores(z, dot)
-            r_z = _risk(f_z, z_b, labels, cfg)
+            f_z = blocks.scores(z)
+            r_z = risk.risk(f_z, z_b)
             step, step_b = z - y, z_b - y_b
-            bound = (r_y + float(np.sum(g_y * step)) + gb_y * step_b
-                     + 0.5 * scale * (sum(float(s @ (c * s))
-                                          for c, s in zip(curv, step))
+            bound = (r_y + float(g_y @ step) + gb_y * step_b
+                     + 0.5 * scale * (float(step @ (curv * step))
                                       + curv_b * step_b * step_b))
             if r_z <= bound or scale >= cap:
                 break
             scale *= 2.0
-        obj_z = r_z + _penalty(z, weights, lam)
+        obj_z = r_z + groups.penalty(z)
         if not np.isfinite(obj_z):
             raise SolverError("non-finite objective; majorization constant bug")
         if obj_z > obj:
@@ -444,31 +555,29 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
             trace.append(obj)
             if beta == 0.0:
                 break       # not even a plain step descends: rounding floor
-            t, alpha_prev, b_prev, f_prev = 1.0, alpha, b, f
+            t, x_prev, b_prev, f_prev = 1.0, x, b, f
             continue
         # adaptive restart when the step turns against the momentum
-        restart = (float(np.sum((y - z) * (z - alpha)))
-                   + (y_b - z_b) * (z_b - b)) > 0.0
+        restart = (float((y - z) @ (z - x)) + (y_b - z_b) * (z_b - b)) > 0.0
         t = 1.0 if restart else t_next
-        alpha_prev, b_prev, f_prev = alpha, b, f
-        alpha, b, f, obj = z, z_b, f_z, obj_z
+        x_prev, b_prev, f_prev = x, b, f
+        x, b, f, r, obj = z, z_b, f_z, r_z, obj_z
         trace.append(obj)
         g = None
         # gradient mapping at z: the KKT residual there if grad(z) = grad(y)
-        mapping = max(scale * curv_b * abs(step_b) / b_units,
-                      *(float(np.linalg.norm(scale * c * s)) / u
-                        for c, s, u in zip(curv, step, units)))
+        mapping = groups.mapping(scale * curv * step, scale * curv_b * step_b)
         if mapping <= cfg.tol or met:
-            g, g_b = _grads(f, b, grad, groups, labels, cfg)
-            kkt = _kkt_residual(alpha, g, lam, weights, g_b)
+            _, g, g_b = grads(f, b)
+            kkt = groups.kkt(x, g, g_b)
             met = met or kkt <= cfg.tol
         scale *= 0.97
 
     # the reported objective and KKT residual use exact kernel values
-    alpha = np.array([blocks.expand(j, x) for j, x in enumerate(alpha)])
+    alpha = np.array([blocks.expand(j, x_j) for j, x_j in
+                      enumerate(np.split(x, groups.offsets[1:-1]))])
     f = _scores(alpha, blocks.dot)
     trace[-1] = _risk(f, b, labels, cfg) + _penalty(alpha, weights, lam)
-    g, g_b = _grads(f, b, blocks.dot, groups, labels, cfg)
+    g, g_b = _grads(f, b, blocks.dot, range(d), labels, cfg)
     kkt = _kkt_residual(alpha, g, lam, weights, g_b)
     converged = kkt <= cfg.tol
     if not converged:

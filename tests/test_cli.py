@@ -407,6 +407,19 @@ class TestGrid:
             capsys.readouterr().err
         assert not (tmp_path / "grid.json").exists()
 
+    def test_solver_controls_reach_every_solve(self, synth_dir, tmp_path,
+                                               capsys):
+        code = run(["grid", "--data", str(synth_dir / "features.csv"),
+                    "--groups", str(synth_dir / "groups.json"),
+                    "--lambdas", "0.02", "0.1", "--sigmas", "1.0",
+                    "--folds", "2", "--tol", "1e-9", "--max-iters", "3",
+                    "--out", str(tmp_path / "grid.json")])
+        assert code == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 2 * 2
+        assert all("stopped after 3 iterations (max_iters=3)" in w
+                   and w.endswith("tol=1e-09") for w in warnings)
+
     def test_default_lambda_grid(self, tmp_path):
         # smallest synth set, so the 40-point default grid stays quick
         assert run(["synth", "--n", "40", "--seed", "11", "--noise", "0.1",

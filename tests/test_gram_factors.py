@@ -267,9 +267,11 @@ def traced_peak(fn, *args):
 
 class TestTrainingComponents:
     def test_interpretation_never_rebuilds_a_block(self, low_rank,
-                                                   factor_calls):
-        # n = 300 is above one scoring tile, so a tile is under n x n
+                                                   factor_calls, monkeypatch):
+        # tiles of n / 2 entries per training row (2^17 entries would hold
+        # every one of these n = 300 rows), so a tile is under n x n
         data, part, spec, cfg = low_rank
+        monkeypatch.setattr(gska.model, "_TILE_ENTRIES", data.n * data.n // 2)
         model = gska.fit(data, part, cfg, spec)
         assert len(factor_calls) == part.d
         peaks = [traced_peak(fn, model)[1] for fn in
@@ -346,9 +348,7 @@ class TestSwitch:
             frac * top, 1.0, tol=1e-4, max_iters=5000, class_weights=cw))
         rng = np.random.default_rng(5)
         for j in range(part.d):
-            r = np.count_nonzero(gram.eigvals(j))
-            x = np.zeros(n)
-            x[:r] = rng.standard_normal(r)
+            x = rng.standard_normal(len(gram.eigvals(j)))
             a = gram.expand(j, x)
             assert abs(np.linalg.norm(a) - np.linalg.norm(x)) \
                 <= 1e-13 * np.linalg.norm(x)
@@ -397,6 +397,68 @@ class TestSwitch:
         assert rep.iterations > 50
         assert all(in_basis(gram, j) for j in range(part.d))
         assert held <= part.d * data.n ** 2 * 8
+
+
+class TestStackedProducts:
+    """`gradients` and `scores` take one product with all the blocks."""
+
+    @pytest.mark.parametrize("n,groups,frac", [
+        (300, LOW_RANK, 0.1), (120, FULL_RANK, 0.05)], ids=["svd", "eigh"])
+    def test_match_products_block_by_block(self, n, groups, frac):
+        data, part, spec = instance(n, groups)
+        gram = gska.gram_blocks(data, part, spec)
+        rng = np.random.default_rng(7)
+        s = rng.standard_normal(n)
+
+        def check():
+            x = rng.standard_normal(gram.offsets[-1])
+            parts = np.split(x, gram.offsets[1:-1])
+            if in_basis(gram, 0):
+                grads = [gram.eigvals(j) * gram.coords(j, s)
+                         for j in range(part.d)]
+                scores = sum(gram.expand(j, gram.eigvals(j) * x_j)
+                             for j, x_j in enumerate(parts))
+            else:
+                grads = [gram.dot(j, s) for j in range(part.d)]
+                scores = sum(gram.dot(j, x_j) for j, x_j in enumerate(parts))
+            grads = np.concatenate(grads)
+            np.testing.assert_allclose(gram.gradients(s), grads, rtol=0,
+                                       atol=1e-12 * np.abs(grads).max())
+            np.testing.assert_allclose(gram.scores(x), scores, rtol=0,
+                                       atol=1e-12 * np.abs(scores).max())
+
+        check()
+        assert list(gram.offsets) == [j * n for j in range(part.d + 1)]
+        cw = ClassWeights.inverse_frequency(data.labels)
+        top = lambda_max(gram, data.labels, part,
+                         SolverConfig(0.0, 1.0, class_weights=cw))
+        solve(gram, data.labels, part, SolverConfig(
+            frac * top, 1.0, tol=1e-4, max_iters=5000, class_weights=cw))
+        assert all(in_basis(gram, j) for j in range(part.d))
+        assert list(np.diff(gram.offsets)) == [len(gram.eigvals(j))
+                                               for j in range(part.d)]
+        check()
+
+    def test_no_basis_sits_beside_the_stack(self):
+        # a grid fold's n = 400: every block takes a full eigendecomposition
+        # (rank above n / 2); a copy of a block's basis would add r_j n
+        data, part, _ = gska.synth_generate(400, 1, 0.2)
+        data, _ = gska.standardize(data)
+        spec = gska.median_heuristic_gamma(data, part)
+        cfg = SolverConfig(0.01, 0.5, class_weights=ClassWeights
+                           .inverse_frequency(data.labels))
+        tracemalloc.start()
+        try:
+            gram = gska.gram_blocks(data, part, spec)
+            alpha, rep = solve(gram, data.labels, part, cfg)
+            del alpha, rep
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ranks = [len(gram.eigvals(j)) for j in range(part.d)]
+        assert all(data.n // 2 < r < data.n for r in ranks)
+        # the stack, and O(n) beside it: eigenvalues, training rows, offsets
+        assert held <= (sum(ranks) + 32) * data.n * 8
 
 
 @pytest.fixture(scope="module")

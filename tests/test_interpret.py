@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import gska
+from gska import model as model_mod
 from gska.data import DataError, Dataset, GroupPartition
 from gska.interpret import read_pd_csv
-from gska.kernels import _CHUNK_ROWS
 from gska.model import _align_query
 from gska.solver import SolverConfig
 
@@ -56,7 +56,8 @@ class TestComponentValues:
     def test_tiled_query_matches_one_shot(self, fitted):
         _, part, _, model = fitted
         # crosses two tile boundaries and ends in a part tile
-        query = gska.synth_generate(2 * _CHUNK_ROWS + 37, 11, 0.1)[0]
+        rows = model_mod._tile_rows(model.train.n)
+        query = gska.synth_generate(2 * rows + 37, 11, 0.1)[0]
         blocks = gska.cross_gram(model.train, _align_query(model, query),
                                  part, model.kernel)
         for j in range(part.d):

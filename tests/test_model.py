@@ -8,7 +8,6 @@ import gska
 from gska import model as model_mod
 from gska.coherence import ClassWeights
 from gska.data import DataError, Dataset, GroupPartition
-from gska.kernels import _CHUNK_ROWS
 from gska.solver import SolverConfig, lambda_max, solve
 
 
@@ -24,8 +23,10 @@ def one_shot_scores(model, query):
 
 @pytest.fixture(scope="module")
 def tiled_query():
-    # crosses two tile boundaries and ends in a part tile
-    return gska.synth_generate(2 * _CHUNK_ROWS + 37, 11, 0.1)[0]
+    # crosses two tile boundaries of synth_fit's model (150 training rows)
+    # and ends in a part tile
+    return gska.synth_generate(2 * model_mod._tile_rows(150) + 37, 11,
+                               0.1)[0]
 
 
 @pytest.fixture(scope="module")

@@ -29,7 +29,8 @@ OPTIONS = {
            "--tol": r"tol", "--max-iters": r"max.iters",
            "--folds": r"folds|\bk\b", "--seed": r"seed"},
     "grid": {"--gamma": r"gamma", "--lambdas": r"lambda",
-             "--sigmas": r"sigma", "--folds": r"folds|\bk\b",
+             "--sigmas": r"sigma", "--tol": r"tol",
+             "--max-iters": r"max.iters", "--folds": r"folds|\bk\b",
              "--seed": r"seed"},
 }
 CASES = [(cmd, opt) for cmd, opts in OPTIONS.items() for opt in opts]

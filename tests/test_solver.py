@@ -259,6 +259,79 @@ class TestMetricProx:
                     m * alpha - grad)
 
 
+def metric_prox_cases(seed=61, count=50):
+    """(alpha, grad, m, thresh) as in TestMetricProx's brute-force cases."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 7))
+        m = 10.0 ** rng.uniform(-3, 2, k)
+        alpha = rng.standard_normal(k)
+        grad = rng.standard_normal(k)
+        thresh = float(np.linalg.norm(m * alpha - grad)) * rng.uniform(0.0,
+                                                                       1.3)
+        yield alpha, grad, m, thresh
+
+
+def batched(rows):
+    """Flat alpha, grad and gamma, the thresholds and the offsets of rows."""
+    alpha, grad, m, thresh = (list(col) for col in zip(*rows))
+    offsets = np.cumsum([0] + [len(a) for a in alpha])
+    return (np.concatenate(alpha), np.concatenate(grad), np.concatenate(m),
+            np.array(thresh), offsets)
+
+
+class TestBatchedProx:
+    """group_update on all blocks at once, against one block at a time."""
+
+    @pytest.mark.parametrize("d", [1, 3, 7, 50])
+    def test_matches_one_block_at_a_time(self, d):
+        rng = np.random.default_rng(63)
+        rows = list(metric_prox_cases())
+        # zero rows, plain-step rows and rows of a constant metric
+        rows += [(np.array([0.1, -0.1]), np.array([0.2, 0.1]),
+                  np.array([1.0, 3.0]), 10.0),
+                 (np.array([1.0, -2.0]), np.array([0.5, 0.25]),
+                  np.array([2.0, 0.5]), 0.0),
+                 (np.array([1.0, -2.0, 0.3]), np.array([0.5, 0.25, 0.0]),
+                  np.array([2.0, 0.5, 0.0]), 5e-324),
+                 (rng.standard_normal(4), rng.standard_normal(4),
+                  np.full(4, 2.5), 0.3),
+                 (rng.standard_normal(5), rng.standard_normal(5),
+                  np.full(5, 0.01), 1e-3)]
+        order = rng.permutation(len(rows))
+        rows = [rows[i] for i in order]
+        for start in range(0, len(rows), d):
+            batch = rows[start:start + d]
+            alpha, grad, m, thresh, offsets = batched(batch)
+            out = group_update(alpha, grad, m, 1.0, thresh, offsets)
+            assert out.shape == alpha.shape
+            for j, (a, g, m_j, t) in enumerate(batch):
+                one = group_update(a, g, m_j, t, 1.0)
+                part = out[offsets[j]:offsets[j + 1]]
+                np.testing.assert_allclose(part, one, rtol=1e-12, atol=0)
+                assert np.any(part) == np.any(one)
+
+    def test_warm_starts_reach_the_cold_root(self):
+        # from left of the root (but right of nu0, where Newton starts cold)
+        # and from right of it
+        rows = [r for r in metric_prox_cases(64) if r[3] > 0
+                and np.ptp(r[2]) > 0][:20]
+        alpha, grad, m, thresh, offsets = batched(rows)
+        nu = np.zeros(len(rows))
+        cold = group_update(alpha, grad, m, 1.0, thresh, offsets, nu)
+        moved = nu > 0
+        assert moved.sum() >= 10
+        a = m * alpha - grad
+        norm = np.sqrt(np.add.reduceat(a * a, offsets[:-1]))
+        nu0 = (norm / thresh - 1.0) / np.maximum.reduceat(m, offsets[:-1])
+        assert np.all(nu[moved] > nu0[moved])
+        for start in (nu0 + 0.5 * (nu - nu0), 2.0 * nu, 50.0 * nu):
+            warm = np.where(moved, start, 0.0)
+            out = group_update(alpha, grad, m, 1.0, thresh, offsets, warm)
+            np.testing.assert_allclose(warm, nu, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(out, cold, rtol=1e-12, atol=1e-300)
+
+
 class TestSolve:
     def test_zero_solution_above_lambda_max(self):
         gram, y, part, _ = make_instance(20, [(0, 1), (2,), (3, 4)], 13)
