@@ -118,6 +118,7 @@ def cmd_fit(args):
               "converged": fitted.report.converged,
               "iterations": fitted.report.iterations,
               "objective": fitted.report.objective_trace[-1],
+              "kkt_residual": fitted.report.kkt_residual,
               "out": args.out})
 
 

@@ -19,7 +19,7 @@ from scipy.special import stdtr
 from . import interpret, model as model_mod
 from .data import DataError, Dataset, GroupPartition, stratified_kfold
 from .kernels import KernelSpec
-from .solver import SolverConfig, lambda_max
+from .solver import SolverConfig, basis_budget, lambda_max
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,9 @@ def grid_search(data: Dataset, partition: GroupPartition,
                 max_iters: int = SolverConfig.max_iters) -> GridResult:
     """Mean CV AUROC per (lambda, sigma), warm-starting along decreasing
     lambda. Ties break toward larger lambda, then larger sigma. Every solve
-    runs to `tol` within `max_iters` (SolverConfig's)."""
+    runs to `tol` within `max_iters` (SolverConfig's). A fold's bases are
+    built once, to the tightest basis budget on the grid, so that each
+    later solve on the fold reuses them."""
     sigmas = _grid_values(sigmas, "sigma")
     if lambdas is None:
         lambdas = default_lambda_grid(data, partition, sigmas, kernel=kernel)
@@ -165,6 +167,10 @@ def grid_search(data: Dataset, partition: GroupPartition,
         mask = assign == f
         fold = model_mod._prepare_fold(data.subset(~mask), partition, kernel)
         test = data.subset(mask)
+        fold.gram.shared_budget = min(
+            basis_budget(fold.train.n, partition, SolverConfig(
+                lam, s, tol=tol, class_weights=fold.class_weights))
+            for lam in lambdas for s in sigmas)
         for s in sigmas:
             alpha = None
             for lam in reversed(lambdas):

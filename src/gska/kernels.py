@@ -6,12 +6,15 @@ build KernelSpec. `gram_blocks` returns a GramBlocks container holding a
 training set's d blocks. Each starts dense; the solver may ask the container,
 once, to replace every block by an orthonormal eigenbasis U_j with
 eigenvalues Lambda_j, K_j ~ U_j diag(Lambda_j) U_j^T, when a solve runs long.
+Every basis is built to an error budget B, the spectral-norm error
+||K_j - U_j Lambda_j U_j^T||_2 the solve that asks for it allows
+(solver.basis_budget), and the container records the budget its bases meet.
 A block whose pivoted-Cholesky factor L (n x r, Fine & Scheinberg 2001;
-Harbrecht, Peters & Schneider 2012) has rank below n / 2 takes its basis
-from the thin SVD of L, so that a product costs O(n r) instead of O(n^2);
-its trace error tr(K - L L^T) is at most n * 1e-10 by construction. Any
-other block takes its basis from a full eigendecomposition, keeping the
-eigenvalues above 1e-10. The d bases are held as one stacked array of the
+Harbrecht, Peters & Schneider 2012) reaches tr(K - L L^T) <= B, which bounds
+the spectral norm of that PSD error, at a rank below n / 2 takes its basis
+from the thin SVD of L, so that a product costs O(n r) instead of O(n^2).
+Any other block takes its basis from a full eigendecomposition, keeping the
+eigenvalues above B. The d bases are held as one stacked array of the
 rows U_j^T, each written straight into its rows in place of the dense array
 or the factor, never beside it, so that a solve's gradients for all blocks
 take one product with the stack, and its summed margins another. A block's
@@ -41,11 +44,10 @@ from scipy.spatial.distance import cdist
 
 from .data import DataError, Dataset, GroupPartition
 
-# Pivoted Cholesky stops once every remaining diagonal entry of K - L L^T is
-# at most _FACTOR_EPS, so tr(K - L L^T) <= n * _FACTOR_EPS, and gives up at
-# rank n / 2, where two products with L cost as much as one with K. A full
-# eigendecomposition drops the eigenvalues at or below _FACTOR_EPS, so the
-# dropped part's spectral norm is at most _FACTOR_EPS.
+# No basis is built to a budget below n * _FACTOR_EPS (GramBlocks.floor):
+# there the decompositions' own rounding is no longer negligible. Pivoted
+# Cholesky gives up at rank n / 2, where two products with L cost as much
+# as one with K.
 _FACTOR_EPS = 1e-10
 # Rows of a block held in a basis rebuilt at once, for an exact product
 _CHUNK_ROWS = 256
@@ -114,8 +116,9 @@ def _kernel_blocks(train: Dataset, other: Dataset, partition: GroupPartition,
             for j in (range(partition.d) if groups is None else groups)]
 
 
-def _pivoted_cholesky(kernel_row, n: int):
-    """L^T when K's factor L has rank below n / 2, else None.
+def _pivoted_cholesky(kernel_row, n: int, budget: float):
+    """L^T with tr(K - L L^T) <= budget when such an L has rank below n / 2,
+    else None.
 
     K is an n x n Gaussian Gram matrix (unit diagonal) and kernel_row(p) its
     row p; one row is read per step. L^T is stored row by row, so each
@@ -124,9 +127,9 @@ def _pivoted_cholesky(kernel_row, n: int):
     resid = np.ones(n)          # diagonal of K - L L^T
     Lt = np.empty((n // 2, n))
     for k in range(n // 2):
-        p = int(np.argmax(resid))
-        if resid[p] <= _FACTOR_EPS:
+        if resid.sum() <= budget:
             return Lt[:k].copy()
+        p = int(np.argmax(resid))
         row = kernel_row(p) - Lt[:k, p] @ Lt[:k]
         row /= np.sqrt(resid[p])
         Lt[k] = row
@@ -154,9 +157,9 @@ def _basis_from_factor(Lt):
     return s * s
 
 
-def _basis_from_gram(K):
-    """Eigenvalues of K above _FACTOR_EPS; K's first rows are left holding
-    the matching rows of U^T.
+def _basis_from_gram(K, budget: float):
+    """Eigenvalues of K above budget; K's first rows are left holding the
+    matching rows of U^T.
 
     Divide and conquer (LAPACK syevd). K is symmetric, so its transpose is
     the Fortran-ordered K that the eigensolver overwrites with the
@@ -171,7 +174,7 @@ def _basis_from_gram(K):
     if not np.may_share_memory(U, K):
         K.T[...] = U
     del U
-    keep = int(np.searchsorted(w, _FACTOR_EPS, side="right"))
+    keep = int(np.searchsorted(w, budget, side="right"))
     for start in range(keep, len(K), keep or len(K)):
         stop = min(start + keep, len(K))
         K[start - keep:stop - keep] = K[start:stop]
@@ -184,8 +187,9 @@ class GramBlocks(Sequence):
     `blocks[j]` is K_j as a read-only array (a block held in a basis is
     rebuilt in full for the caller). `dot(j, v)` is the exact K_j v: a basis
     block's rows are rebuilt _CHUNK_ROWS at a time, bit for bit as first
-    built. `to_eigenbasis` replaces every block by U_j (n x r_j,
-    orthonormal) and Lambda_j, and `drop_bases` rebuilds them dense. Built
+    built. `to_eigenbasis(budget)` replaces every block by U_j (n x r_j,
+    orthonormal) and Lambda_j with ||K_j - U_j Lambda_j U_j^T||_2 at most
+    `budget` (then recorded), and `drop_bases` rebuilds them dense. Built
     from plain arrays (no training rows), the container never leaves them.
 
     The d bases are held as one array, the rows U_j^T stacked in group
@@ -200,12 +204,20 @@ class GramBlocks(Sequence):
     `scores(x)` is sum_j K_j alpha_j, (Lambda x) U^T in a basis: one product
     each with the stack. `norms_sq` caches each block's spectral norm
     squared, taken while dense.
+
+    `budget` is the error bound the bases were built to (None while dense).
+    `shared_budget` is the tightest budget among the solves that will share
+    these blocks (inf unless a caller sets it): a build takes it where it is
+    tighter than the one asked for, so that one build serves them all.
+    `floor` is the tightest budget a build may take.
     """
 
     def __init__(self, blocks, rows=None, gammas=None):
         self._dense = list(blocks)
         self._rows, self._gammas = rows, gammas
         self._Ut = self._eig = None     # the stacked bases, or None
+        self.budget = None
+        self.shared_budget = np.inf
         self.n = self._dense[0].shape[0] if self._dense else 0
         if any(K.shape != (self.n, self.n) for K in self._dense):
             raise DataError("Gram blocks must be square and of one size")
@@ -221,6 +233,11 @@ class GramBlocks(Sequence):
             K = self._kernel_rows(j, 0, self.n)
             K.setflags(write=False)
         return K
+
+    @property
+    def floor(self) -> float:
+        """The tightest budget a basis is built to, n * _FACTOR_EPS."""
+        return self.n * _FACTOR_EPS
 
     def _kernel_rows(self, j, start, stop, out=None):
         X = self._rows[j]
@@ -275,32 +292,35 @@ class GramBlocks(Sequence):
     def drop_bases(self):
         """Rebuild every block dense; the bases may then be built again."""
         if self._Ut is not None:
-            self._Ut = self._eig = None
+            self._Ut = self._eig = self.budget = None
             self._dense = [self[j] for j in range(len(self))]
             self.offsets = np.arange(len(self) + 1) * self.n
 
-    def to_eigenbasis(self) -> bool:
+    def to_eigenbasis(self, budget: float) -> bool:
         """Hold every block in an eigenbasis; True if this call built them.
 
-        Does nothing without training rows or while the blocks hold bases
-        (until `drop_bases`). Each block's dense array is dropped first, and
-        pivoted Cholesky reads kernel rows rebuilt from the training rows.
-        Only once every block has been tried does the decomposition run,
-        block by block in the stack's rows: a factor of rank below n / 2
-        is moved there and turned into its basis in place (the thin SVD of
-        the factor), and any other block is rebuilt dense there and
-        decomposed in place. The stack is allocated for n rows per such
-        block and cut to the rows kept once all are built. So memory never
-        holds a basis or its workspace beside all d dense blocks, and no
-        block's basis is held beside the stack.
+        Each basis's error ||K_j - U_j Lambda_j U_j^T||_2 is at most the
+        smaller of budget and shared_budget, but never below floor; that
+        bound is recorded as `budget`. Does nothing without training rows
+        or while the blocks hold bases (until `drop_bases`). Each block's
+        dense array is dropped first, and pivoted Cholesky reads kernel rows
+        rebuilt from the training rows. Only once every block has been
+        tried does the decomposition run, block by block in the stack's
+        rows: a factor of rank below n / 2 is moved there and turned into
+        its basis in place (the thin SVD of the factor), and any other block
+        is rebuilt dense there and decomposed in place. The stack is
+        allocated for n rows per such block and cut to the rows kept once
+        all are built. So memory never holds a basis or its workspace beside
+        all d dense blocks, and no block's basis is held beside the stack.
         """
         if self._rows is None or self._Ut is not None:
             return False
+        budget = max(self.floor, min(budget, self.shared_budget))
         factors = []
         for j in range(len(self)):
             self._dense[j] = None
             factors.append(_pivoted_cholesky(
-                lambda p: self._kernel_rows(j, p, p + 1)[0], self.n))
+                lambda p: self._kernel_rows(j, p, p + 1)[0], self.n, budget))
         stack = np.empty((sum(self.n if Lt is None else len(Lt)
                               for Lt in factors), self.n))
         eig, offsets = [], [0]
@@ -309,7 +329,8 @@ class GramBlocks(Sequence):
             o = offsets[-1]
             if Lt is None:
                 lam = _basis_from_gram(
-                    self._kernel_rows(j, 0, self.n, out=stack[o:o + self.n]))
+                    self._kernel_rows(j, 0, self.n, out=stack[o:o + self.n]),
+                    budget)
             else:
                 r = len(Lt)
                 stack[o:o + r] = Lt
@@ -323,6 +344,7 @@ class GramBlocks(Sequence):
         stack.resize((offsets[-1], self.n), refcheck=False)
         self._Ut, self._eig = stack, np.concatenate(eig)
         self.offsets = np.array(offsets)
+        self.budget = budget
         return True
 
 

@@ -30,25 +30,26 @@ KKT residual holds |dR/db| in units of lam * min_j w_j: `converged` covers b.
 Products with the Gram blocks go through a kernels.GramBlocks (plain arrays
 are wrapped in one). A solve still running after 50 iterations asks it to
 hold every block in an orthonormal eigenbasis, K_j ~ U_j diag(Lambda_j)
-U_j^T, and the remaining iterations, like later solves on the same blocks,
-run in beta_j = U_j^T alpha_j (variable-metric forward-backward splitting:
-Becker & Fadili 2012; Chouzenoux, Pesquet & Repetti 2014). There
+U_j^T, and the remaining iterations, like later solves on the same blocks
+whose budget the bases meet, run in beta_j = U_j^T alpha_j (variable-metric
+forward-backward splitting: Becker & Fadili 2012; Chouzenoux, Pesquet &
+Repetti 2014). There
 ||beta_j|| = ||alpha_j||, so the penalty is unchanged, and block j's
 curvature is bounded coordinate by coordinate, m_j = 1.01 * L * c_max *
 Lambda_j^2 / n, in place of the one scalar gamma_j that the largest
 eigenvalue sets; the prox step is the group soft-threshold in that metric.
 The shared multiplier s still backtracks, and its cap still bounds the
-coupling between blocks by Cauchy-Schwarz. A basis from a pivoted-Cholesky
-factor has trace error at most n * 1e-10, one from a full eigendecomposition
-drops eigenvalues at or below 1e-10; a solve allows bases only when that
-error cannot move a gradient by more than 1% of tol * lam * w_j, so one that
-asks for a tiny tol runs dense (rebuilding blocks an earlier solve held in a
-basis). The objective then moves by at most 1% of tol times the penalty
-term, which bounds how far the trace can rise where a solve switches to the
-bases and at its last entry. That entry, the KKT residual that decides
-`converged`, and the public objective, group_gradient and lambda_max use
-exact kernel values at alpha_j = U_j beta_j. A solve that meets tol within
-its first 50 iterations stays dense to the end.
+coupling between blocks by Cauchy-Schwarz. Each basis is built to the
+solve's error budget (basis_budget): its error cannot move a gradient by
+more than 1% of tol * lam * w_j. A solve reuses bases built to its budget or
+a tighter one and rebuilds dense the blocks held in looser ones; one whose
+budget is under GramBlocks.floor, a tiny tol, runs dense. The objective
+then moves by at most 1% of tol times the penalty term, which bounds how far
+the trace can rise where a solve switches to the bases and at its last
+entry. That entry, the KKT residual that decides `converged` (reported as
+SolveReport.kkt_residual), and the public objective, group_gradient and
+lambda_max use exact kernel values at alpha_j = U_j beta_j. A solve that
+meets tol within its first 50 iterations stays dense to the end.
 
 Every iteration works on whole arrays, with a fixed number of numpy calls
 whatever d is. The blocks' coordinates are one flat vector, block j's at
@@ -76,7 +77,7 @@ from .coherence import (ClassWeights, CoherenceParams, LabelledRisk,
                         curvature_bound, empirical_risk, loss_grad,
                         slope_bound)
 from .data import DataError, GroupPartition
-from .kernels import _FACTOR_EPS, GramBlocks
+from .kernels import GramBlocks
 
 
 class SolverError(RuntimeError):
@@ -139,11 +140,31 @@ class SolveReport:
     converged: bool
     active_groups: tuple[int, ...]
     intercept: float = 0.0
+    # the exact final KKT residual that decides `converged`; a loaded model
+    # has none
+    kkt_residual: float = math.nan
 
 
 def _class_weights(cfg: SolverConfig) -> ClassWeights:
     # what a solve weights the classes by: unit weights where cfg has none
     return _UNIT_WEIGHTS if cfg.class_weights is None else cfg.class_weights
+
+
+def basis_budget(n: int, partition: GroupPartition,
+                 cfg: SolverConfig) -> float:
+    """B, the largest ||K_j - U_j Lambda_j U_j^T||_2 a solve at cfg allows.
+
+    A block gradient multiplies a vector of norm at most c_max sup|loss'| /
+    sqrt(n), so a basis error of B moves it by at most 1% of tol * lam *
+    min_j w_j (tol * min_j w_j at lam 0):
+
+        B = 0.01 tol lam min_j w_j sqrt(n) / (c_max sup|loss'|)
+    """
+    cw = _class_weights(cfg)
+    c_max = max(cw.weight_pos, cw.weight_neg)
+    return float(_FACTOR_SHARE * cfg.tol * (cfg.lam if cfg.lam > 0 else 1.0)
+                 * min(partition.weights) * np.sqrt(n)
+                 / (c_max * slope_bound(cfg.loss_params)))
 
 
 def _as_blocks(gram) -> GramBlocks:
@@ -447,9 +468,11 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     previous multipliers. On a GramBlocks from kernels.gram_blocks,
     iterations past the 50th of a solve that has not met cfg.tol by then
     run in the blocks' eigenbases, with a per-coordinate majorizer (see the
-    module docstring); alpha is returned in its own coordinates, and the
-    objective reported last in the trace and `converged` are still computed
-    block by block from exact kernel values at the returned alpha.
+    module docstring), and every iteration does where the blocks already
+    hold bases within the solve's basis_budget; alpha is returned in its
+    own coordinates, and the objective reported last in the trace,
+    `converged` and the report's kkt_residual are still computed block by
+    block from exact kernel values at the returned alpha.
     """
     labels = np.asarray(labels, dtype=float)
     n, d = labels.size, partition.d
@@ -461,16 +484,15 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         raise DataError("init must have shape (d, n)")
 
     lam, weights = cfg.lam, partition.weights
-    # A basis's error E = K - U Lambda U^T has ||E v|| <= n _FACTOR_EPS ||v||
-    # (tr(E) bounds it for a PSD factor's error, _FACTOR_EPS for dropped
-    # eigenvalues), and the vector a block gradient multiplies has norm at
-    # most c_max sup|loss'| / sqrt(n).
     cw = _class_weights(cfg)
     c_max = max(cw.weight_pos, cw.weight_neg)
-    may_factor = n * _FACTOR_EPS <= (
-        _FACTOR_SHARE * cfg.tol * (lam if lam > 0 else 1.0) * min(weights)
-        * np.sqrt(n) / (c_max * slope_bound(cfg.loss_params)))
-    if not may_factor:
+    # bases built to this budget or a tighter one serve; looser ones are
+    # dropped, as are all where the budget is under the floor that the
+    # decompositions' rounding sets
+    budget = basis_budget(n, partition, cfg)
+    may_factor = blocks.floor <= budget
+    if not may_factor or (blocks.budget is not None
+                          and blocks.budget > budget):
         blocks.drop_bases()
     risk = LabelledRisk(labels, cw, cfg.loss_params)
 
@@ -510,7 +532,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     it = 0
     while it < cfg.max_iters and not kkt <= _SETTLE_SHRINK * cfg.tol:
         if (it == _FACTOR_AFTER and not met and may_factor
-                and blocks.to_eigenbasis()):
+                and blocks.to_eigenbasis(budget)):
             # go on from the same point in the blocks' eigenbases
             x, x_prev = (_to_coords(blocks, v.reshape(d, n))
                          for v in (x, x_prev))
@@ -589,7 +611,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     alpha.setflags(write=False)
     report = SolveReport(iterations=it, objective_trace=tuple(trace),
                          converged=converged, active_groups=active,
-                         intercept=b)
+                         intercept=b, kkt_residual=kkt)
     return alpha, report
 
 

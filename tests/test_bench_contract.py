@@ -1,7 +1,7 @@
 """The benchmark's tracer still fits the package it wraps.
 
 perfbench/layertrace.py wraps package functions by qualified name and, for
-the quality capture, by positional signature: grid quality looks up the Gram
+the quality capture, by their full signature: grid quality looks up the Gram
 that `gram_blocks` returned by its id inside `solve`, and CV quality wraps
 `model.fit` once per fold. The tracer file is parsed, not imported, so
 these checks need nothing from the benchmark.
@@ -38,22 +38,36 @@ def _traced(tree):
 
 
 def _wrapper_params(tree, name):
-    """(name, default) of the positional parameters of Capture's `name`."""
+    """(name, default) of every parameter of Capture's `name`, in order,
+    keyword-only ones included, and their kinds."""
     capture = next(n for n in tree.body
                    if isinstance(n, ast.ClassDef) and n.name == "Capture")
     fn = next(n for n in ast.walk(capture)
               if isinstance(n, ast.FunctionDef) and n.name == name)
-    args = fn.args.args
-    defaults = [REQUIRED] * (len(args) - len(fn.args.defaults)) + [
-        ast.literal_eval(d) for d in fn.args.defaults]
-    return [(a.arg, d) for a, d in zip(args, defaults)]
+    a, P = fn.args, inspect.Parameter
+    positional = a.posonlyargs + a.args
+    defaults = [REQUIRED] * (len(positional) - len(a.defaults)) + [
+        ast.literal_eval(d) for d in a.defaults]
+    kinds = ([P.POSITIONAL_ONLY] * len(a.posonlyargs)
+             + [P.POSITIONAL_OR_KEYWORD] * len(a.args))
+    params = [(p.arg, d) for p, d in zip(positional, defaults)]
+    if a.vararg:
+        params.append((a.vararg.arg, REQUIRED))
+        kinds.append(P.VAR_POSITIONAL)
+    for p, d in zip(a.kwonlyargs, a.kw_defaults):
+        params.append((p.arg, REQUIRED if d is None else ast.literal_eval(d)))
+        kinds.append(P.KEYWORD_ONLY)
+    if a.kwarg:
+        params.append((a.kwarg.arg, REQUIRED))
+        kinds.append(P.VAR_KEYWORD)
+    return params, kinds
 
 
 def _package_params(fn):
-    params = [p for p in inspect.signature(fn).parameters.values()
-              if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    return [(p.name, REQUIRED if p.default is p.empty else p.default)
-            for p in params]
+    """The same for a package function."""
+    params = inspect.signature(fn).parameters.values()
+    return ([(p.name, REQUIRED if p.default is p.empty else p.default)
+             for p in params], [p.kind for p in params])
 
 
 def test_every_traced_name_resolves(tree):
@@ -75,8 +89,11 @@ def test_every_traced_name_resolves(tree):
 def test_captured_signatures_unchanged(tree, qualname, expect):
     module, attr = qualname.split(".")
     fn = getattr(importlib.import_module(f"gska.{module}"), attr)
-    assert _wrapper_params(tree, attr) == expect
-    assert _package_params(fn) == expect
+    wrapper, wrapper_kinds = _wrapper_params(tree, attr)
+    package, package_kinds = _package_params(fn)
+    assert wrapper == expect
+    assert package == expect
+    assert package_kinds == wrapper_kinds
 
 
 def _package_users(name):

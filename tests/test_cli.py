@@ -68,6 +68,7 @@ class TestFit:
         doc = json.loads(capsys.readouterr().out.strip())
         assert doc["command"] == "fit"
         assert doc["converged"] is True
+        assert 0 <= doc["kkt_residual"] <= 0.01
         assert set(doc["active_groups"]) <= {"g1", "g2", "g3", "g4"}
 
     def test_model_rerun_identical(self, synth_dir, model_path, tmp_path):

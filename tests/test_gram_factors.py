@@ -1,9 +1,9 @@
 """Long solves in eigenbases of the Gram blocks.
 
 A GramBlocks from `gram_blocks` switches a solve that has not met tol after
-50 iterations to an eigenbasis of each block: from the thin SVD of a
-pivoted-Cholesky factor where the block's rank is below n / 2, else from a
-full eigendecomposition. The oracle is the same solve on a plain list of the
+50 iterations to an eigenbasis of each block, built to the solve's error
+budget: from the thin SVD of a pivoted-Cholesky factor where one of rank
+below n / 2 meets the budget, else from a full eigendecomposition. The oracle is the same solve on a plain list of the
 dense blocks, which never switches. The low-rank instances use one- and
 two-feature groups so that the blocks have rank well below n / 2 at n = 300;
 five-feature groups at n = 120 have full numerical rank.
@@ -20,12 +20,13 @@ import pytest
 import gska
 from gska import kernels
 from gska.cli import run
-from gska.coherence import ClassWeights
+from gska.coherence import ClassWeights, loss_grad
 from gska.data import Dataset, GroupPartition
+from gska.evaluation import grid_search
 from gska.interpret import (_component_matrix, group_contribution,
                             rkhs_contribution)
-from gska.solver import (SolverConfig, group_gradient, lambda_max, objective,
-                         solve)
+from gska.solver import (SolverConfig, basis_budget, group_gradient,
+                         lambda_max, objective, solve)
 
 from test_solver import kkt_violations
 
@@ -162,21 +163,30 @@ class TestLongSolve:
         assert np.array_equal(again, alpha)
 
     def test_later_solve_starts_on_factors(self, low_rank, factor_calls):
+        # a looser lambda's budget is looser: it starts on the bases; a
+        # tighter one's is tighter: it rebuilds them, once
         data, part, spec, cfg = low_rank
         gram = gska.gram_blocks(data, part, spec)
         solve(gram, data.labels, part, cfg)
         assert len(factor_calls) == part.d
         alpha, rep = solve(gram, data.labels, part,
-                           replace(cfg, lam=cfg.lam * 0.8))
+                           replace(cfg, lam=cfg.lam * 1.25))
         assert len(factor_calls) == part.d
+        assert rep.converged
+        alpha, rep = solve(gram, data.labels, part,
+                           replace(cfg, lam=cfg.lam * 0.8))
+        assert len(factor_calls) == 2 * part.d
         assert rep.converged
 
 
 class TestFullRankBlock:
     def test_takes_a_full_eigenbasis_and_is_not_tried_again(self,
-                                                            factor_calls):
-        # a five-feature group at n = 120 has numerical rank above n / 2, so
-        # its basis comes from an eigendecomposition, the others' from factors
+                                                            factor_calls,
+                                                            basis_calls):
+        # a five-feature group at n = 120 needs a factor of rank above
+        # n / 2, so its basis comes from an eigendecomposition, the others'
+        # from factors; a solve at a looser lambda reuses them all, one at a
+        # tighter lambda rebuilds them all, the same way
         data, part, spec = instance(120, [(0,), (1,), (2, 3, 4, 5, 6)])
         cw = ClassWeights.inverse_frequency(data.labels)
         gram = gska.gram_blocks(data, part, spec)
@@ -188,14 +198,18 @@ class TestFullRankBlock:
         _, rep = solve(gram, data.labels, part, cfg)
         assert rep.iterations > 50
         assert all(in_basis(gram, j) for j in range(3))
-        ranks = [np.count_nonzero(gram.eigvals(j)) for j in range(3)]
-        assert [r < data.n // 2 for r in ranks] == [True, True, False]
+        assert basis_calls == ["svd", "svd", "eigh"]
         assert np.array_equal(gram[2], full)
         tried = len(factor_calls)
         assert tried == 3
+        _, rep = solve(gram, data.labels, part, replace(cfg, lam=cfg.lam * 2))
+        assert rep.converged
+        assert len(factor_calls) == tried
+        assert basis_calls == ["svd", "svd", "eigh"]
         _, rep = solve(gram, data.labels, part, replace(cfg, lam=cfg.lam / 2))
         assert rep.iterations > 50
-        assert len(factor_calls) == tried
+        assert len(factor_calls) == 2 * tried
+        assert basis_calls == ["svd", "svd", "eigh"] * 2
 
 
 class TestIntercept:
@@ -222,6 +236,28 @@ class TestIntercept:
 
 
 class TestExactPublicValues:
+    @pytest.mark.parametrize("fit_intercept", [False, True],
+                             ids=["plain", "intercept"])
+    def test_report_holds_the_exact_kkt_residual(self, low_rank,
+                                                 fit_intercept):
+        # the residual that decides `converged`, recomputed on the dense
+        # blocks at the returned point (the solve ran in the bases)
+        data, part, spec, cfg = low_rank
+        cfg = replace(cfg, fit_intercept=fit_intercept)
+        gram = gska.gram_blocks(data, part, spec)
+        dense = [np.array(K) for K in gram]
+        alpha, rep = solve(gram, data.labels, part, cfg)
+        assert all(in_basis(gram, j) for j in range(part.d))
+        y, b = data.labels, rep.intercept
+        f = sum(K @ a for K, a in zip(dense, alpha)) + b
+        grad_b = np.sum(cfg.class_weights.per_sample(y)
+                        * loss_grad(y * f, cfg.loss_params) * y) / data.n
+        expect = max(kkt_violations(alpha, dense, y, part, cfg, b))
+        if fit_intercept:
+            expect = max(expect, abs(grad_b) / (cfg.lam * min(part.weights)))
+        assert rep.kkt_residual == pytest.approx(expect, rel=1e-9)
+        assert rep.converged == (rep.kkt_residual <= cfg.tol)
+
     def test_objective_gradient_lambda_max(self, low_rank):
         data, part, spec, cfg = low_rank
         gram = gska.gram_blocks(data, part, spec)
@@ -439,9 +475,10 @@ class TestStackedProducts:
                                                for j in range(part.d)]
         check()
 
-    def test_no_basis_sits_beside_the_stack(self):
+    def test_no_basis_sits_beside_the_stack(self, basis_calls):
         # a grid fold's n = 400: every block takes a full eigendecomposition
-        # (rank above n / 2); a copy of a block's basis would add r_j n
+        # (its factor would pass rank n / 2); a copy of a block's basis
+        # would add r_j n
         data, part, _ = gska.synth_generate(400, 1, 0.2)
         data, _ = gska.standardize(data)
         spec = gska.median_heuristic_gamma(data, part)
@@ -456,9 +493,106 @@ class TestStackedProducts:
         finally:
             tracemalloc.stop()
         ranks = [len(gram.eigvals(j)) for j in range(part.d)]
-        assert all(data.n // 2 < r < data.n for r in ranks)
+        assert basis_calls == ["eigh"] * part.d
+        assert all(r < data.n for r in ranks)
         # the stack, and O(n) beside it: eigenvalues, training rows, offsets
         assert held <= (sum(ranks) + 32) * data.n * 8
+
+
+def fixed_tolerance_rank(K, eps=1e-10):
+    """Rows a basis of K keeps under a fixed per-entry tolerance: the rank
+    of a pivoted-Cholesky factor stopped once every remaining diagonal
+    entry of K - L L^T is at most eps, where that rank is below n / 2, else
+    the number of eigenvalues above eps."""
+    n = len(K)
+    resid = np.diag(K).copy()
+    Lt = np.empty((0, n))
+    while len(Lt) < n // 2:
+        p = int(np.argmax(resid))
+        if resid[p] <= eps:
+            return len(Lt)
+        row = (K[p] - Lt[:, p] @ Lt) / np.sqrt(resid[p])
+        Lt = np.vstack([Lt, row])
+        resid -= row * row
+    return int(np.count_nonzero(np.linalg.eigvalsh(K) > eps))
+
+
+class TestBudget:
+    """Every basis is built to an error budget, which the blocks record."""
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-4])
+    @pytest.mark.parametrize("n,groups,frac,path", [
+        (300, LOW_RANK, 0.1, "svd"), (120, FULL_RANK, 0.05, "eigh")],
+        ids=["svd", "eigh"])
+    def test_basis_error_within_budget(self, basis_calls, n, groups, frac,
+                                       path, tol):
+        data, part, spec = instance(n, groups)
+        gram = gska.gram_blocks(data, part, spec)
+        dense = [np.array(K) for K in gram]
+        cw = ClassWeights.inverse_frequency(data.labels)
+        top = lambda_max(gram, data.labels, part,
+                         SolverConfig(0.0, 1.0, class_weights=cw))
+        budget = basis_budget(n, part, SolverConfig(
+            frac * top, 1.0, tol=tol, class_weights=cw))
+        assert gram.floor < budget
+        assert gram.to_eigenbasis(budget)
+        assert gram.budget == budget
+        assert basis_calls == [path] * part.d
+        for j, K in enumerate(dense):
+            lam_j = gram.eigvals(j)
+            Ut = gram.expand(j, np.eye(len(lam_j)))
+            assert np.linalg.norm(K - (Ut.T * lam_j) @ Ut, 2) <= budget
+            assert len(lam_j) <= fixed_tolerance_rank(K)
+
+    def test_shared_budget_and_floor(self, low_rank):
+        data, part, spec, cfg = low_rank
+        gram = gska.gram_blocks(data, part, spec)
+        budget = basis_budget(data.n, part, cfg)
+        gram.shared_budget = budget / 4
+        assert gram.to_eigenbasis(budget)
+        assert gram.budget == budget / 4
+        gram.drop_bases()
+        assert gram.budget is None
+        gram.shared_budget = gram.floor / 10
+        assert gram.to_eigenbasis(budget)
+        assert gram.budget == gram.floor
+
+    def test_tighter_budget_rebuilds_looser_reuses(self, low_rank,
+                                                   factor_calls):
+        data, part, spec, cfg = low_rank
+        gram = gska.gram_blocks(data, part, spec)
+        budgets = {tol: basis_budget(data.n, part, replace(cfg, tol=tol))
+                   for tol in (cfg.tol / 2, cfg.tol, cfg.tol * 10)}
+        assert gram.floor <= budgets[cfg.tol / 2]
+        solve(gram, data.labels, part, cfg)
+        assert gram.budget == budgets[cfg.tol]
+        _, rep = solve(gram, data.labels, part, replace(cfg, tol=cfg.tol * 10))
+        assert rep.converged
+        assert gram.budget == budgets[cfg.tol]
+        assert len(factor_calls) == part.d
+        _, rep = solve(gram, data.labels, part, replace(cfg, tol=cfg.tol / 2))
+        assert rep.converged and rep.iterations > 50
+        assert gram.budget == budgets[cfg.tol / 2]
+        assert len(factor_calls) == 2 * part.d
+
+    def test_grid_search_builds_each_fold_once(self, monkeypatch):
+        # warm starts walk lambda down, tightening the budget at each step;
+        # the first build on a fold takes the grid's tightest budget instead
+        built = []
+        original = kernels.GramBlocks.to_eigenbasis
+
+        def counted(self, budget):
+            done = original(self, budget)
+            if done:
+                built.append(self)      # held, so no id is reused
+            return done
+
+        monkeypatch.setattr(kernels.GramBlocks, "to_eigenbasis", counted)
+        data, part, _ = gska.synth_generate(300, 1, 0.2)
+        grid_search(data, part, lambdas=(0.003, 0.01, 0.03), sigmas=(0.5,),
+                    k=3)
+        assert len(built) == 3
+        assert len({id(g) for g in built}) == 3
 
 
 @pytest.fixture(scope="module")
