@@ -202,8 +202,12 @@ class GramBlocks(Sequence):
     three are views into or products with the stack. `gradients(s)` is every
     block's K_j s in its coordinates, Lambda (U^T s) in a basis, and
     `scores(x)` is sum_j K_j alpha_j, (Lambda x) U^T in a basis: one product
-    each with the stack. `norms_sq` caches each block's spectral norm
-    squared, taken while dense.
+    each with the stack. `exact_gradients(s)` and `exact_scores(a)` are the
+    same products exactly, in alpha coordinates (n values a block), through
+    `dot`: the dense arrays where held, rows rebuilt in chunks otherwise.
+    While the blocks are dense, `gradients` and `scores` are these, so the
+    dense path is the exact one. `norms_sq` caches each block's spectral
+    norm squared, taken while dense.
 
     `budget` is the error bound the bases were built to (None while dense).
     `shared_budget` is the tightest budget among the solves that will share
@@ -268,26 +272,30 @@ class GramBlocks(Sequence):
         """alpha_j from block j's coordinates: U_j x, or x."""
         return x if self._Ut is None else x @ self._part(self._Ut, j)
 
+    def exact_gradients(self, s) -> np.ndarray:
+        """Every block's exact K_j s, n values each, as one flat vector."""
+        return np.concatenate([self.dot(j, s) for j in range(len(self))])
+
+    def exact_scores(self, a) -> np.ndarray:
+        """Exact sum_j K_j alpha_j from the flat alpha a, n values a block."""
+        # a zero block adds exactly nothing, so it is skipped
+        f = np.zeros(self.n)
+        for j, a_j in enumerate(np.reshape(a, (len(self), self.n))):
+            if np.any(a_j):
+                f += self.dot(j, a_j)
+        return f
+
     def gradients(self, s) -> np.ndarray:
         """Every block's K_j s in its coordinates, as one flat vector."""
-        if self._Ut is not None:
-            return self._eig * (self._Ut @ s)
-        out = np.empty(self.offsets[-1])
-        for j, K in enumerate(self._dense):
-            self._part(out, j)[:] = K @ s
-        return out
+        if self._Ut is None:
+            return self.exact_gradients(s)
+        return self._eig * (self._Ut @ s)
 
     def scores(self, x) -> np.ndarray:
         """sum_j K_j alpha_j from the flat coordinates x."""
-        if self._Ut is not None:
-            return (self._eig * x) @ self._Ut
-        # a zero block adds exactly nothing, so it is skipped
-        f = np.zeros(self.n)
-        for j, K in enumerate(self._dense):
-            x_j = self._part(x, j)
-            if np.any(x_j):
-                f += K @ x_j
-        return f
+        if self._Ut is None:
+            return self.exact_scores(x)
+        return (self._eig * x) @ self._Ut
 
     def drop_bases(self):
         """Rebuild every block dense; the bases may then be built again."""

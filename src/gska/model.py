@@ -18,6 +18,7 @@ round-trips exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,6 +204,11 @@ def save(model: ModelState, path):
         fh.write("\n")
 
 
+def _finite(v) -> bool:
+    # a JSON number, not true, false, NaN or an infinity
+    return type(v) in (int, float) and math.isfinite(v)
+
+
 def load(path) -> ModelState:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -229,16 +235,30 @@ def load(path) -> ModelState:
                         tuple(doc["feature_names"]),
                         tuple(doc["train_sample_ids"]))
         rep = doc["report"]
-        report = SolveReport(iterations=rep["iterations"],
-                             objective_trace=(rep["final_objective"],),
-                             converged=rep["converged"],
+        lam, its = doc["lambda"], rep["iterations"]
+        converged, final = rep["converged"], rep["final_objective"]
+        b = rep.get("intercept", 0.0)
+        for name, value, ok, what in (
+                ("lambda", lam, _finite(lam) and lam >= 0,
+                 "a finite number >= 0"),
+                ("report.iterations", its, type(its) is int and its >= 0,
+                 "an integer >= 0"),
+                ("report.converged", converged, type(converged) is bool,
+                 "true or false"),
+                ("report.final_objective", final, _finite(final),
+                 "a finite number"),
+                ("report.intercept", b, _finite(b), "a finite number")):
+            if not ok:
+                raise DataError(f"{name} must be {what}, got {value!r}")
+        report = SolveReport(iterations=its, objective_trace=(final,),
+                             converged=converged,
                              active_groups=tuple(rep["active_groups"]),
-                             intercept=float(rep.get("intercept", 0.0)))
+                             intercept=float(b))
         return ModelState(alpha=np.array(doc["alpha"], dtype=float),
                           train=train, scaling=scaling, partition=partition,
                           kernel=KernelSpec(tuple(doc["gammas"])),
                           loss_params=CoherenceParams(doc["sigma"]),
-                          lam=doc["lambda"],
+                          lam=lam,
                           class_weights=ClassWeights(doc["class_weights"]["pos"],
                                                      doc["class_weights"]["neg"]),
                           report=report)

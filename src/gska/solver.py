@@ -59,9 +59,12 @@ each with the stacked bases. One batched group_update solves the d secular
 equations together, each from its previous root rescaled by the change in s.
 The penalty, the quadratic bound, the restart test, the gradient mapping
 and the KKT check reduce the flat vectors group by group, and the loss's
-per-sample factors are formed once per solve (coherence.LabelledRisk). So
-iterates round differently from block-by-block arithmetic; the exact final
-objective and KKT check, objective, group_gradient and lambda_max keep it.
+per-sample factors are formed once per solve (coherence.LabelledRisk).
+The exact final objective and KKT check, and the public objective,
+group_gradient and lambda_max, use that same arithmetic on alpha's own flat
+coordinates (n per block), with GramBlocks.exact_scores and exact_gradients
+for the products, in one helper (_exact); on dense blocks those are the
+iterations' own products.
 """
 
 from __future__ import annotations
@@ -74,8 +77,7 @@ from functools import cached_property
 import numpy as np
 
 from .coherence import (ClassWeights, CoherenceParams, LabelledRisk,
-                        curvature_bound, empirical_risk, loss_grad,
-                        slope_bound)
+                        curvature_bound, slope_bound)
 from .data import DataError, GroupPartition
 from .kernels import GramBlocks
 
@@ -171,52 +173,46 @@ def _as_blocks(gram) -> GramBlocks:
     return gram if isinstance(gram, GramBlocks) else GramBlocks(gram)
 
 
-def _scores(alpha, dot) -> np.ndarray:
-    # f = sum_j K^(j) alpha^(j), without the intercept; dot(j, v) is K^(j) v.
-    # A zero block adds exactly nothing, so it is skipped.
-    f = np.zeros(alpha.shape[1])
-    for j, a_j in enumerate(alpha):
-        if np.any(a_j):
-            f += dot(j, a_j)
-    return f
+def _entry(gram, labels, partition: GroupPartition, cfg: SolverConfig,
+           alpha=None):
+    """A public entry point's blocks, risk and alpha (zero where None)."""
+    labels = np.asarray(labels, dtype=float)
+    shape = (partition.d, labels.size)
+    alpha = np.zeros(shape) if alpha is None else np.asarray(alpha, float)
+    if alpha.shape != shape:
+        raise DataError("alpha must be d blocks of n coefficients")
+    return (_as_blocks(gram),
+            LabelledRisk(labels, _class_weights(cfg), cfg.loss_params), alpha)
 
 
-def _risk(f, b, labels, cfg: SolverConfig) -> float:
-    return empirical_risk(labels * (f + b), labels, _class_weights(cfg),
-                          cfg.loss_params)
+def _exact(blocks: GramBlocks, risk: LabelledRisk, alpha,
+           partition: GroupPartition, lam: float, b: float,
+           fit_intercept: bool = False, kkt: bool = True):
+    """The objective, the KKT residual (NaN without kkt) and the slopes
+    dR/df at alpha (d blocks of n) and intercept b, from exact kernel values.
 
-
-def _slopes(f, b, labels, cfg: SolverConfig) -> np.ndarray:
-    # dR/df = (1/n) c(y) loss'(y (f + b)) y: block j's risk gradient is
-    # K^(j) of it, and dR/db is its sum
-    c = _class_weights(cfg).per_sample(labels)
-    slope = loss_grad(labels * (f + b), cfg.loss_params)
-    return c * slope * labels / labels.size
-
-
-def _grads(f, b, dot, groups, labels, cfg: SolverConfig):
-    # block gradients of the risk, j in groups, and dR/db where the solve
-    # fits an intercept (else 0), from one set of per-sample slopes
-    common = _slopes(f, b, labels, cfg)
-    grad_b = float(np.sum(common)) if cfg.fit_intercept else 0.0
-    return [dot(j, common) for j in groups], grad_b
+    The same risk and group reductions as the iterations, on alpha's own
+    coordinates. Margins that are not finite raise DataError.
+    """
+    x = alpha.ravel()
+    groups = _Groups(np.arange(partition.d + 1) * blocks.n, lam,
+                     partition.weights)
+    f = blocks.exact_scores(x)
+    if not np.all(np.isfinite(f + b)):
+        raise DataError("margin must be finite")
+    r, s = risk.risk_and_slopes(f, b)
+    obj = r + groups.penalty(x)
+    if not kkt:
+        return obj, math.nan, s
+    g_b = float(np.sum(s)) if fit_intercept else 0.0
+    return obj, groups.kkt(x, blocks.exact_gradients(s), g_b), s
 
 
 def objective(alpha, gram, labels, partition: GroupPartition,
               cfg: SolverConfig, intercept: float = 0.0) -> float:
-    alpha = np.asarray(alpha, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if alpha.shape != (partition.d, labels.size):
-        raise DataError("alpha must be d blocks of n coefficients")
-    return (_risk(_scores(alpha, _as_blocks(gram).dot), intercept, labels,
-                  cfg)
-            + _penalty(alpha, partition.weights, cfg.lam))
-
-
-def _penalty(alpha, weights, lam: float) -> float:
-    # the group-lasso term; solve and objective both score through it
-    return lam * sum(w * float(np.linalg.norm(a_j))
-                     for w, a_j in zip(weights, alpha))
+    blocks, risk, alpha = _entry(gram, labels, partition, cfg, alpha)
+    return _exact(blocks, risk, alpha, partition, cfg.lam, intercept,
+                  kkt=False)[0]
 
 
 def group_gradient(alpha, gram, labels, partition: GroupPartition,
@@ -224,11 +220,10 @@ def group_gradient(alpha, gram, labels, partition: GroupPartition,
                    intercept: float = 0.0) -> np.ndarray:
     if not (0 <= j < partition.d):
         raise DataError(f"invalid group id {j}")
-    alpha = np.asarray(alpha, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    dot = _as_blocks(gram).dot
-    return _grads(_scores(alpha, dot), intercept, dot, (j,), labels,
-                  cfg)[0][0]
+    blocks, risk, alpha = _entry(gram, labels, partition, cfg, alpha)
+    _, _, s = _exact(blocks, risk, alpha, partition, cfg.lam, intercept,
+                     kkt=False)
+    return blocks.dot(j, s)
 
 
 def spectral_norm_sq(K: np.ndarray) -> float:
@@ -373,34 +368,6 @@ def group_update(alpha, grad, gamma, lam: float, w, offsets=None,
     return out
 
 
-def _units(lam: float, w: float) -> float:
-    # lam * w_j, or w_j where that is 0 (lam 0, or below the smallest float)
-    thresh = lam * w
-    return thresh if thresh > 0 else w
-
-
-def _kkt_residual(alpha, grads, lam: float, weights,
-                  grad_b: float = 0.0) -> float:
-    """Largest KKT violation, in units of lam * w_j (w_j at lam 0).
-
-    An active block needs g_j + lam w_j alpha_j / ||alpha_j|| = 0, a zero
-    block ||g_j|| <= lam w_j, and a fitted intercept dR/db = grad_b = 0,
-    measured in units of lam * min_j w_j.
-    """
-    viols = [abs(grad_b) / _units(lam, min(weights))]
-    for a, g, w in zip(alpha, grads, weights):
-        thresh = lam * w
-        norm_a = float(np.linalg.norm(a))
-        if norm_a > 0:
-            viol = float(np.linalg.norm(g + (thresh / norm_a) * a))
-        else:
-            viol = max(float(np.linalg.norm(g)) - thresh, 0.0)
-        viols.append(viol / _units(lam, w))
-    # max would drop a NaN after the first entry; `converged` must never
-    # be true on one
-    return math.nan if any(map(math.isnan, viols)) else max(viols)
-
-
 class _Groups:
     """The groups' segments of a solve's flat coordinates, with lam * w_j
     and the units a residual is measured in, per group and for b."""
@@ -410,8 +377,10 @@ class _Groups:
         self._starts, self._sizes = offsets[:-1], np.diff(offsets)
         self.weights = np.asarray(weights, dtype=float)
         self.thresh = lam * self.weights
-        self._units = np.array([_units(lam, w) for w in weights])
-        self._b_units = _units(lam, min(weights))
+        # lam * w_j, or w_j where that is 0 (lam 0, or below the smallest
+        # float); b's are those of the smallest w_j
+        self._units = np.where(self.thresh > 0, self.thresh, self.weights)
+        self._b_units = float(self._units[np.argmin(self.weights)])
 
     def norms(self, v) -> np.ndarray:
         return np.sqrt(np.add.reduceat(v * v, self._starts))
@@ -427,7 +396,10 @@ class _Groups:
                        abs(v_b) / self._b_units)
 
     def kkt(self, x, g, g_b: float) -> float:
-        """_kkt_residual at the flat coordinates x with gradients g."""
+        """Largest KKT violation at the flat coordinates x, with gradients
+        g and dR/db g_b, in the groups' units: an active block needs g_j +
+        lam w_j x_j / ||x_j|| = 0, a zero block ||g_j|| <= lam w_j, and b
+        needs g_b = 0."""
         norm_x = self.norms(x)
         with np.errstate(all="ignore"):
             coef = np.where(norm_x > 0, self.thresh / norm_x, 0.0)
@@ -471,8 +443,9 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     module docstring), and every iteration does where the blocks already
     hold bases within the solve's basis_budget; alpha is returned in its
     own coordinates, and the objective reported last in the trace,
-    `converged` and the report's kkt_residual are still computed block by
-    block from exact kernel values at the returned alpha.
+    `converged` and the report's kkt_residual are computed from exact
+    kernel values at the returned alpha, with the iterations' own risk and
+    group reductions.
     """
     labels = np.asarray(labels, dtype=float)
     n, d = labels.size, partition.d
@@ -597,10 +570,8 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     # the reported objective and KKT residual use exact kernel values
     alpha = np.array([blocks.expand(j, x_j) for j, x_j in
                       enumerate(np.split(x, groups.offsets[1:-1]))])
-    f = _scores(alpha, blocks.dot)
-    trace[-1] = _risk(f, b, labels, cfg) + _penalty(alpha, weights, lam)
-    g, g_b = _grads(f, b, blocks.dot, range(d), labels, cfg)
-    kkt = _kkt_residual(alpha, g, lam, weights, g_b)
+    trace[-1], kkt, _ = _exact(blocks, risk, alpha, partition, lam, b,
+                               cfg.fit_intercept)
     converged = kkt <= cfg.tol
     if not converged:
         print(f"gska: warning: solve stopped after {it} iterations "
@@ -623,8 +594,5 @@ def lambda_max(gram, labels, partition: GroupPartition,
     lam = 0; for lam at or above this value the zero blocks satisfy the
     subgradient condition.
     """
-    labels = np.asarray(labels, dtype=float)
-    zero = np.zeros((partition.d, labels.size))
-    grads, _ = _grads(zero[0], 0.0, _as_blocks(gram).dot, range(partition.d),
-                      labels, cfg)
-    return _kkt_residual(zero, grads, 0.0, partition.weights)
+    blocks, risk, zero = _entry(gram, labels, partition, cfg)
+    return _exact(blocks, risk, zero, partition, 0.0, 0.0)[1]

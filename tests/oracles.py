@@ -172,21 +172,23 @@ def lambda_max_two_products(gram, labels, weights, sigma, cpos, cneg):
     """max_j ||grad_j at alpha = 0|| / w_j, with the margins of alpha = 0
     formed from d Gram products before the d gradient products.
 
-    Same floating-point steps as the solver's loss gradient, so the result
-    is comparable bit for bit; kept as the reference for the one-product
-    lambda_max.
+    Same floating-point steps as the solver's risk slopes and group norms,
+    written out here, so the result is comparable bit for bit; kept as the
+    reference for the one-product lambda_max.
     """
     labels = np.asarray(labels, dtype=float)
     n = labels.size
     f = np.zeros(n)
     for K in gram:
         f += K @ np.zeros(n)
-    m = labels * f
     normalizer = np.logaddexp(0.0, 1.0 / sigma)
-    slope = -expit((1.0 - m) / sigma) / (sigma * normalizer)
-    common = np.where(labels > 0, cpos, cneg) * slope * labels / n
-    return max(float(np.linalg.norm(K @ common)) / w
-               for K, w in zip(gram, weights))
+    y_sigma = labels / sigma
+    c = np.where(labels > 0, cpos, cneg) / (n * normalizer)
+    u = 1.0 / sigma - y_sigma * (f + 0.0)
+    common = -c * y_sigma * expit(u)
+    grads = [K @ common for K in gram]
+    return max(max(float(np.sqrt(np.sum(g * g))) - 0.0, 0.0) / w
+               for g, w in zip(grads, weights))
 
 
 def metric_prox_newton(u, m, thresh, max_iters=100):

@@ -3,8 +3,9 @@
 perfbench/layertrace.py wraps package functions by qualified name and, for
 the quality capture, by their full signature: grid quality looks up the Gram
 that `gram_blocks` returned by its id inside `solve`, and CV quality wraps
-`model.fit` once per fold. The tracer file is parsed, not imported, so
-these checks need nothing from the benchmark.
+`model.fit` once per fold. Its quality step calls `solver.objective`,
+`group_gradient` and `lambda_max` by position. The tracer file is parsed,
+not imported, so these checks need nothing from the benchmark.
 """
 
 import ast
@@ -94,6 +95,27 @@ def test_captured_signatures_unchanged(tree, qualname, expect):
     assert wrapper == expect
     assert package == expect
     assert package_kinds == wrapper_kinds
+
+
+@pytest.mark.parametrize("qualname,expect", [
+    ("solver.objective", [("alpha", REQUIRED), ("gram", REQUIRED),
+                          ("labels", REQUIRED), ("partition", REQUIRED),
+                          ("cfg", REQUIRED), ("intercept", 0.0)]),
+    ("solver.group_gradient", [("alpha", REQUIRED), ("gram", REQUIRED),
+                               ("labels", REQUIRED), ("partition", REQUIRED),
+                               ("cfg", REQUIRED), ("j", REQUIRED),
+                               ("intercept", 0.0)]),
+    ("solver.lambda_max", [("gram", REQUIRED), ("labels", REQUIRED),
+                           ("partition", REQUIRED), ("cfg", REQUIRED)]),
+])
+def test_positional_quality_signatures_unchanged(qualname, expect):
+    # the benchmark's quality step and workload checks call these
+    # positionally, with a plain list of dense Gram arrays
+    module, attr = qualname.split(".")
+    fn = getattr(importlib.import_module(f"gska.{module}"), attr)
+    params, kinds = _package_params(fn)
+    assert params == expect
+    assert kinds == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * len(expect)
 
 
 def _package_users(name):

@@ -311,7 +311,24 @@ class TestMalformedModel:
         (("alpha",), [[0.0]],
          "alpha shape must be (group count, training rows)"),
         (("gammas",), [0.0] * 4, "kernel bandwidths must be positive"),
-    ], ids=["dataset", "partition", "scaling", "model_state", "kernel"])
+        (("lambda",), "x", "lambda must be a finite number >= 0, got 'x'"),
+        (("lambda",), -1.0, "lambda must be a finite number >= 0, got -1.0"),
+        (("lambda",), float("inf"),
+         "lambda must be a finite number >= 0, got inf"),
+        (("report", "iterations"), -5,
+         "report.iterations must be an integer >= 0, got -5"),
+        (("report", "iterations"), 2.5,
+         "report.iterations must be an integer >= 0, got 2.5"),
+        (("report", "converged"), "yes",
+         "report.converged must be true or false, got 'yes'"),
+        (("report", "final_objective"), "x",
+         "report.final_objective must be a finite number, got 'x'"),
+        (("report", "intercept"), True,
+         "report.intercept must be a finite number, got True"),
+    ], ids=["dataset", "partition", "scaling", "model_state", "kernel",
+            "lambda_string", "lambda_negative", "lambda_infinity",
+            "iterations_negative", "iterations_float", "converged_string",
+            "final_objective_string", "intercept_bool"])
     def test_record_error_names_the_file(self, synth_dir, model_path,
                                          tmp_path, capsys, keys, value,
                                          message):

@@ -6,7 +6,7 @@ import pytest
 import gska
 from gska.coherence import ClassWeights
 from gska.data import DataError, Dataset, GroupPartition
-from gska.solver import (SolverConfig, _kkt_residual, group_gradient,
+from gska.solver import (SolverConfig, _Groups, group_gradient,
                          group_update, spectral_norm_sq, lambda_max,
                          majorization_constant, objective, solve)
 
@@ -80,6 +80,21 @@ class TestObjective:
         gram, y, part, cfg = make_instance(5, [(0,)], 5)
         with pytest.raises(DataError):
             objective(np.zeros((2, 5)), gram, y, part, cfg)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nan_alpha,intercept", [
+        (True, 0.0), (False, np.inf), (False, -np.inf)],
+        ids=["nan_alpha", "inf_intercept", "minus_inf_intercept"])
+    def test_non_finite_input_raises(self, nan_alpha, intercept):
+        # both public entry points, not only objective
+        gram, y, part, cfg = make_instance(10, [(0,), (1, 2)], 31)
+        alpha = np.zeros((part.d, len(y)))
+        if nan_alpha:
+            alpha[1, 3] = np.nan
+        with pytest.raises(DataError, match="margin must be finite"):
+            objective(alpha, gram, y, part, cfg, intercept)
+        with pytest.raises(DataError, match="margin must be finite"):
+            group_gradient(alpha, gram, y, part, cfg, 0, intercept)
 
 
 class TestGroupGradient:
@@ -522,12 +537,12 @@ class TestStoppingRule:
 
     def test_nan_gradient_is_never_within_tol(self):
         # a NaN in any block, not only the first, makes the residual NaN
-        alpha = np.array([[1.0, 0.0], [0.0, 0.0]])
-        for grads in ([np.array([np.nan, 0.0]), np.zeros(2)],
-                      [np.zeros(2), np.array([0.0, np.nan])]):
-            assert np.isnan(_kkt_residual(alpha, grads, 0.1, (1.0, 1.0)))
-        assert np.isnan(_kkt_residual(alpha, [np.zeros(2)] * 2, 0.1,
-                                      (1.0, 1.0), grad_b=np.nan))
+        groups = _Groups(np.array([0, 2, 4]), 0.1, (1.0, 1.0))
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        for g in (np.array([np.nan, 0.0, 0.0, 0.0]),
+                  np.array([0.0, 0.0, 0.0, np.nan])):
+            assert np.isnan(groups.kkt(x, g, 0.0))
+        assert np.isnan(groups.kkt(x, np.zeros(4), np.nan))
 
     def test_cap_warns_once_on_stderr(self, capsys):
         gram, y, part, _ = make_instance(30, [(0, 1), (2, 3)], 25)
