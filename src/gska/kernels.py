@@ -15,12 +15,17 @@ the spectral norm of that PSD error, at a rank below n / 2 takes its basis
 from the thin SVD of L, so that a product costs O(n r) instead of O(n^2).
 Any other block takes its basis from a full eigendecomposition, keeping the
 eigenvalues above B. The d bases are held as one stacked array of the
-rows U_j^T, each written straight into its rows in place of the dense array
-or the factor, never beside it, so that a solve's gradients for all blocks
-take one product with the stack, and its summed margins another. A block's
-exact values are rebuilt from the training rows on demand, entry for entry
-as first built. A GramBlocks serves the solver only: scoring and
-interpretation build `cross_gram` blocks for one tile of rows at a time.
+rows U_j^T, each written into its rows in place of the dense array or the
+factor, never copied beside it, so that a solve's gradients for all blocks
+take one product with the stack, and its summed margins another. A factor's
+basis is built in numpy's LAPACK and BLAS, which pivoted Cholesky and the
+solver's products use too, so that no second BLAS runtime's threads
+contend with theirs; its QR holds four n x r_j arrays beside the stack for
+a moment. A full eigendecomposition runs in scipy's LAPACK (syevd), in
+place in the stack's rows. A block's exact values are rebuilt from the
+training rows on demand, entry for entry as first built. A GramBlocks
+serves the solver only: scoring and interpretation build `cross_gram`
+blocks for one tile of rows at a time.
 
 The median heuristic selects its median by counting (Floyd & Rivest 1975):
 the quantiles of about m^(2/3) evenly spread pairs, of the m = n(n - 1)/2,
@@ -51,9 +56,6 @@ from .data import DataError, Dataset, GroupPartition
 _FACTOR_EPS = 1e-10
 # Rows of a block held in a basis rebuilt at once, for an exact product
 _CHUNK_ROWS = 256
-# Rows of Q multiplied at once where a factor's basis is formed over it: few,
-# so that the tile's temporary adds little to the decomposition's workspace
-_QR_TILE = 64
 # Squared distances the median heuristic's sweep computes at once: a tile of
 # _MEDIAN_TILE_ENTRIES // n rows, so that its buffers stay small and reused
 _MEDIAN_TILE_ENTRIES = 1 << 16
@@ -140,20 +142,21 @@ def _pivoted_cholesky(kernel_row, n: int, budget: float):
 def _basis_from_factor(Lt):
     """Eigenvalues s^2 of L L^T; Lt's memory is left holding U^T.
 
-    L = U diag(s) V^T, so L L^T = U s^2 U^T. Householder QR L = Q R in
-    place, then the SVD R = W diag(s) V^T of the small r x r factor: U = Q W
-    is orthonormal to rounding (eigenvectors of an explicit L^T L are not).
-    U is formed over Q a tile of rows at a time and written back into Lt, so
-    the basis occupies the factor's memory and nothing beside it.
+    L = U diag(s) V^T, so L L^T = U s^2 U^T. Householder QR L = Q R
+    (reduced), then the SVD R = W diag(s) V^T of the small r x r factor:
+    U = Q W is orthonormal to rounding (eigenvectors of an explicit L^T L
+    are not). U^T = W^T Q^T is written into Lt by one product. While the QR
+    runs, four n x r arrays sit beside Lt (numpy's copy of L and its Q, and
+    its LAPACK wrapper's workspace copies of both: 21 MiB at n = 2000,
+    r = 350), after the caller has dropped every dense block. All of it
+    runs in numpy's LAPACK and BLAS, which pivoted Cholesky and the solver's
+    products use: scipy links a second OpenBLAS, whose threads contend with
+    numpy's still-spinning ones, and there the same bases took about twice
+    as long to build.
     """
-    Q, R = scipy.linalg.qr(Lt.T, mode="economic", overwrite_a=True,
-                           check_finite=False)
-    # R^T = V diag(s) W^T, taken from R^T's own (Fortran-ordered) memory
-    _, s, Wt = scipy.linalg.svd(R.T, overwrite_a=True, check_finite=False)
-    del R
-    U = Lt.T            # Q itself where the QR ran in place
-    for start in range(0, len(Q), _QR_TILE):
-        U[start:start + _QR_TILE] = Q[start:start + _QR_TILE] @ Wt.T
+    Q, R = np.linalg.qr(Lt.T)
+    W, s, _ = np.linalg.svd(R)
+    np.matmul(W.T, Q.T, out=Lt)
     return s * s
 
 
@@ -314,12 +317,15 @@ class GramBlocks(Sequence):
         dense array is dropped first, and pivoted Cholesky reads kernel rows
         rebuilt from the training rows. Only once every block has been
         tried does the decomposition run, block by block in the stack's
-        rows: a factor of rank below n / 2 is moved there and turned into
-        its basis in place (the thin SVD of the factor), and any other block
-        is rebuilt dense there and decomposed in place. The stack is
-        allocated for n rows per such block and cut to the rows kept once
-        all are built. So memory never holds a basis or its workspace beside
-        all d dense blocks, and no block's basis is held beside the stack.
+        rows: a factor of rank r_j below n / 2 is moved there and its basis
+        written back over it (the thin SVD of the factor, in numpy's LAPACK
+        so that it shares the solver's BLAS threads instead of starting a
+        second runtime's, with four n x r_j arrays beside it while its QR
+        runs), and any other block is rebuilt dense there and decomposed
+        in place. The stack is allocated for n rows per such block and cut
+        to the rows kept once all are built. So memory never holds a basis
+        or its workspace beside all d dense blocks, and no block's finished
+        basis is held beside the stack.
         """
         if self._rows is None or self._Ut is not None:
             return False

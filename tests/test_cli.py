@@ -325,10 +325,21 @@ class TestMalformedModel:
          "report.final_objective must be a finite number, got 'x'"),
         (("report", "intercept"), True,
          "report.intercept must be a finite number, got True"),
+        (("report", "active_groups"), [99, "q"],
+         "report.active_groups must be [0, 1, 2, 3], the groups with "
+         "nonzero alpha, got [99, 'q']"),
+        (("report", "active_groups"), [0, 1, 2],
+         "report.active_groups must be [0, 1, 2, 3], the groups with "
+         "nonzero alpha, got [0, 1, 2]"),
+        (("report", "active_groups"), [0, 1, 2, 3, 4],
+         "report.active_groups must be [0, 1, 2, 3], the groups with "
+         "nonzero alpha, got [0, 1, 2, 3, 4]"),
     ], ids=["dataset", "partition", "scaling", "model_state", "kernel",
             "lambda_string", "lambda_negative", "lambda_infinity",
             "iterations_negative", "iterations_float", "converged_string",
-            "final_objective_string", "intercept_bool"])
+            "final_objective_string", "intercept_bool",
+            "active_groups_unknown", "active_groups_missing",
+            "active_groups_extra"])
     def test_record_error_names_the_file(self, synth_dir, model_path,
                                          tmp_path, capsys, keys, value,
                                          message):

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gska
 from gska import kernels
@@ -433,6 +434,63 @@ class TestSwitch:
         assert rep.iterations > 50
         assert all(in_basis(gram, j) for j in range(part.d))
         assert held <= part.d * data.n ** 2 * 8
+
+
+def tall_factor(n, s, seed):
+    """An n x len(s) factor with singular values s and random singular
+    vectors, transposed (r x n, row-major) as a basis is built from it."""
+    rng = np.random.default_rng(seed)
+    A, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    B, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+    return np.ascontiguousarray(((A * s) @ B.T).T)
+
+
+def kernel_factor(n, groups, seed):
+    """Pivoted Cholesky of a Gaussian block, run to GramBlocks.floor."""
+    data, part, spec = instance(n, groups, seed)
+    gram = gska.gram_blocks(data, part, spec)
+    K = np.array(gram[0])
+    return kernels._pivoted_cholesky(lambda p: K[p], n, gram.floor)
+
+
+class TestBasisFromFactor:
+    """The factor's rows become U^T with Lambda = s^2, L L^T = U^T Lambda U."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.random.default_rng(1).standard_normal((150, 400)),
+        # trailing eigenvalues s^2 from 2 floor down to floor / 2
+        lambda: tall_factor(400, np.sqrt(np.r_[
+            np.geomspace(400.0, 1e-4, 100),
+            400 * kernels._FACTOR_EPS * np.linspace(2, 0.5, 20)]), 2),
+        lambda: kernel_factor(300, [(0, 1)], 4),
+    ], ids=["gaussian", "near_floor", "pivoted_cholesky"])
+    def test_orthonormal_rows_and_squared_singular_values(self, make):
+        Lt = make()
+        L = Lt.T.copy()
+        s = np.linalg.svd(L, compute_uv=False)
+        lam = kernels._basis_from_factor(Lt)
+        Ut = Lt
+        assert lam.shape == s.shape
+        np.testing.assert_allclose(Ut @ Ut.T, np.eye(len(s)), rtol=0,
+                                   atol=1e-13)
+        np.testing.assert_allclose(lam, s * s, rtol=1e-12, atol=0)
+        assert np.linalg.norm(L @ L.T - (Ut.T * lam) @ Ut, 2) \
+            <= 1e-12 * s[0] ** 2
+
+    def test_factor_path_needs_no_scipy_decomposition(self, low_rank,
+                                                      basis_calls,
+                                                      monkeypatch):
+        # the factor's basis is built in numpy's LAPACK, the solver's own
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy decomposition called")
+
+        for name in ("qr", "svd"):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+        data, part, spec, cfg = low_rank
+        _, rep = solve(gska.gram_blocks(data, part, spec), data.labels, part,
+                       cfg)
+        assert rep.iterations > 50 and rep.converged
+        assert basis_calls == ["svd"] * part.d
 
 
 class TestStackedProducts:

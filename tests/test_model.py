@@ -1,3 +1,5 @@
+import io
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -269,6 +271,29 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.alpha, model.alpha)
         assert loaded.kernel.gammas == model.kernel.gammas
 
+    def test_saved_bytes_are_json_dumps(self, synth_fit, tmp_path):
+        # the C encoder of json.dumps writes what json.dump's Python one did
+        _, _, _, model = synth_fit
+        path = tmp_path / "model.json"
+        gska.save(model, path)
+        expected = io.StringIO()
+        json.dump(model_mod._model_doc(model), expected, sort_keys=True)
+        assert path.read_bytes() == (expected.getvalue() + "\n").encode()
+
+    def test_active_group_with_zero_alpha_rejected(self, synth_fit,
+                                                   tmp_path):
+        _, _, _, model = synth_fit
+        path = tmp_path / "model.json"
+        gska.save(model, path)
+        assert gska.load(path).report.active_groups \
+            == model.report.active_groups
+        doc = json.loads(path.read_text())
+        j = model.report.active_groups[-1]
+        doc["alpha"][j] = [0.0] * len(doc["alpha"][j])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="report.active_groups"):
+            gska.load(path)
+
     def test_truncated_file(self, synth_fit, tmp_path):
         data, _, _, model = synth_fit
         path = tmp_path / "model.json"
@@ -279,7 +304,6 @@ class TestPersistence:
             gska.load(path)
 
     def test_dimension_mismatch_rejected(self, synth_fit, tmp_path):
-        import json
         data, _, _, model = synth_fit
         path = tmp_path / "model.json"
         gska.save(model, path)
@@ -290,7 +314,6 @@ class TestPersistence:
             gska.load(path)
 
     def test_version_mismatch(self, synth_fit, tmp_path):
-        import json
         data, _, _, model = synth_fit
         path = tmp_path / "model.json"
         gska.save(model, path)
