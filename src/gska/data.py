@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,6 +302,8 @@ def synth_generate(n: int, seed: int, noise: float):
         raise DataError("synthetic generator requires n >= 40")
     if not (0.0 <= noise < 1.0):
         raise DataError("noise must be in [0, 1)")
+    if seed < 0:
+        raise DataError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, SYNTH_P))
     g = synth_latent(X)
@@ -310,6 +313,12 @@ def synth_generate(n: int, seed: int, noise: float):
     names = tuple(f"f{j + 1}" for j in range(SYNTH_P))
     ids = tuple(str(i) for i in range(n))
     return Dataset(X, y, names, ids), SYNTH_GROUPS, SYNTH_TRUTH
+
+
+def finite_number(v) -> bool:
+    """Whether a JSON value is a number in float's range: not true, false,
+    NaN, an infinity or an integer too large for a float."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 def load_groups_json(path, feature_names) -> GroupPartition:
@@ -330,12 +339,15 @@ def load_groups_json(path, feature_names) -> GroupPartition:
     index = {name: i for i, name in enumerate(feature_names)}
     groups, names, weights = [], [], []
     seen = set()
-    for entry in doc["groups"]:
+    for i, entry in enumerate(doc["groups"]):
         try:
-            names.append(str(entry["name"]))
-            feats = entry["features"]
+            name, feats = entry["name"], entry["features"]
         except (KeyError, TypeError):
             raise DataError(f"{path}: each group needs 'name' and 'features'")
+        if not isinstance(name, str):
+            raise DataError(f"{path}: 'name' of group {i} is {name!r}, not a "
+                            "string")
+        names.append(name)
         if not isinstance(feats, list):
             raise DataError(f"{path}: 'features' of group {names[-1]!r} must "
                             "be a list")
@@ -351,7 +363,7 @@ def load_groups_json(path, feature_names) -> GroupPartition:
             idxs.append(index[f])
         groups.append(tuple(idxs))
         weight = entry.get("weight", 1.0)
-        if not isinstance(weight, (int, float)) or not np.isfinite(weight):
+        if not finite_number(weight):
             raise DataError(f"{path}: 'weight' of group {names[-1]!r} is "
                             f"{weight!r}, not a finite number")
         weights.append(float(weight))

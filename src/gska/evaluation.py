@@ -161,6 +161,8 @@ def grid_search(data: Dataset, partition: GroupPartition,
     if lambdas is None:
         lambdas = default_lambda_grid(data, partition, sigmas, kernel=kernel)
     lambdas = _grid_values(lambdas, "lambda")
+    if lambdas[0] < 0:
+        raise DataError(f"lambda grid value {lambdas[0]!r} is negative")
     assign = stratified_kfold(data.labels, k, seed)
     sums = {(lam, s): 0.0 for lam in lambdas for s in sigmas}
     for f in range(k):

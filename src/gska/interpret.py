@@ -50,10 +50,15 @@ class GroupImportance:
     normalized_share: float
 
 
-def component_values(model: ModelState, query: Dataset, j: int) -> np.ndarray:
-    """Value of group j's component function alone at each query point."""
+def _check_group(model: ModelState, j: int):
+    # a negative j would index from the end
     if not (0 <= j < model.partition.d):
         raise DataError(f"invalid group id {j}")
+
+
+def component_values(model: ModelState, query: Dataset, j: int) -> np.ndarray:
+    """Value of group j's component function alone at each query point."""
+    _check_group(model, j)
     return _expansion(model, _align_query(model, query), (j,), 0.0)
 
 
@@ -96,6 +101,7 @@ def partial_dependence(model: ModelState, train: Dataset, j: int,
     out-of-group features are irrelevant by additivity. Values are reported
     raw, not centered.
     """
+    _check_group(model, j)
     if grid_size < 2:
         raise DataError("grid_size must be at least 2")
     names = model.train.feature_names

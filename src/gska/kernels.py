@@ -14,18 +14,18 @@ Harbrecht, Peters & Schneider 2012) reaches tr(K - L L^T) <= B, which bounds
 the spectral norm of that PSD error, at a rank below n / 2 takes its basis
 from the thin SVD of L, so that a product costs O(n r) instead of O(n^2).
 Any other block takes its basis from a full eigendecomposition, keeping the
-eigenvalues above B. The d bases are held as one stacked array of the
-rows U_j^T, each written into its rows in place of the dense array or the
-factor, never copied beside it, so that a solve's gradients for all blocks
-take one product with the stack, and its summed margins another. A factor's
-basis is built in numpy's LAPACK and BLAS, which pivoted Cholesky and the
-solver's products use too, so that no second BLAS runtime's threads
-contend with theirs; its QR holds four n x r_j arrays beside the stack for
-a moment. A full eigendecomposition runs in scipy's LAPACK (syevd), in
-place in the stack's rows. A block's exact values are rebuilt from the
-training rows on demand, entry for entry as first built. A GramBlocks
-serves the solver only: scoring and interpretation build `cross_gram`
-blocks for one tile of rows at a time.
+eigenvalues above B. Both decompositions are plain numpy calls (QR and SVD,
+or eigh), so they run in the one LAPACK and BLAS that pivoted Cholesky and
+the solver's products use too. The d bases are held as one stacked array
+of the rows U_j^T, each basis written into its rows once built, so that a
+solve's gradients for all blocks take one product with the stack, and its
+summed margins another. A full-rank block is rebuilt dense in its own
+rows of the stack before its decomposition, which then holds two n x n
+arrays beside it; a factor's QR holds four n x r_j arrays beside the stack
+for a moment. A block's exact values are rebuilt from the training rows on
+demand, entry for entry as first built. A GramBlocks serves the solver
+only: scoring and interpretation build `cross_gram` blocks for one tile of
+rows at a time.
 
 The median heuristic selects its median by counting (Floyd & Rivest 1975):
 the quantiles of about m^(2/3) evenly spread pairs, of the m = n(n - 1)/2,
@@ -44,7 +44,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from .data import DataError, Dataset, GroupPartition
@@ -140,48 +139,31 @@ def _pivoted_cholesky(kernel_row, n: int, budget: float):
 
 
 def _basis_from_factor(Lt):
-    """Eigenvalues s^2 of L L^T; Lt's memory is left holding U^T.
+    """(U^T, s^2) with L L^T = U diag(s^2) U^T, from the factor's rows L^T.
 
     L = U diag(s) V^T, so L L^T = U s^2 U^T. Householder QR L = Q R
     (reduced), then the SVD R = W diag(s) V^T of the small r x r factor:
     U = Q W is orthonormal to rounding (eigenvectors of an explicit L^T L
-    are not). U^T = W^T Q^T is written into Lt by one product. While the QR
-    runs, four n x r arrays sit beside Lt (numpy's copy of L and its Q, and
-    its LAPACK wrapper's workspace copies of both: 21 MiB at n = 2000,
-    r = 350), after the caller has dropped every dense block. All of it
-    runs in numpy's LAPACK and BLAS, which pivoted Cholesky and the solver's
-    products use: scipy links a second OpenBLAS, whose threads contend with
-    numpy's still-spinning ones, and there the same bases took about twice
-    as long to build.
+    are not), and U^T = W^T Q^T is one product. While the QR runs, four
+    n x r arrays sit beside Lt (numpy's copy of L and its Q, and its LAPACK
+    wrapper's workspace copies of both: 21 MiB at n = 2000, r = 350).
     """
     Q, R = np.linalg.qr(Lt.T)
     W, s, _ = np.linalg.svd(R)
-    np.matmul(W.T, Q.T, out=Lt)
-    return s * s
+    return W.T @ Q.T, s * s
 
 
 def _basis_from_gram(K, budget: float):
-    """Eigenvalues of K above budget; K's first rows are left holding the
-    matching rows of U^T.
+    """(U^T, Lambda): the eigenvectors of K with eigenvalues above budget,
+    one per row, in ascending order of eigenvalue.
 
-    Divide and conquer (LAPACK syevd). K is symmetric, so its transpose is
-    the Fortran-ordered K that the eigensolver overwrites with the
-    eigenvectors, one per row of K in ascending order, instead of copying.
-    The kept rows then move up over the dropped ones, in chunks that do not
-    overlap, so that no copy of them is made.
+    Divide and conquer (LAPACK syevd). Beside K and LAPACK's workspace it
+    holds two n x n arrays: numpy's copy of K, which LAPACK overwrites with
+    the eigenvectors, and U, into which numpy copies them.
     """
-    w, U, info = scipy.linalg.lapack.dsyevd(K.T, compute_v=1, lower=1,
-                                            overwrite_a=1)
-    if info:
-        raise np.linalg.LinAlgError(f"eigendecomposition failed ({info})")
-    if not np.may_share_memory(U, K):
-        K.T[...] = U
-    del U
+    w, U = np.linalg.eigh(K)
     keep = int(np.searchsorted(w, budget, side="right"))
-    for start in range(keep, len(K), keep or len(K)):
-        stop = min(start + keep, len(K))
-        K[start - keep:stop - keep] = K[start:stop]
-    return w[keep:]
+    return U[:, keep:].T, w[keep:]
 
 
 class GramBlocks(Sequence):
@@ -197,9 +179,11 @@ class GramBlocks(Sequence):
 
     The d bases are held as one array, the rows U_j^T stacked in group
     order (sum_j r_j x n), with the eigenvalues in one flat vector beside
-    it; the dense blocks are never stacked. A solve works on one flat vector
-    of coordinates, block j's at offsets[j]:offsets[j + 1]: alpha_j itself
-    while dense (n each), beta_j = U_j^T alpha_j in a basis (r_j each).
+    it; each basis, once built, is written into its rows by one
+    assignment, and the dense blocks are never stacked. A solve works on
+    one flat vector of coordinates, block j's at offsets[j]:offsets[j + 1]:
+    alpha_j itself while dense (n each), beta_j = U_j^T alpha_j in a basis
+    (r_j each).
     `coords(j, a)` maps alpha_j to block j's coordinates and `expand(j, x)`
     back, and `eigvals(j)` is Lambda_j (None while dense); in a basis, all
     three are views into or products with the stack. `gradients(s)` is every
@@ -316,16 +300,15 @@ class GramBlocks(Sequence):
         or while the blocks hold bases (until `drop_bases`). Each block's
         dense array is dropped first, and pivoted Cholesky reads kernel rows
         rebuilt from the training rows. Only once every block has been
-        tried does the decomposition run, block by block in the stack's
-        rows: a factor of rank r_j below n / 2 is moved there and its basis
-        written back over it (the thin SVD of the factor, in numpy's LAPACK
-        so that it shares the solver's BLAS threads instead of starting a
-        second runtime's, with four n x r_j arrays beside it while its QR
-        runs), and any other block is rebuilt dense there and decomposed
-        in place. The stack is allocated for n rows per such block and cut
-        to the rows kept once all are built. So memory never holds a basis
-        or its workspace beside all d dense blocks, and no block's finished
-        basis is held beside the stack.
+        tried does the decomposition run, block by block: a factor of rank
+        r_j below n / 2 takes the thin SVD of the factor (four n x r_j
+        arrays beside the stack while its QR runs), and any other block is
+        rebuilt dense in its own rows of the stack and decomposed by eigh
+        (two n x n arrays beside it). Each basis is then written into the
+        block's rows. The stack is allocated for n rows per full-rank
+        block and cut to the rows kept once all are built. So memory never
+        holds a basis or its workspace beside all d dense blocks, and no
+        more than one block's finished basis is held beside the stack.
         """
         if self._rows is None or self._Ut is not None:
             return False
@@ -342,14 +325,14 @@ class GramBlocks(Sequence):
             Lt, factors[j] = factors[j], None
             o = offsets[-1]
             if Lt is None:
-                lam = _basis_from_gram(
+                Ut, lam = _basis_from_gram(
                     self._kernel_rows(j, 0, self.n, out=stack[o:o + self.n]),
                     budget)
             else:
-                r = len(Lt)
-                stack[o:o + r] = Lt
-                del Lt
-                lam = _basis_from_factor(stack[o:o + r])
+                Ut, lam = _basis_from_factor(Lt)
+            stack[o:o + len(lam)] = Ut
+            # Ut may view eigh's n x n U: free it before the next block's
+            del Lt, Ut
             eig.append(lam)
             offsets.append(o + len(lam))
         # cut in place: no view of the stack outlives the calls that wrote

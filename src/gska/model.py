@@ -18,14 +18,13 @@ round-trips exactly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coherence import ClassWeights, CoherenceParams
 from .data import (DataError, Dataset, FileError, GroupPartition,
-                   ScalingParams, apply_scaling, standardize)
+                   ScalingParams, apply_scaling, finite_number, standardize)
 from .kernels import (GramBlocks, KernelSpec, cross_gram, gram_blocks,
                       median_heuristic_gamma)
 from .solver import SolveReport, SolverConfig, solve
@@ -206,11 +205,6 @@ def save(model: ModelState, path):
         fh.write(text + "\n")
 
 
-def _finite(v) -> bool:
-    # a JSON number, not true, false, NaN or an infinity
-    return type(v) in (int, float) and math.isfinite(v)
-
-
 def load(path) -> ModelState:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -241,15 +235,15 @@ def load(path) -> ModelState:
         converged, final = rep["converged"], rep["final_objective"]
         b = rep.get("intercept", 0.0)
         for name, value, ok, what in (
-                ("lambda", lam, _finite(lam) and lam >= 0,
+                ("lambda", lam, finite_number(lam) and lam >= 0,
                  "a finite number >= 0"),
                 ("report.iterations", its, type(its) is int and its >= 0,
                  "an integer >= 0"),
                 ("report.converged", converged, type(converged) is bool,
                  "true or false"),
-                ("report.final_objective", final, _finite(final),
+                ("report.final_objective", final, finite_number(final),
                  "a finite number"),
-                ("report.intercept", b, _finite(b), "a finite number")):
+                ("report.intercept", b, finite_number(b), "a finite number")):
             if not ok:
                 raise DataError(f"{name} must be {what}, got {value!r}")
         report = SolveReport(iterations=its, objective_trace=(final,),

@@ -70,11 +70,15 @@ def _null_intercept(y: np.ndarray) -> float:
 def en_lambda_max(X: np.ndarray, y: np.ndarray, rho: float) -> float:
     """Smallest lam with an all-zero coefficient vector (null intercept kept)."""
     if rho <= 0:
-        raise DataError("en_lambda_max requires a positive L1 share")
+        raise DataError(f"en_lambda_max requires a positive L1 share, "
+                        f"got alpha_mix={rho!r}")
     b0 = _null_intercept(y)
     r = expit(-y * b0)                 # null-model residual factor
     g = (X * (-y * r)[:, None]).mean(axis=0)
-    return float(np.max(np.abs(g))) / rho
+    top = float(np.max(np.abs(g))) / rho
+    if not top < np.inf:
+        raise DataError(f"en_lambda_max overflows at alpha_mix={rho!r}")
+    return top
 
 
 def _prox_grad_fit(X, y, lam, rho, beta, intercept, kkt_tol, x_norm_sq):

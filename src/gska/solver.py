@@ -152,6 +152,12 @@ def _class_weights(cfg: SolverConfig) -> ClassWeights:
     return _UNIT_WEIGHTS if cfg.class_weights is None else cfg.class_weights
 
 
+def _c_max(cfg: SolverConfig) -> float:
+    # the larger class weight, which scales every curvature bound
+    cw = _class_weights(cfg)
+    return max(cw.weight_pos, cw.weight_neg)
+
+
 def basis_budget(n: int, partition: GroupPartition,
                  cfg: SolverConfig) -> float:
     """B, the largest ||K_j - U_j Lambda_j U_j^T||_2 a solve at cfg allows.
@@ -162,11 +168,9 @@ def basis_budget(n: int, partition: GroupPartition,
 
         B = 0.01 tol lam min_j w_j sqrt(n) / (c_max sup|loss'|)
     """
-    cw = _class_weights(cfg)
-    c_max = max(cw.weight_pos, cw.weight_neg)
     return float(_FACTOR_SHARE * cfg.tol * (cfg.lam if cfg.lam > 0 else 1.0)
                  * min(partition.weights) * np.sqrt(n)
-                 / (c_max * slope_bound(cfg.loss_params)))
+                 / (_c_max(cfg) * slope_bound(cfg.loss_params)))
 
 
 def _as_blocks(gram) -> GramBlocks:
@@ -268,9 +272,7 @@ def majorization_constant(gram, labels, cfg: SolverConfig, j: int):
             blocks.norms_sq[j] = spectral_norm_sq(blocks[j])
         spectrum = np.full(labels.size, blocks.norms_sq[j])
     L = curvature_bound(cfg.loss_params)
-    cw = _class_weights(cfg)
-    c_max = max(cw.weight_pos, cw.weight_neg)
-    return 1.01 * L * c_max * spectrum / labels.size
+    return 1.01 * L * _c_max(cfg) * spectrum / labels.size
 
 
 def group_update(alpha, grad, gamma, lam: float, w, offsets=None,
@@ -457,8 +459,6 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         raise DataError("init must have shape (d, n)")
 
     lam, weights = cfg.lam, partition.weights
-    cw = _class_weights(cfg)
-    c_max = max(cw.weight_pos, cw.weight_neg)
     # bases built to this budget or a tighter one serve; looser ones are
     # dropped, as are all where the budget is under the floor that the
     # decompositions' rounding sets
@@ -467,7 +467,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     if not may_factor or (blocks.budget is not None
                           and blocks.budget > budget):
         blocks.drop_bases()
-    risk = LabelledRisk(labels, cw, cfg.loss_params)
+    risk = LabelledRisk(labels, _class_weights(cfg), cfg.loss_params)
 
     def grads(f, b):
         # the risk at margins f + b, the blocks' gradients as one flat
@@ -484,7 +484,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
 
     # b's curvature (module docstring); without an intercept dR/db is 0, so
     # b stays 0 and its terms below add exactly 0
-    curv_b = float(1.01 * curvature_bound(cfg.loss_params) * c_max)
+    curv_b = float(1.01 * curvature_bound(cfg.loss_params) * _c_max(cfg))
     # by Cauchy-Schwarz over the d blocks and a fitted b, scale >= cap bounds
     cap = d + cfg.fit_intercept
 

@@ -196,6 +196,12 @@ class TestSynth:
         with pytest.raises(DataError):
             gska.synth_generate(39, 0, 0.0)
 
+    def test_negative_seed(self):
+        # numpy's generator would raise a ValueError, which the CLI does
+        # not catch
+        with pytest.raises(DataError, match="seed must be non-negative"):
+            gska.synth_generate(40, -1, 0.0)
+
 
 class TestGroupsJson:
     def test_roundtrip(self, tmp_path):
@@ -217,4 +223,28 @@ class TestGroupsJson:
         path = tmp_path / "groups.json"
         path.write_text('{"groups": [{"name": "g", "features": ["zz"]}]}')
         with pytest.raises(DataError, match="zz"):
+            gska.load_groups_json(path, ("a",))
+
+    @pytest.mark.parametrize("name,match", [
+        ("null", r"'name' of group 1 is None, not a string"),
+        ("5", r"'name' of group 1 is 5, not a string"),
+        ("[\"g\"]", r"'name' of group 1 is \['g'\], not a string")])
+    def test_name_must_be_a_string(self, tmp_path, name, match):
+        # the second group is named by its position, as it has no name
+        path = tmp_path / "groups.json"
+        path.write_text('{"groups": [{"name": "g", "features": ["a"]}, '
+                        f'{{"name": {name}, "features": ["b"]}}]}}')
+        with pytest.raises(DataError, match=match):
+            gska.load_groups_json(path, ("a", "b"))
+
+    @pytest.mark.parametrize("weight", [
+        "true", "false", "null", '"2"', "[1]", "1e400", "1" + "0" * 400])
+    def test_weight_must_be_a_finite_number(self, tmp_path, weight):
+        # true is an int to isinstance, and a 401-digit integer overflows
+        # float
+        path = tmp_path / "groups.json"
+        path.write_text('{"groups": [{"name": "g", "features": ["a"], '
+                        f'"weight": {weight}}}]}}')
+        with pytest.raises(DataError,
+                           match=r"'weight' of group 'g' is .*, not a finite"):
             gska.load_groups_json(path, ("a",))

@@ -454,7 +454,7 @@ def kernel_factor(n, groups, seed):
 
 
 class TestBasisFromFactor:
-    """The factor's rows become U^T with Lambda = s^2, L L^T = U^T Lambda U."""
+    """The factor's rows give U^T with Lambda = s^2, L L^T = U^T Lambda U."""
 
     @pytest.mark.parametrize("make", [
         lambda: np.random.default_rng(1).standard_normal((150, 400)),
@@ -468,29 +468,64 @@ class TestBasisFromFactor:
         Lt = make()
         L = Lt.T.copy()
         s = np.linalg.svd(L, compute_uv=False)
-        lam = kernels._basis_from_factor(Lt)
-        Ut = Lt
-        assert lam.shape == s.shape
+        Ut, lam = kernels._basis_from_factor(Lt)
+        np.testing.assert_array_equal(Lt, L.T)      # the factor is kept
+        assert Ut.shape == Lt.shape and lam.shape == s.shape
         np.testing.assert_allclose(Ut @ Ut.T, np.eye(len(s)), rtol=0,
                                    atol=1e-13)
         np.testing.assert_allclose(lam, s * s, rtol=1e-12, atol=0)
         assert np.linalg.norm(L @ L.T - (Ut.T * lam) @ Ut, 2) \
             <= 1e-12 * s[0] ** 2
 
-    def test_factor_path_needs_no_scipy_decomposition(self, low_rank,
-                                                      basis_calls,
-                                                      monkeypatch):
-        # the factor's basis is built in numpy's LAPACK, the solver's own
+    @pytest.mark.parametrize("n,groups,path", [
+        (300, LOW_RANK, "svd"), (120, FULL_RANK, "eigh")],
+        ids=["svd", "eigh"])
+    def test_bases_need_no_scipy_decomposition(self, basis_calls,
+                                               monkeypatch, n, groups, path):
+        # every basis is built in numpy's LAPACK, the solver's own
         def refuse(*args, **kwargs):
             raise AssertionError("scipy decomposition called")
 
-        for name in ("qr", "svd"):
+        for name in ("qr", "svd", "eigh"):
             monkeypatch.setattr(scipy.linalg, name, refuse)
-        data, part, spec, cfg = low_rank
-        _, rep = solve(gska.gram_blocks(data, part, spec), data.labels, part,
-                       cfg)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevd", refuse)
+        data, part, spec = instance(n, groups)
+        cw = ClassWeights.inverse_frequency(data.labels)
+        gram = gska.gram_blocks(data, part, spec)
+        top = lambda_max(gram, data.labels, part,
+                         SolverConfig(0.0, 1.0, class_weights=cw))
+        _, rep = solve(gram, data.labels, part, SolverConfig(
+            0.05 * top, 1.0, tol=1e-4, max_iters=5000, class_weights=cw))
         assert rep.iterations > 50 and rep.converged
-        assert basis_calls == ["svd"] * part.d
+        assert basis_calls == [path] * part.d
+
+
+class TestBasisFromGram:
+    """A full-rank block's basis: the eigenvectors of K above the budget."""
+
+    @pytest.mark.parametrize("n,seed", [(120, 3), (400, 1)])
+    def test_matches_scipy_syevd(self, n, seed):
+        data, part, spec = instance(n, FULL_RANK, seed)
+        K = np.array(gska.gram_blocks(data, part, spec)[0])
+        before = K.copy()
+        # the reference: scipy's LAPACK, which the library does not use
+        w, U, info = scipy.linalg.lapack.dsyevd(K, compute_v=1, lower=1)
+        assert info == 0
+        # a budget between two eigenvalues 10% apart, so that the kept
+        # subspace is well defined (Davis-Kahan: rounding moves it by about
+        # eps ||K|| / gap)
+        budget = 1e-3
+        keep = w > budget
+        assert 0 < keep.sum() < n
+        Ut, lam = kernels._basis_from_gram(K, budget)
+        np.testing.assert_array_equal(K, before)
+        assert Ut.shape == (keep.sum(), n)
+        np.testing.assert_allclose(lam, w[keep], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(Ut @ Ut.T, np.eye(len(lam)), rtol=0,
+                                   atol=1e-13)
+        gap = w[keep][0] - w[~keep][-1]
+        P, P_ref = Ut.T @ Ut, U[:, keep] @ U[:, keep].T
+        assert np.linalg.norm(P - P_ref, 2) <= 1e-12 * w[-1] / gap
 
 
 class TestStackedProducts:

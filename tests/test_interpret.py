@@ -142,6 +142,14 @@ class TestPartialDependence:
         with pytest.raises(DataError):
             gska.partial_dependence(model, data, 0, "f5")
 
+    @pytest.mark.parametrize("j", [-1, 4, 100])
+    def test_invalid_group_id(self, fitted, j):
+        # -1 would index the last group, and 4 or more would raise
+        # IndexError
+        data, part, _, model = fitted
+        with pytest.raises(DataError, match=f"invalid group id {j}"):
+            gska.partial_dependence(model, data, j, "f1")
+
     def test_training_columns_matched_by_name(self, fitted):
         data, part, _, model = fitted
         rev = tuple(reversed(data.feature_names))

@@ -1,9 +1,11 @@
 """Numeric options keep the CLI's exit-code contract at extreme values.
 
-Each numeric option of `fit`, `cv` and `grid` is set to NaN, +-inf, 0, -0.0,
-1e308, 5e-324 and arbitrary numbers. `gska` must then either exit 1 with a
-message that names the option or the field it sets, or exit 0 with an
-artifact whose numbers are all finite. No exception may escape.
+Each numeric option of `synth`, `select`, `fit`, `cv` and `grid` is set to
+NaN, +-inf, 0, -0.0, -1, 1e308, 5e-324 and arbitrary numbers. `gska` must then
+either exit 1 with a message that names the option or the field it sets, or
+exit 0 with an artifact whose numbers are all finite. No exception may
+escape. `synth --n` and `interpret --grid-size` are left out: their values
+set the amount of work.
 """
 
 import contextlib
@@ -19,10 +21,13 @@ from gska.cli import run
 
 FUZZ = settings(max_examples=4, deadline=None, database=None,
                 derandomize=True)
-EDGES = ("nan", "inf", "-inf", "0", "-0.0", "1e308", "5e-324")
+EDGES = ("nan", "inf", "-inf", "0", "-0.0", "-1", "1e308", "5e-324")
 
 # the option, and the words a message may name it by (its field's name)
 OPTIONS = {
+    "synth": {"--seed": r"seed", "--noise": r"noise"},
+    "select": {"--mix": r"alpha_mix", "--top-k": r"\bk\b",
+               "--folds": r"folds|\bk\b", "--seed": r"seed"},
     "fit": {"--lambda": r"lam", "--sigma": r"sigma", "--gamma": r"gamma",
             "--tol": r"tol", "--max-iters": r"max.iters"},
     "cv": {"--lambda": r"lam", "--sigma": r"sigma", "--gamma": r"gamma",
@@ -47,6 +52,11 @@ def synth(tmp_path_factory):
 def _argv(command, root, out):
     # small, valid settings; the option under test is appended after them,
     # and argparse keeps an option's last value
+    if command == "synth":
+        return [command, "--n", "40", "--out", str(out)]
+    if command == "select":
+        return [command, "--data", str(root / "features.csv"),
+                "--out", str(out), "--top-k", "3", "--folds", "2"]
     argv = [command, "--data", str(root / "features.csv"),
             "--groups", str(root / "groups.json"), "--out", str(out)]
     if command == "fit":
@@ -80,8 +90,10 @@ def _with_edges(test):
 @_with_edges
 @given(text=st.floats().map(repr) | st.integers(-10, 10 ** 6).map(str))
 def test_numeric_option(synth, command, option, text):
-    out = synth / f"{command}.json"
-    out.unlink(missing_ok=True)
+    # synth writes a directory, whose truth.json holds its numbers
+    out = synth / (command if command == "synth" else f"{command}.json")
+    artifact = out / "truth.json" if command == "synth" else out
+    artifact.unlink(missing_ok=True)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
@@ -91,5 +103,5 @@ def test_numeric_option(synth, command, option, text):
     if code == 1:
         assert option in err or re.search(OPTIONS[command][option], err), err
         return
-    doc = json.loads(out.read_text())
+    doc = json.loads(artifact.read_text())
     assert all(math.isfinite(x) for x in _numbers(doc)), (option, text)

@@ -37,6 +37,14 @@ class TestLambdaMax:
         np.testing.assert_allclose(intercepts, np.log(n_pos / n_neg),
                                    atol=1e-6)
 
+    @pytest.mark.parametrize("rho,match", [
+        (0.0, "positive L1 share, got alpha_mix=0.0"),
+        (5e-324, "overflows at alpha_mix=5e-324")])
+    def test_rejects_rho_naming_alpha_mix(self, rho, match):
+        data = random_dataset(40, 6, 30)
+        with pytest.raises(DataError, match=match):
+            en_lambda_max(data.samples, data.labels, rho)
+
     def test_just_below_boundary_activates(self):
         data = random_dataset(60, 5, 31, beta=np.array([2, 0, 0, 0, 0.0]))
         lmax = en_lambda_max(data.samples, data.labels, 0.5)
