@@ -28,10 +28,13 @@ backtracking cap becomes s >= d + 1 (Cauchy-Schwarz over d + 1 blocks). The
 KKT residual holds |dR/db| in units of lam * min_j w_j: `converged` covers b.
 
 Products with the Gram blocks go through a kernels.GramBlocks (plain arrays
-are wrapped in one). A solve still running after 50 iterations asks it to
-hold every block in an orthonormal eigenbasis, K_j ~ U_j diag(Lambda_j)
-U_j^T, and the remaining iterations, like later solves on the same blocks
-whose budget the bases meet, run in beta_j = U_j^T alpha_j (variable-metric
+are wrapped in one), which can hold every block in an orthonormal
+eigenbasis, K_j ~ U_j diag(Lambda_j) U_j^T. A solve asks for the bases
+before its first iteration when it starts cold (alpha = 0) at lam <=
+lambda_max / 3, a ratio it reads off its own gradient at alpha = 0; any
+other solve still running after 50 iterations asks for them then. The
+iterations from there, like later solves on the same blocks whose budget
+the bases meet, run in beta_j = U_j^T alpha_j (variable-metric
 forward-backward splitting: Becker & Fadili 2012; Chouzenoux, Pesquet &
 Repetti 2014). There
 ||beta_j|| = ||alpha_j||, so the penalty is unchanged, and block j's
@@ -49,7 +52,8 @@ the trace can rise where a solve switches to the bases and at its last
 entry. That entry, the KKT residual that decides `converged` (reported as
 SolveReport.kkt_residual), and the public objective, group_gradient and
 lambda_max use exact kernel values at alpha_j = U_j beta_j. A solve that
-meets tol within its first 50 iterations stays dense to the end.
+meets tol within its first 50 iterations stays dense to the end, and one
+that starts in the bases computes no dense curvature gamma_j.
 
 Every iteration works on whole arrays, with a fixed number of numpy calls
 whatever d is. The blocks' coordinates are one flat vector, block j's at
@@ -93,8 +97,16 @@ class SolverError(RuntimeError):
 _SETTLE_SHRINK = 0.1
 # After this many iterations (in dense products, about the cost of factoring
 # the blocks at n = 2000) a solve that has not met tol asks for eigenbases;
-# shorter solves stay dense.
+# shorter solves stay dense. A cold start at lam <= lambda_max / _BASES_FIRST
+# asks for them before its first iteration instead. Timing the solve alone on
+# the synthetic data (2 cores), starting in the bases costs 0.07-0.43 s more
+# than starting dense at 0.8 lambda_max, where a solve takes 5-10
+# iterations, and wins below a break-even near 0.28 lambda_max at n = 500,
+# 1/3 at n = 2000 and 0.45 at n = 2400 (a cv fold of 3000 rows); at 0.1
+# lambda_max it takes 0.19 s against 0.25, 0.78 against 1.22 and 0.86
+# against 1.96.
 _FACTOR_AFTER = 50
+_BASES_FIRST = 3.0
 # share of tol * lam * w_j a basis's approximation error may move a block
 # gradient
 _FACTOR_SHARE = 0.01
@@ -439,15 +451,19 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     vector (GramBlocks.offsets), every block's gradient from one
     `gradients` call and the margins from one `scores` call, and one
     batched `group_update` per backtracking attempt, warm-started from the
-    previous multipliers. On a GramBlocks from kernels.gram_blocks,
-    iterations past the 50th of a solve that has not met cfg.tol by then
-    run in the blocks' eigenbases, with a per-coordinate majorizer (see the
-    module docstring), and every iteration does where the blocks already
-    hold bases within the solve's basis_budget; alpha is returned in its
-    own coordinates, and the objective reported last in the trace,
+    previous multipliers. On a GramBlocks from kernels.gram_blocks, every
+    iteration of a cold start (alpha = 0) at lam <= lambda_max / 3 runs in
+    the blocks' eigenbases, with a per-coordinate majorizer (see the module
+    docstring); so do the iterations past the 50th of any other solve that
+    has not met cfg.tol by then, and every iteration where the blocks
+    already hold bases within the solve's basis_budget. alpha is returned
+    in its own coordinates, and the objective reported last in the trace,
     `converged` and the report's kkt_residual are computed from exact
     kernel values at the returned alpha, with the iterations' own risk and
     group reductions.
+
+    An init that is not finite, or whose margins or objective are not,
+    raises DataError before the first iteration.
     """
     labels = np.asarray(labels, dtype=float)
     n, d = labels.size, partition.d
@@ -457,6 +473,8 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     alpha = np.zeros((d, n)) if init is None else np.array(init, dtype=float)
     if alpha.shape != (d, n):
         raise DataError("init must have shape (d, n)")
+    if not np.all(np.isfinite(alpha)):
+        raise DataError("init must be finite")
 
     lam, weights = cfg.lam, partition.weights
     # bases built to this budget or a tighter one serve; looser ones are
@@ -489,13 +507,26 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     cap = d + cfg.fit_intercept
 
     # iterates live in the blocks' coordinates: alpha_j, or U_j^T alpha_j
-    groups, curv = storage()
-    x = _to_coords(blocks, alpha)
-    f, b = blocks.scores(x), 0.0
-    r, g, g_b = grads(f, b)                 # g: at x, or None
-    obj = r + groups.penalty(x)
+    groups = _Groups(blocks.offsets, lam, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _to_coords(blocks, alpha)
+        f, b = blocks.scores(x), 0.0
+        if not np.all(np.isfinite(f)):
+            raise DataError("margin must be finite")
+        r, g, g_b = grads(f, b)             # g: at x, or None
+        obj = r + groups.penalty(x)
+    if not np.isfinite(obj):
+        raise DataError("init must give a finite objective")
     kkt = groups.kkt(x, g, g_b)
     met = kkt <= cfg.tol        # kkt has met tol at some iterate
+    # a cold start far below lambda_max, read off its gradient at alpha = 0
+    # (the value lambda_max returns), starts in the blocks' eigenbases; the
+    # margins there are 0 too, so only the gradient is taken again
+    if (may_factor and not np.any(alpha)
+            and float(np.max(groups.norms(g) / groups.weights))
+            >= _BASES_FIRST * lam and blocks.to_eigenbasis(budget)):
+        x, g = np.zeros(blocks.offsets[-1]), None
+    groups, curv = storage()
     trace = [obj]
     x_prev, b_prev, f_prev = x, b, f
     t = 1.0         # momentum sequence; 1 means restarted

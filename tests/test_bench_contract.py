@@ -6,6 +6,10 @@ that `gram_blocks` returned by its id inside `solve`, and CV quality wraps
 `model.fit` once per fold. Its quality step calls `solver.objective`,
 `group_gradient` and `lambda_max` by position. The tracer file is parsed,
 not imported, so these checks need nothing from the benchmark.
+
+perfbench/workloads.py is parsed the same way for the workloads' lambdas and
+sizes: the benchmark keeps one solve on each side of the solver's rule that
+starts a cold solve far below lambda_max in the Gram eigenbases.
 """
 
 import ast
@@ -18,9 +22,12 @@ import pytest
 
 import gska
 from gska import interpret, kernels, model, solver
+from gska.data import stratified_kfold
 from gska.evaluation import cross_validate, grid_search
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERTRACE = PERFBENCH / "layertrace.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 REQUIRED = "<required>"
 
 
@@ -208,3 +215,52 @@ def test_scoring_counts_every_query_row_one_tile_at_a_time(synth, rebind,
     rebind(cross_gram, recording)
     score(fitted, query)
     assert rows == [tile, tile, 37]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """workloads.py's literal module constants, and each workload's n by
+    its name."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    constants, sizes = {}, {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0],
+                                                       ast.Name):
+            try:
+                constants[node.targets[0].id] = ast.literal_eval(node.value)
+            except ValueError:
+                pass
+        elif isinstance(node, ast.ClassDef):
+            attrs = {t.id: stmt.value for stmt in node.body
+                     if isinstance(stmt, ast.Assign)
+                     for t in stmt.targets if isinstance(t, ast.Name)}
+            if "name" in attrs and "n" in attrs:
+                sizes[ast.literal_eval(attrs["name"])] = ast.literal_eval(
+                    attrs["n"])
+    return constants, sizes
+
+
+def _lambda_max(data, partition, sigma):
+    # as a CLI fit prepares its training set: standardized, median-heuristic
+    # bandwidths, inverse-frequency class weights
+    fold = model._prepare_fold(data, partition)
+    return solver.lambda_max(fold.gram, fold.train.labels, partition,
+                             solver.SolverConfig(
+                                 0.0, sigma, class_weights=fold.class_weights))
+
+
+@pytest.mark.parametrize("seed", [1, 104729])
+def test_workloads_sit_on_each_side_of_the_bases_first_rule(workloads,
+                                                            seed):
+    # fit_n2000's solve starts in the bases; cv_sparse_n3000's fold solves
+    # run dense (the first fold stands for the five). The inputs are those
+    # `gska synth` writes, whose repr floats read back exactly.
+    constants, sizes = workloads
+    noise, sigma = constants["NOISE"], constants["SIGMA"]
+    data, part, _ = gska.synth_generate(sizes["fit_n2000"], seed, noise)
+    assert (constants["LAM_FIT"] * solver._BASES_FIRST
+            <= _lambda_max(data, part, sigma))
+    data, part, _ = gska.synth_generate(sizes["cv_sparse_n3000"], seed, noise)
+    held_out = stratified_kfold(data.labels, constants["FOLDS"], seed) == 0
+    assert (constants["LAM_SPARSE"] * solver._BASES_FIRST
+            > _lambda_max(data.subset(~held_out), part, sigma))

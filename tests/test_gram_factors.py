@@ -1,12 +1,16 @@
 """Long solves in eigenbases of the Gram blocks.
 
-A GramBlocks from `gram_blocks` switches a solve that has not met tol after
-50 iterations to an eigenbasis of each block, built to the solve's error
-budget: from the thin SVD of a pivoted-Cholesky factor where one of rank
-below n / 2 meets the budget, else from a full eigendecomposition. The oracle is the same solve on a plain list of the
-dense blocks, which never switches. The low-rank instances use one- and
-two-feature groups so that the blocks have rank well below n / 2 at n = 300;
-five-feature groups at n = 120 have full numerical rank.
+On a GramBlocks from `gram_blocks`, a cold solve (alpha = 0) at lam <=
+lambda_max / 3 starts in an eigenbasis of each block, and any other solve
+that has not met tol after 50 iterations switches to one. Each basis is
+built to the solve's error budget: from the thin SVD of a pivoted-Cholesky
+factor where one of rank below n / 2 meets the budget, else from a full
+eigendecomposition. The oracle is the same solve on a plain list of the
+dense blocks, which never leaves them. Most solves here start cold at 0.05
+or 0.1 lambda_max, in the bases; tests of the dense phase and the switch
+after 50 iterations start warm or near lambda_max. The low-rank instances
+use one- and two-feature groups so that the blocks have rank well below
+n / 2 at n = 300; five-feature groups at n = 120 have full numerical rank.
 """
 
 import json
@@ -180,6 +184,96 @@ class TestLongSolve:
         assert rep.converged
 
 
+@pytest.fixture
+def events(monkeypatch):
+    """The solver's calls in order: "basis" for each to_eigenbasis that
+    built the bases, "prox" for each batched prox step, "norm" for each
+    power iteration."""
+    calls = []
+    for owner, name, tag in ((kernels.GramBlocks, "to_eigenbasis", "basis"),
+                             (gska.solver, "group_update", "prox"),
+                             (gska.solver, "spectral_norm_sq", "norm")):
+        def counted(*args, _original=getattr(owner, name), _tag=tag,
+                    **kwargs):
+            out = _original(*args, **kwargs)
+            if out is not False:
+                calls.append(_tag)
+            return out
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestBasesFirst:
+    """A cold start at lam <= lambda_max / 3 builds the bases before its
+    first iteration and takes no power iteration; near lambda_max, or from
+    a warm start, a solve runs dense until the switch after 50."""
+
+    @pytest.mark.parametrize("fit_intercept", [False, True],
+                             ids=["plain", "intercept"])
+    @pytest.mark.parametrize("n,groups,frac,path", [
+        (300, LOW_RANK, 0.1, "svd"), (120, FULL_RANK, 0.3, "eigh")],
+        ids=["svd", "eigh"])
+    def test_cold_start_far_below_lambda_max(self, events, basis_calls, n,
+                                             groups, frac, path,
+                                             fit_intercept):
+        data, part, spec = instance(n, groups)
+        cw = ClassWeights.inverse_frequency(data.labels)
+        gram = gska.gram_blocks(data, part, spec)
+        dense = [np.array(K) for K in gram]
+        top = lambda_max(dense, data.labels, part,
+                         SolverConfig(0.0, 1.0, class_weights=cw))
+        cfg = SolverConfig(frac * top, 1.0, tol=1e-4, max_iters=5000,
+                           class_weights=cw, fit_intercept=fit_intercept)
+        alpha, rep = solve(gram, data.labels, part, cfg)
+        assert events[0] == "basis" and events.count("basis") == 1
+        assert "norm" not in events
+        assert basis_calls == [path] * part.d
+        assert all(in_basis(gram, j) for j in range(part.d))
+        alpha_d, rep_d = solve(dense, data.labels, part, cfg)
+        assert rep.converged and rep_d.converged
+        assert rel(rep.objective_trace[-1], rep_d.objective_trace[-1]) < 1e-8
+        assert max(kkt_violations(alpha, dense, data.labels, part, cfg,
+                                  rep.intercept)) <= cfg.tol
+        assert np.all(np.diff(rep.objective_trace) <= 1e-10)
+
+    def test_cold_start_near_lambda_max_stays_dense(self, low_rank, events):
+        # lam = 0.8 lambda_max: bit for bit the solve on the dense arrays
+        data, part, spec, cfg = low_rank
+        cfg = replace(cfg, lam=cfg.lam * 8)
+        gram = gska.gram_blocks(data, part, spec)
+        dense = [np.array(K) for K in gram]
+        alpha, rep = solve(gram, data.labels, part, cfg)
+        assert rep.converged and "basis" not in events
+        assert events.count("norm") == part.d
+        assert not any(in_basis(gram, j) for j in range(part.d))
+        alpha_d, rep_d = solve(dense, data.labels, part, cfg)
+        assert np.array_equal(alpha, alpha_d)
+        assert rep.objective_trace == rep_d.objective_trace
+
+    def test_warm_start_switches_after_50_iterations(self, low_rank, events,
+                                                     capsys):
+        data, part, spec, cfg = low_rank
+        dense = [np.array(K) for K in gska.gram_blocks(data, part, spec)]
+        # from the solution at 5 lam, where max_j ||g_j|| / (lam w_j) is 5,
+        # as a cold start's is at lam = lambda_max / 5
+        init, _ = solve(dense, data.labels, part,
+                        replace(cfg, lam=cfg.lam * 5))
+        gram = gska.gram_blocks(data, part, spec)
+        _, rep = solve(gram, data.labels, part, replace(cfg, max_iters=50),
+                       init)
+        assert not rep.converged
+        assert not any(in_basis(gram, j) for j in range(part.d))
+        events.clear()
+        _, rep = solve(gram, data.labels, part, cfg, init)
+        assert rep.converged and rep.iterations > 50
+        assert all(in_basis(gram, j) for j in range(part.d))
+        switch = events.index("basis")
+        assert events.count("basis") == 1
+        assert events[:switch].count("prox") >= 50
+        # the switch may raise the objective by 1% of tol times the penalty
+        assert np.all(np.diff(rep.objective_trace) <= 1e-10)
+
+
 class TestFullRankBlock:
     def test_takes_a_full_eigenbasis_and_is_not_tried_again(self,
                                                             factor_calls,
@@ -326,15 +420,20 @@ class TestCurvatureConstants:
             calls.append(K)
             return original(K, *args, **kwargs)
 
-        rebind(original, counted)
         gram = gska.gram_blocks(data, part, spec)
         dense = [np.array(K) for K in gram]
-        _, rep = solve(gram, data.labels, part, cfg)
-        solve(gram, data.labels, part, replace(cfg, lam=cfg.lam / 2))
+        # warm starts run dense until the switch, cold ones at this lam
+        # would start in the bases
+        init, _ = solve(dense, data.labels, part,
+                        replace(cfg, lam=cfg.lam * 4))
+        rebind(original, counted)
+        _, rep = solve(gram, data.labels, part, cfg, init)
+        solve(gram, data.labels, part, replace(cfg, lam=cfg.lam / 2), init)
         assert len(calls) == part.d
-        _, rep_d = solve(dense, data.labels, part, cfg)
+        _, rep_d = solve(dense, data.labels, part, cfg, init)
         assert len(calls) == 2 * part.d
         # the cached values are the ones the power iteration gives
+        assert rep.iterations > 50
         assert rep.objective_trace[:50] == rep_d.objective_trace[:50]
 
 

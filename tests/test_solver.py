@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -401,6 +402,30 @@ class TestSolve:
         _, report = solve(gram, y, part.with_weights((0.5, 0.5)), cfg)
         assert np.isfinite(report.objective_trace[-1])
 
+    @pytest.mark.parametrize("entries,value,message", [
+        ("one", np.nan, "init must be finite"),
+        ("one", np.inf, "init must be finite"),
+        ("one", -np.inf, "init must be finite"),
+        ("all", 1e308, "margin must be finite"),
+        ("one", 1e308, "init must give a finite objective")],
+        ids=["nan", "inf", "-inf", "overflowing-margins",
+             "overflowing-penalty"])
+    def test_non_finite_start_is_a_data_error(self, entries, value, message):
+        # a start whose coefficients, margins or objective are not finite is
+        # bad input, found before any iteration, without a warning
+        data, part, _ = gska.synth_generate(60, 1, 0.2)
+        gram = gska.gram_blocks(data, part,
+                                gska.median_heuristic_gamma(data, part))
+        init = np.zeros((part.d, data.n))
+        if entries == "all":
+            init[:] = value
+        else:
+            init[1, 7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                solve(gram, data.labels, part, SolverConfig(0.05), init)
+
     def test_deterministic(self):
         gram, y, part, cfg = make_instance(15, [(0,), (1, 2)], 16, lam=0.05)
         a1, _ = solve(gram, y, part, cfg)
@@ -497,10 +522,15 @@ class TestStoppingRule:
         assert abs(grad_b) <= tol * cfg.lam * min(part.weights)
 
     def test_meeting_tol_before_the_switch_stays_dense(self):
-        # this solve meets tol before iteration 50 and settles past it
+        # this solve, warm-started from the solution at twice lam (a cold
+        # start at lam = lambda_max / 3.6 would start in the bases), meets
+        # tol before iteration 50 and settles past it
         gram, y, part, cfg = make_instance(15, [(0,), (1, 2)], 16, lam=0.05)
-        assert solve(gram, y, part, replace(cfg, max_iters=49))[1].converged
-        _, report = solve(gram, y, part, cfg)
+        init, _ = solve([np.array(K) for K in gram], y, part,
+                        replace(cfg, lam=2 * cfg.lam))
+        assert solve(gram, y, part, replace(cfg, max_iters=49),
+                     init)[1].converged
+        _, report = solve(gram, y, part, cfg, init)
         assert report.converged and report.iterations > 50
         assert all(gram.eigvals(j) is None for j in range(part.d))
 
