@@ -5,7 +5,8 @@ heuristic, with a shared-gamma override available at the call sites that
 build KernelSpec. `gram_blocks` returns a GramBlocks container holding a
 training set's d blocks. Each starts dense; the solver may ask the container,
 once, to replace every block by an orthonormal eigenbasis U_j with
-eigenvalues Lambda_j, K_j ~ U_j diag(Lambda_j) U_j^T, when a solve runs long.
+eigenvalues Lambda_j, K_j ~ U_j diag(Lambda_j) U_j^T, for a solve far below
+lambda_max.
 Every basis is built to an error budget B, the spectral-norm error
 ||K_j - U_j Lambda_j U_j^T||_2 the solve that asks for it allows
 (solver.basis_budget), and the container records the budget its bases meet.

@@ -29,14 +29,13 @@ KKT residual holds |dR/db| in units of lam * min_j w_j: `converged` covers b.
 
 Products with the Gram blocks go through a kernels.GramBlocks (plain arrays
 are wrapped in one), which can hold every block in an orthonormal
-eigenbasis, K_j ~ U_j diag(Lambda_j) U_j^T. A solve asks for the bases
-before its first iteration when it starts cold (alpha = 0) at lam <=
-lambda_max / 3, a ratio it reads off its own gradient at alpha = 0; any
-other solve still running after 50 iterations asks for them then. The
-iterations from there, like later solves on the same blocks whose budget
-the bases meet, run in beta_j = U_j^T alpha_j (variable-metric
-forward-backward splitting: Becker & Fadili 2012; Chouzenoux, Pesquet &
-Repetti 2014). There
+eigenbasis, K_j ~ U_j diag(Lambda_j) U_j^T. A solve on dense blocks at lam
+<= lambda_max / 3, a ratio it reads off the gradient at alpha = 0 (a cold
+start's own, one more product for a warm start), asks for the bases before
+its first iteration, and its start is mapped into them. Its iterations, like
+those of later solves on the same blocks whose budget the bases meet, run in
+beta_j = U_j^T alpha_j (variable-metric forward-backward splitting: Becker &
+Fadili 2012; Chouzenoux, Pesquet & Repetti 2014). There
 ||beta_j|| = ||alpha_j||, so the penalty is unchanged, and block j's
 curvature is bounded coordinate by coordinate, m_j = 1.01 * L * c_max *
 Lambda_j^2 / n, in place of the one scalar gamma_j that the largest
@@ -48,12 +47,10 @@ more than 1% of tol * lam * w_j. A solve reuses bases built to its budget or
 a tighter one and rebuilds dense the blocks held in looser ones; one whose
 budget is under GramBlocks.floor, a tiny tol, runs dense. The objective
 then moves by at most 1% of tol times the penalty term, which bounds how far
-the trace can rise where a solve switches to the bases and at its last
-entry. That entry, the KKT residual that decides `converged` (reported as
-SolveReport.kkt_residual), and the public objective, group_gradient and
-lambda_max use exact kernel values at alpha_j = U_j beta_j. A solve that
-meets tol within its first 50 iterations stays dense to the end, and one
-that starts in the bases computes no dense curvature gamma_j.
+the trace can rise at its last entry. That entry, the KKT residual that
+decides `converged` (reported as SolveReport.kkt_residual), and the public
+objective, group_gradient and lambda_max use exact kernel values at alpha_j
+= U_j beta_j. A solve in the bases computes no dense curvature gamma_j.
 
 Every iteration works on whole arrays, with a fixed number of numpy calls
 whatever d is. The blocks' coordinates are one flat vector, block j's at
@@ -95,17 +92,11 @@ class SolverError(RuntimeError):
 # tol lands anywhere in (0, tol]; a solve that meets tol runs on to
 # _SETTLE_SHRINK * tol, so that the answer's accuracy is steady.
 _SETTLE_SHRINK = 0.1
-# After this many iterations (in dense products, about the cost of factoring
-# the blocks at n = 2000) a solve that has not met tol asks for eigenbases;
-# shorter solves stay dense. A cold start at lam <= lambda_max / _BASES_FIRST
-# asks for them before its first iteration instead. Timing the solve alone on
-# the synthetic data (2 cores), starting in the bases costs 0.07-0.43 s more
-# than starting dense at 0.8 lambda_max, where a solve takes 5-10
-# iterations, and wins below a break-even near 0.28 lambda_max at n = 500,
-# 1/3 at n = 2000 and 0.45 at n = 2400 (a cv fold of 3000 rows); at 0.1
-# lambda_max it takes 0.19 s against 0.25, 0.78 against 1.22 and 0.86
-# against 1.96.
-_FACTOR_AFTER = 50
+# A solve on dense blocks at lam <= lambda_max / _BASES_FIRST takes eigenbases
+# before its first iteration. Timing solves alone on the synthetic data (2
+# cores), the bases cost 0.07-0.43 s more at 0.8 lambda_max, where a dense
+# solve takes 5-10 iterations, and break even near 0.28 lambda_max at n =
+# 500, 1/3 at n = 2000 and 0.45 at n = 2400 (a cv fold of 3000 rows).
 _BASES_FIRST = 3.0
 # share of tol * lam * w_j a basis's approximation error may move a block
 # gradient
@@ -389,6 +380,11 @@ class _Groups:
     def __init__(self, offsets, lam: float, weights):
         self.offsets = offsets
         self._starts, self._sizes = offsets[:-1], np.diff(offsets)
+        # reduceat gives an empty segment (a basis that keeps no eigenvalue)
+        # the next one's first entry, or fails at the end, so norms sums the
+        # others and gives the empty ones 0
+        self._held = self._sizes > 0
+        self._held_starts = self._starts[self._held]
         self.weights = np.asarray(weights, dtype=float)
         self.thresh = lam * self.weights
         # lam * w_j, or w_j where that is 0 (lam 0, or below the smallest
@@ -397,7 +393,9 @@ class _Groups:
         self._b_units = float(self._units[np.argmin(self.weights)])
 
     def norms(self, v) -> np.ndarray:
-        return np.sqrt(np.add.reduceat(v * v, self._starts))
+        sq = np.zeros(self._held.size)
+        sq[self._held] = np.add.reduceat(v * v, self._held_starts)
+        return np.sqrt(sq)
 
     def penalty(self, x) -> float:
         return float(self.thresh @ self.norms(x))
@@ -452,18 +450,16 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     `gradients` call and the margins from one `scores` call, and one
     batched `group_update` per backtracking attempt, warm-started from the
     previous multipliers. On a GramBlocks from kernels.gram_blocks, every
-    iteration of a cold start (alpha = 0) at lam <= lambda_max / 3 runs in
-    the blocks' eigenbases, with a per-coordinate majorizer (see the module
-    docstring); so do the iterations past the 50th of any other solve that
-    has not met cfg.tol by then, and every iteration where the blocks
-    already hold bases within the solve's basis_budget. alpha is returned
-    in its own coordinates, and the objective reported last in the trace,
-    `converged` and the report's kkt_residual are computed from exact
-    kernel values at the returned alpha, with the iterations' own risk and
-    group reductions.
+    iteration of a solve at lam <= lambda_max / 3 runs in the blocks'
+    eigenbases, with a per-coordinate majorizer (see the module docstring),
+    as does every iteration where the blocks already hold bases within the
+    solve's basis_budget. alpha is returned in its own coordinates, and the
+    objective reported last in the trace, `converged` and the report's
+    kkt_residual are computed from exact kernel values at the returned
+    alpha, with the iterations' own risk and group reductions.
 
     An init that is not finite, or whose margins or objective are not,
-    raises DataError before the first iteration.
+    raises DataError before any basis is built.
     """
     labels = np.asarray(labels, dtype=float)
     n, d = labels.size, partition.d
@@ -506,27 +502,33 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     # by Cauchy-Schwarz over the d blocks and a fitted b, scale >= cap bounds
     cap = d + cfg.fit_intercept
 
-    # iterates live in the blocks' coordinates: alpha_j, or U_j^T alpha_j
+    # iterates live in the blocks' coordinates: alpha_j, or U_j^T alpha_j;
+    # the start is checked in those the blocks hold (exact while dense)
     groups = _Groups(blocks.offsets, lam, weights)
     with np.errstate(over="ignore", invalid="ignore"):
         x = _to_coords(blocks, alpha)
         f, b = blocks.scores(x), 0.0
         if not np.all(np.isfinite(f)):
             raise DataError("margin must be finite")
-        r, g, g_b = grads(f, b)             # g: at x, or None
-        obj = r + groups.penalty(x)
-    if not np.isfinite(obj):
-        raise DataError("init must give a finite objective")
+        r, g, g_b = grads(f, b)
+        if not np.isfinite(r + groups.penalty(x)):
+            raise DataError("init must give a finite objective")
     kkt = groups.kkt(x, g, g_b)
     met = kkt <= cfg.tol        # kkt has met tol at some iterate
-    # a cold start far below lambda_max, read off its gradient at alpha = 0
-    # (the value lambda_max returns), starts in the blocks' eigenbases; the
-    # margins there are 0 too, so only the gradient is taken again
-    if (may_factor and not np.any(alpha)
-            and float(np.max(groups.norms(g) / groups.weights))
-            >= _BASES_FIRST * lam and blocks.to_eigenbasis(budget)):
-        x, g = np.zeros(blocks.offsets[-1]), None
+    # dense blocks take eigenbases for a solve with iterations to run far
+    # below lambda_max, read off the gradient at alpha = 0 (the value
+    # lambda_max returns, a cold start's own), and the start is mapped into
+    # them
+    if (may_factor and blocks.budget is None
+            and not kkt <= _SETTLE_SHRINK * cfg.tol):
+        g_0 = grads(np.zeros(n), 0.0)[1] if np.any(alpha) else g
+        if (float(np.max(groups.norms(g_0) / groups.weights))
+                >= _BASES_FIRST * lam and blocks.to_eigenbasis(budget)):
+            x, g = _to_coords(blocks, alpha), None
+            f = blocks.scores(x)
+            r = risk.risk(f, b)
     groups, curv = storage()
+    obj = r + groups.penalty(x)
     trace = [obj]
     x_prev, b_prev, f_prev = x, b, f
     t = 1.0         # momentum sequence; 1 means restarted
@@ -535,16 +537,6 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     warm = np.zeros(d)
     it = 0
     while it < cfg.max_iters and not kkt <= _SETTLE_SHRINK * cfg.tol:
-        if (it == _FACTOR_AFTER and not met and may_factor
-                and blocks.to_eigenbasis(budget)):
-            # go on from the same point in the blocks' eigenbases
-            x, x_prev = (_to_coords(blocks, v.reshape(d, n))
-                         for v in (x, x_prev))
-            groups, curv = storage()
-            f, f_prev = blocks.scores(x), blocks.scores(x_prev)
-            r = risk.risk(f, b)
-            obj = r + groups.penalty(x)
-            g, warm = None, np.zeros(d)
         it += 1
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next

@@ -1,16 +1,17 @@
 """Long solves in eigenbases of the Gram blocks.
 
-On a GramBlocks from `gram_blocks`, a cold solve (alpha = 0) at lam <=
-lambda_max / 3 starts in an eigenbasis of each block, and any other solve
-that has not met tol after 50 iterations switches to one. Each basis is
-built to the solve's error budget: from the thin SVD of a pivoted-Cholesky
-factor where one of rank below n / 2 meets the budget, else from a full
+On a GramBlocks from `gram_blocks` whose blocks are dense, a solve at lam
+<= lambda_max / 3, read off the gradient at alpha = 0 whether it starts cold
+or warm, builds an eigenbasis of each block before its first iteration; a
+solve above that ratio runs dense to the end. Each basis is built to the
+solve's error budget: from the thin SVD of a pivoted-Cholesky factor where
+one of rank below n / 2 meets the budget, else from a full
 eigendecomposition. The oracle is the same solve on a plain list of the
 dense blocks, which never leaves them. Most solves here start cold at 0.05
-or 0.1 lambda_max, in the bases; tests of the dense phase and the switch
-after 50 iterations start warm or near lambda_max. The low-rank instances
-use one- and two-feature groups so that the blocks have rank well below
-n / 2 at n = 300; five-feature groups at n = 120 have full numerical rank.
+or 0.1 lambda_max, in the bases; tests of dense solves run above
+lambda_max / 3. The low-rank instances use one- and two-feature groups so
+that the blocks have rank well below n / 2 at n = 300; five-feature groups
+at n = 120 have full numerical rank.
 """
 
 import json
@@ -203,10 +204,24 @@ def events(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def gradient_events(events, monkeypatch):
+    """events, with "exact" for each GramBlocks.exact_gradients call: every
+    gradient on dense blocks, and the final KKT check's."""
+    original = kernels.GramBlocks.exact_gradients
+
+    def counted(self, s):
+        events.append("exact")
+        return original(self, s)
+
+    monkeypatch.setattr(kernels.GramBlocks, "exact_gradients", counted)
+    return events
+
+
 class TestBasesFirst:
-    """A cold start at lam <= lambda_max / 3 builds the bases before its
-    first iteration and takes no power iteration; near lambda_max, or from
-    a warm start, a solve runs dense until the switch after 50."""
+    """A solve on dense blocks at lam <= lambda_max / 3 builds the bases
+    before its first iteration and takes no power iteration; nearer
+    lambda_max, a solve runs dense to the end."""
 
     @pytest.mark.parametrize("fit_intercept", [False, True],
                              ids=["plain", "intercept"])
@@ -250,28 +265,75 @@ class TestBasesFirst:
         assert np.array_equal(alpha, alpha_d)
         assert rep.objective_trace == rep_d.objective_trace
 
-    def test_warm_start_switches_after_50_iterations(self, low_rank, events,
-                                                     capsys):
+    def test_warm_start_far_below_lambda_max(self, low_rank,
+                                             gradient_events):
+        # from the solution at 5 lam = lambda_max / 2: one more gradient, at
+        # alpha = 0, reads lambda_max / lam = 10 before any prox step
         data, part, spec, cfg = low_rank
         dense = [np.array(K) for K in gska.gram_blocks(data, part, spec)]
-        # from the solution at 5 lam, where max_j ||g_j|| / (lam w_j) is 5,
-        # as a cold start's is at lam = lambda_max / 5
         init, _ = solve(dense, data.labels, part,
                         replace(cfg, lam=cfg.lam * 5))
         gram = gska.gram_blocks(data, part, spec)
-        _, rep = solve(gram, data.labels, part, replace(cfg, max_iters=50),
-                       init)
-        assert not rep.converged
-        assert not any(in_basis(gram, j) for j in range(part.d))
-        events.clear()
+        gradient_events.clear()
         _, rep = solve(gram, data.labels, part, cfg, init)
-        assert rep.converged and rep.iterations > 50
+        first = gradient_events.index("prox")
+        assert gradient_events[:first] == ["exact", "exact", "basis"]
+        assert gradient_events.count("basis") == 1
+        assert "norm" not in gradient_events
         assert all(in_basis(gram, j) for j in range(part.d))
-        switch = events.index("basis")
-        assert events.count("basis") == 1
-        assert events[:switch].count("prox") >= 50
-        # the switch may raise the objective by 1% of tol times the penalty
+        _, rep_d = solve(dense, data.labels, part, cfg, init)
+        assert rep.converged and rep_d.converged
+        assert rel(rep.objective_trace[-1], rep_d.objective_trace[-1]) < 1e-8
         assert np.all(np.diff(rep.objective_trace) <= 1e-10)
+
+    def test_settled_warm_start_builds_nothing(self, low_rank, events):
+        # a start already within tol / 10 runs no iteration: it keeps its
+        # own coefficients, on the dense blocks
+        data, part, spec, cfg = low_rank
+        dense = [np.array(K) for K in gska.gram_blocks(data, part, spec)]
+        init, rep_d = solve(dense, data.labels, part, cfg)
+        assert rep_d.kkt_residual <= 0.1 * cfg.tol
+        gram = gska.gram_blocks(data, part, spec)
+        alpha, rep = solve(gram, data.labels, part, cfg, init)
+        assert rep.iterations == 0 and "basis" not in events
+        assert not any(in_basis(gram, j) for j in range(part.d))
+        assert np.array_equal(alpha, init)
+        assert rep.kkt_residual == rep_d.kkt_residual
+
+    @pytest.mark.parametrize("frac", [0.1, 0.8])
+    def test_cold_start_takes_one_gradient_at_zero(self, low_rank,
+                                                   gradient_events, frac):
+        # the gradient at alpha = 0 both decides the coordinates and starts
+        # the iterations
+        data, part, spec, cfg = low_rank
+        gram = gska.gram_blocks(data, part, spec)
+        _, rep = solve(gram, data.labels, part,
+                       replace(cfg, lam=cfg.lam * frac / 0.1))
+        assert rep.converged
+        first = gradient_events.index("prox")
+        assert gradient_events[:first].count("exact") == 1
+        assert in_basis(gram, 0) == (frac < 1 / 3)
+        if frac < 1 / 3:
+            # in the bases, only the final check takes another
+            assert gradient_events.count("exact") == 2
+            assert gradient_events[-1] == "exact"
+
+    def test_solve_on_held_bases_takes_no_dense_gradient(self, low_rank,
+                                                         gradient_events):
+        # as a grid's later solves on a fold: cold and warm starts on bases
+        # within their budget take only the final check's exact gradient
+        data, part, spec, cfg = low_rank
+        gram = gska.gram_blocks(data, part, spec)
+        init, _ = solve(gram, data.labels, part, cfg)
+        for start in (None, init):
+            gradient_events.clear()
+            _, rep = solve(gram, data.labels, part,
+                           replace(cfg, lam=cfg.lam * 1.25), start)
+            assert rep.converged and "prox" in gradient_events
+            assert gradient_events.count("exact") == 1
+            assert gradient_events[-1] == "exact"
+            assert "basis" not in gradient_events
+            assert "norm" not in gradient_events
 
 
 class TestFullRankBlock:
@@ -422,19 +484,21 @@ class TestCurvatureConstants:
 
         gram = gska.gram_blocks(data, part, spec)
         dense = [np.array(K) for K in gram]
-        # warm starts run dense until the switch, cold ones at this lam
-        # would start in the bases
+        # warm starts above lambda_max / 3 run dense: lam = 0.35 lambda_max
+        # from the solution at twice lam takes more than 50 iterations
+        cfg = replace(cfg, lam=cfg.lam * 3.5)
         init, _ = solve(dense, data.labels, part,
-                        replace(cfg, lam=cfg.lam * 4))
+                        replace(cfg, lam=cfg.lam * 2))
         rebind(original, counted)
         _, rep = solve(gram, data.labels, part, cfg, init)
-        solve(gram, data.labels, part, replace(cfg, lam=cfg.lam / 2), init)
+        solve(gram, data.labels, part, replace(cfg, lam=cfg.lam * 1.25), init)
         assert len(calls) == part.d
+        assert not any(in_basis(gram, j) for j in range(part.d))
         _, rep_d = solve(dense, data.labels, part, cfg, init)
         assert len(calls) == 2 * part.d
         # the cached values are the ones the power iteration gives
         assert rep.iterations > 50
-        assert rep.objective_trace[:50] == rep_d.objective_trace[:50]
+        assert rep.objective_trace == rep_d.objective_trace
 
 
 @pytest.fixture
@@ -499,7 +563,7 @@ class TestSwitch:
     def test_settles_to_a_tenth_of_tol_in_the_bases(self, seed, container):
         # A solve that meets tol goes on to tol / 10 (eight more iterations
         # would leave these at 0.0039 and 0.0049 in the bases), and so does
-        # one on a plain list of the dense blocks, which never switches. The
+        # one on a plain list of the dense blocks, which never leaves them. The
         # exact residual may exceed the one in the bases by 1% of tol.
         data, part, _ = gska.synth_generate(500, seed, 0.2)
         data, _ = gska.standardize(data)
@@ -788,10 +852,10 @@ class TestBudget:
 
 
 @pytest.fixture(scope="module")
-def switch_data(tmp_path_factory):
+def basis_data(tmp_path_factory):
     # n = 200: the paper's 3-feature groups have rank above n / 2 (eigh);
     # twelve 1-feature groups have rank far below it (SVD of the factor)
-    out = tmp_path_factory.mktemp("switch")
+    out = tmp_path_factory.mktemp("bases")
     assert run(["synth", "--n", "200", "--seed", "5", "--noise", "0.2",
                 "--out", str(out)]) == 0
     singles = [{"name": f"s{i}", "features": [f"f{i}"], "weight": 1.0}
@@ -800,14 +864,14 @@ def switch_data(tmp_path_factory):
     return out
 
 
-class TestSwitchedReruns:
+class TestBasisReruns:
     @pytest.mark.parametrize("groups,path", [("groups.json", "eigh"),
                                              ("singles.json", "svd")],
                              ids=["eigh", "svd"])
-    def test_fit_and_grid_byte_identical(self, switch_data, tmp_path,
+    def test_fit_and_grid_byte_identical(self, basis_data, tmp_path,
                                          basis_calls, groups, path):
-        data = ["--data", str(switch_data / "features.csv"),
-                "--groups", str(switch_data / groups)]
+        data = ["--data", str(basis_data / "features.csv"),
+                "--groups", str(basis_data / groups)]
         commands = {
             "fit": ["fit", *data, "--lambda", "0.03", "--sigma", "0.5"],
             "grid": ["grid", *data, "--lambdas", "0.03", "--sigmas", "0.5",

@@ -412,10 +412,14 @@ class TestSolve:
              "overflowing-penalty"])
     def test_non_finite_start_is_a_data_error(self, entries, value, message):
         # a start whose coefficients, margins or objective are not finite is
-        # bad input, found before any iteration, without a warning
+        # bad input, found before any iteration, without a warning; at lam
+        # = 0.05 <= lambda_max / 3 a sound warm start would take the bases,
+        # so the start is checked before they are built
         data, part, _ = gska.synth_generate(60, 1, 0.2)
         gram = gska.gram_blocks(data, part,
                                 gska.median_heuristic_gamma(data, part))
+        assert 3 * 0.05 <= lambda_max(gram, data.labels, part,
+                                      SolverConfig(0.0))
         init = np.zeros((part.d, data.n))
         if entries == "all":
             init[:] = value
@@ -425,6 +429,8 @@ class TestSolve:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=message):
                 solve(gram, data.labels, part, SolverConfig(0.05), init)
+        assert gram.budget is None
+        assert all(gram.eigvals(j) is None for j in range(part.d))
 
     def test_deterministic(self):
         gram, y, part, cfg = make_instance(15, [(0,), (1, 2)], 16, lam=0.05)
@@ -521,15 +527,14 @@ class TestStoppingRule:
                   - objective(alpha, gram, y, part, cfg, b - h)) / (2 * h)
         assert abs(grad_b) <= tol * cfg.lam * min(part.weights)
 
-    def test_meeting_tol_before_the_switch_stays_dense(self):
-        # this solve, warm-started from the solution at twice lam (a cold
-        # start at lam = lambda_max / 3.6 would start in the bases), meets
-        # tol before iteration 50 and settles past it
-        gram, y, part, cfg = make_instance(15, [(0,), (1, 2)], 16, lam=0.05)
+    def test_warm_start_above_a_third_of_lambda_max_stays_dense(self):
+        # lam = 0.07 is lambda_max / 2.6: this solve, warm-started from the
+        # solution at twice lam, runs past iteration 50 on the dense blocks
+        gram, y, part, cfg = make_instance(15, [(0,), (1, 2)], 16, lam=0.07,
+                                           tol=1e-4)
+        assert 3 * cfg.lam > lambda_max(gram, y, part, cfg)
         init, _ = solve([np.array(K) for K in gram], y, part,
                         replace(cfg, lam=2 * cfg.lam))
-        assert solve(gram, y, part, replace(cfg, max_iters=49),
-                     init)[1].converged
         _, report = solve(gram, y, part, cfg, init)
         assert report.converged and report.iterations > 50
         assert all(gram.eigvals(j) is None for j in range(part.d))
@@ -573,6 +578,19 @@ class TestStoppingRule:
                   np.array([0.0, 0.0, 0.0, np.nan])):
             assert np.isnan(groups.kkt(x, g, 0.0))
         assert np.isnan(groups.kkt(x, np.zeros(4), np.nan))
+
+    def test_empty_segments_have_zero_norm(self):
+        # a basis that keeps no eigenvalue holds no coordinates, in the
+        # middle of the flat vector or at its end
+        v = np.array([3.0, 4.0, 0.0, 6.0, 8.0])
+        for offsets, norms in (([0, 3, 3, 5], [5.0, 0.0, 10.0]),
+                               ([0, 2, 5, 5], [5.0, 10.0, 0.0]),
+                               ([0, 0, 0], [0.0, 0.0])):
+            groups = _Groups(np.array(offsets), 0.1, (1.0,) * len(norms))
+            w = v[:offsets[-1]]
+            np.testing.assert_array_equal(groups.norms(w), norms)
+            assert groups.penalty(w) == pytest.approx(0.1 * sum(norms))
+            assert groups.kkt(0 * w, 0 * w, 0.0) == 0.0
 
     def test_cap_warns_once_on_stderr(self, capsys):
         gram, y, part, _ = make_instance(30, [(0, 1), (2, 3)], 25)
