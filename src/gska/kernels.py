@@ -2,11 +2,13 @@
 
 One bandwidth gamma per group; the default comes from the per-group median
 heuristic, with a shared-gamma override available at the call sites that
-build KernelSpec. `gram_blocks` returns a GramBlocks container holding a
-training set's d blocks. Each starts dense; the solver may ask the container,
-once, to replace every block by an orthonormal eigenbasis U_j with
-eigenvalues Lambda_j, K_j ~ U_j diag(Lambda_j) U_j^T, for a solve far below
-lambda_max.
+build KernelSpec. `gram_blocks` returns a GramBlocks container for a
+training set's d blocks that holds the training rows and the bandwidths but
+no block: each is built dense the first time a product or a caller needs
+it, so a solve that goes to the bases after reading one block's gradient
+never holds the others. The solver may ask the container, once, to replace
+every block by an orthonormal eigenbasis U_j with eigenvalues Lambda_j,
+K_j ~ U_j diag(Lambda_j) U_j^T, for a solve far below lambda_max.
 Every basis is built to an error budget B, the spectral-norm error
 ||K_j - U_j Lambda_j U_j^T||_2 the solve that asks for it allows
 (solver.basis_budget), and the container records the budget its bases meet.
@@ -23,10 +25,10 @@ solve's gradients for all blocks take one product with the stack, and its
 summed margins another. A full-rank block is rebuilt dense in its own
 rows of the stack before its decomposition, which then holds two n x n
 arrays beside it; a factor's QR holds four n x r_j arrays beside the stack
-for a moment. A block's exact values are rebuilt from the training rows on
-demand, entry for entry as first built. A GramBlocks serves the solver
-only: scoring and interpretation build `cross_gram` blocks for one tile of
-rows at a time.
+for a moment. While the bases are held, a block's exact values are rebuilt
+from the training rows on demand, entry for entry as its dense array is
+built. A GramBlocks serves the solver only: scoring and interpretation build
+`cross_gram` blocks for one tile of rows at a time.
 
 The median heuristic selects its median by counting (Floyd & Rivest 1975):
 the quantiles of about m^(2/3) evenly spread pairs, of the m = n(n - 1)/2,
@@ -108,16 +110,6 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float,
     return D
 
 
-def _kernel_blocks(train: Dataset, other: Dataset, partition: GroupPartition,
-                   spec: KernelSpec, groups=None) -> list[np.ndarray]:
-    if len(spec.gammas) != partition.d:
-        raise DataError("one gamma per group required")
-    return [_kernel_matrix(train.samples[:, partition.groups[j]],
-                           other.samples[:, partition.groups[j]],
-                           spec.gammas[j])
-            for j in (range(partition.d) if groups is None else groups)]
-
-
 def _pivoted_cholesky(kernel_row, n: int, budget: float):
     """L^T with tr(K - L L^T) <= budget when such an L has rank below n / 2,
     else None.
@@ -168,15 +160,19 @@ def _basis_from_gram(K, budget: float):
 
 
 class GramBlocks(Sequence):
-    """A training set's Gram blocks K_j, all dense or all in eigenbases.
+    """A training set's Gram blocks K_j, each dense or not yet built, or all
+    in eigenbases.
 
-    `blocks[j]` is K_j as a read-only array (a block held in a basis is
-    rebuilt in full for the caller). `dot(j, v)` is the exact K_j v: a basis
-    block's rows are rebuilt _CHUNK_ROWS at a time, bit for bit as first
-    built. `to_eigenbasis(budget)` replaces every block by U_j (n x r_j,
+    `blocks[j]` is K_j as a read-only array. `dot(j, v)` is the exact K_j v.
+    While no bases are held, either builds block j dense the first time it
+    is needed, with one `_kernel_matrix` over the group's training rows, and
+    keeps it. A block held in a basis is rebuilt in full for `blocks[j]`,
+    and its rows _CHUNK_ROWS at a time for `dot`, bit for bit as the dense
+    array. `to_eigenbasis(budget)` replaces every block by U_j (n x r_j,
     orthonormal) and Lambda_j with ||K_j - U_j Lambda_j U_j^T||_2 at most
-    `budget` (then recorded), and `drop_bases` rebuilds them dense. Built
-    from plain arrays (no training rows), the container never leaves them.
+    `budget` (then recorded), and `drop_bases` leaves every block unbuilt
+    again. Built from plain arrays (no training rows), the container holds
+    them and never leaves them.
 
     The d bases are held as one array, the rows U_j^T stacked in group
     order (sum_j r_j x n), with the eigenvalues in one flat vector beside
@@ -192,8 +188,8 @@ class GramBlocks(Sequence):
     `scores(x)` is sum_j K_j alpha_j, (Lambda x) U^T in a basis: one product
     each with the stack. `exact_gradients(s)` and `exact_scores(a)` are the
     same products exactly, in alpha coordinates (n values a block), through
-    `dot`: the dense arrays where held, rows rebuilt in chunks otherwise.
-    While the blocks are dense, `gradients` and `scores` are these, so the
+    `dot`: the dense arrays while no bases are held, rows rebuilt in chunks
+    otherwise. Without bases, `gradients` and `scores` are these, so the
     dense path is the exact one. `norms_sq` caches each block's spectral
     norm squared, taken while dense.
 
@@ -204,14 +200,18 @@ class GramBlocks(Sequence):
     `floor` is the tightest budget a build may take.
     """
 
-    def __init__(self, blocks, rows=None, gammas=None):
-        self._dense = list(blocks)
+    def __init__(self, blocks=(), rows=None, gammas=None):
+        # plain arrays, or each group's training rows and bandwidth, from
+        # which every block starts unbuilt (None)
         self._rows, self._gammas = rows, gammas
+        self._dense = list(blocks) if rows is None else [None] * len(rows)
         self._Ut = self._eig = None     # the stacked bases, or None
         self.budget = None
         self.shared_budget = np.inf
-        self.n = self._dense[0].shape[0] if self._dense else 0
-        if any(K.shape != (self.n, self.n) for K in self._dense):
+        given = self._dense if rows is None else rows
+        self.n = given[0].shape[0] if given else 0
+        if any(K.shape != (self.n, self.n) for K in self._dense
+               if K is not None):
             raise DataError("Gram blocks must be square and of one size")
         self.offsets = np.arange(len(self._dense) + 1) * self.n
         self.norms_sq = {}
@@ -224,6 +224,8 @@ class GramBlocks(Sequence):
         if K is None:
             K = self._kernel_rows(j, 0, self.n)
             K.setflags(write=False)
+            if self._Ut is None:
+                self._dense[j] = K
         return K
 
     @property
@@ -244,8 +246,8 @@ class GramBlocks(Sequence):
 
     def dot(self, j, v) -> np.ndarray:
         """Exact K_j v."""
-        if self._dense[j] is not None:
-            return self._dense[j] @ v
+        if self._Ut is None:
+            return self[j] @ v
         out = np.empty(self.n)
         for start in range(0, self.n, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, self.n)
@@ -286,10 +288,10 @@ class GramBlocks(Sequence):
         return (self._eig * x) @ self._Ut
 
     def drop_bases(self):
-        """Rebuild every block dense; the bases may then be built again."""
+        """Drop the bases, leaving every block unbuilt until it is needed;
+        the bases may then be built again."""
         if self._Ut is not None:
             self._Ut = self._eig = self.budget = None
-            self._dense = [self[j] for j in range(len(self))]
             self.offsets = np.arange(len(self) + 1) * self.n
 
     def to_eigenbasis(self, budget: float) -> bool:
@@ -298,25 +300,25 @@ class GramBlocks(Sequence):
         Each basis's error ||K_j - U_j Lambda_j U_j^T||_2 is at most the
         smaller of budget and shared_budget, but never below floor; that
         bound is recorded as `budget`. Does nothing without training rows
-        or while the blocks hold bases (until `drop_bases`). Each block's
-        dense array is dropped first, and pivoted Cholesky reads kernel rows
-        rebuilt from the training rows. Only once every block has been
-        tried does the decomposition run, block by block: a factor of rank
-        r_j below n / 2 takes the thin SVD of the factor (four n x r_j
-        arrays beside the stack while its QR runs), and any other block is
-        rebuilt dense in its own rows of the stack and decomposed by eigh
+        or while the blocks hold bases (until `drop_bases`). Every dense
+        array built so far is dropped first, and pivoted Cholesky reads
+        kernel rows rebuilt from the training rows. Only once every block
+        has been tried does the decomposition run, block by block: a factor
+        of rank r_j below n / 2 takes the thin SVD of the factor (four n x
+        r_j arrays beside the stack while its QR runs), and any other block
+        is rebuilt dense in its own rows of the stack and decomposed by eigh
         (two n x n arrays beside it). Each basis is then written into the
-        block's rows. The stack is allocated for n rows per full-rank
-        block and cut to the rows kept once all are built. So memory never
-        holds a basis or its workspace beside all d dense blocks, and no
-        more than one block's finished basis is held beside the stack.
+        block's rows. The stack is allocated for n rows per full-rank block
+        and cut to the rows kept once all are built. So memory never holds
+        a basis or its workspace beside the dense blocks, and no more than
+        one block's finished basis is held beside the stack.
         """
         if self._rows is None or self._Ut is not None:
             return False
         budget = max(self.floor, min(budget, self.shared_budget))
+        self._dense = [None] * len(self)
         factors = []
         for j in range(len(self)):
-            self._dense[j] = None
             factors.append(_pivoted_cholesky(
                 lambda p: self._kernel_rows(j, p, p + 1)[0], self.n, budget))
         stack = np.empty((sum(self.n if Lt is None else len(Lt)
@@ -348,12 +350,16 @@ class GramBlocks(Sequence):
 
 def gram_blocks(train: Dataset, partition: GroupPartition,
                 spec: KernelSpec) -> GramBlocks:
-    """Gram matrix of each group's kernel over the training samples."""
-    blocks = _kernel_blocks(train, train, partition, spec)
-    for B in blocks:
-        B.setflags(write=False)
+    """Gram matrix of each group's kernel over the training samples.
+
+    No block is built here: the container keeps each group's training rows
+    and bandwidth, and builds a block the first time it is needed (see
+    GramBlocks).
+    """
+    if len(spec.gammas) != partition.d:
+        raise DataError("one gamma per group required")
     rows = [train.samples[:, idx] for idx in partition.groups]
-    return GramBlocks(blocks, rows, spec.gammas)
+    return GramBlocks(rows=rows, gammas=spec.gammas)
 
 
 def cross_gram(train: Dataset, query: Dataset, partition: GroupPartition,
@@ -364,7 +370,12 @@ def cross_gram(train: Dataset, query: Dataset, partition: GroupPartition,
     """
     if query.feature_names != train.feature_names:
         raise DataError("query columns do not match training columns")
-    return _kernel_blocks(train, query, partition, spec, groups)
+    if len(spec.gammas) != partition.d:
+        raise DataError("one gamma per group required")
+    return [_kernel_matrix(train.samples[:, partition.groups[j]],
+                           query.samples[:, partition.groups[j]],
+                           spec.gammas[j])
+            for j in (range(partition.d) if groups is None else groups)]
 
 
 def _pair_sample(X: np.ndarray) -> np.ndarray:

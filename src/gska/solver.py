@@ -28,15 +28,19 @@ backtracking cap becomes s >= d + 1 (Cauchy-Schwarz over d + 1 blocks). The
 KKT residual holds |dR/db| in units of lam * min_j w_j: `converged` covers b.
 
 Products with the Gram blocks go through a kernels.GramBlocks (plain arrays
-are wrapped in one), which can hold every block in an orthonormal
-eigenbasis, K_j ~ U_j diag(Lambda_j) U_j^T. A solve on dense blocks at lam
-<= lambda_max / 3, a ratio it reads off the gradient at alpha = 0 (a cold
-start's own, one more product for a warm start), asks for the bases before
-its first iteration, and its start is mapped into them. Its iterations, like
-those of later solves on the same blocks whose budget the bases meet, run in
-beta_j = U_j^T alpha_j (variable-metric forward-backward splitting: Becker &
-Fadili 2012; Chouzenoux, Pesquet & Repetti 2014). There
-||beta_j|| = ||alpha_j||, so the penalty is unchanged, and block j's
+are wrapped in one), which builds each block dense when a product first
+needs it and can hold every block in an orthonormal eigenbasis, K_j ~ U_j
+diag(Lambda_j) U_j^T. A solve on blocks without bases at lam <= lambda_max
+/ 3, a ratio it reads off the gradient at alpha = 0 (a cold start's own,
+one more product for a warm start), asks for the bases before its first
+iteration, and its start is mapped into them. A cold start takes that
+gradient one block at a time and decides at the first block whose own
+gradient shows the ratio and a KKT residual above tol, so that the blocks
+after it are never built dense. Its iterations, like those of later solves
+on the same blocks whose budget the bases meet, run in beta_j = U_j^T
+alpha_j (variable-metric forward-backward splitting: Becker & Fadili 2012;
+Chouzenoux, Pesquet & Repetti 2014). There ||beta_j|| = ||alpha_j||, so
+the penalty is unchanged, and block j's
 curvature is bounded coordinate by coordinate, m_j = 1.01 * L * c_max *
 Lambda_j^2 / n, in place of the one scalar gamma_j that the largest
 eigenvalue sets; the prox step is the group soft-threshold in that metric.
@@ -44,8 +48,9 @@ The shared multiplier s still backtracks, and its cap still bounds the
 coupling between blocks by Cauchy-Schwarz. Each basis is built to the
 solve's error budget (basis_budget): its error cannot move a gradient by
 more than 1% of tol * lam * w_j. A solve reuses bases built to its budget or
-a tighter one and rebuilds dense the blocks held in looser ones; one whose
-budget is under GramBlocks.floor, a tiny tol, runs dense. The objective
+a tighter one and drops looser ones, its blocks then built dense again as
+its products need them; one whose budget is under GramBlocks.floor, a tiny
+tol, runs dense. The objective
 then moves by at most 1% of tol times the penalty term, which bounds how far
 the trace can rise at its last entry. That entry, the KKT residual that
 decides `converged` (reported as SolveReport.kkt_residual), and the public
@@ -92,11 +97,12 @@ class SolverError(RuntimeError):
 # tol lands anywhere in (0, tol]; a solve that meets tol runs on to
 # _SETTLE_SHRINK * tol, so that the answer's accuracy is steady.
 _SETTLE_SHRINK = 0.1
-# A solve on dense blocks at lam <= lambda_max / _BASES_FIRST takes eigenbases
-# before its first iteration. Timing solves alone on the synthetic data (2
-# cores), the bases cost 0.07-0.43 s more at 0.8 lambda_max, where a dense
-# solve takes 5-10 iterations, and break even near 0.28 lambda_max at n =
-# 500, 1/3 at n = 2000 and 0.45 at n = 2400 (a cv fold of 3000 rows).
+# A solve on blocks without bases at lam <= lambda_max / _BASES_FIRST takes
+# eigenbases before its first iteration. Timing solves alone on the
+# synthetic data (2 cores), the bases cost 0.07-0.43 s more at 0.8
+# lambda_max, where a dense solve takes 5-10 iterations, and break even near
+# 0.28 lambda_max at n = 500, 1/3 at n = 2000 and 0.45 at n = 2400 (a cv
+# fold of 3000 rows).
 _BASES_FIRST = 3.0
 # share of tol * lam * w_j a basis's approximation error may move a block
 # gradient
@@ -278,6 +284,25 @@ def majorization_constant(gram, labels, cfg: SolverConfig, j: int):
     return 1.01 * L * _c_max(cfg) * spectrum / labels.size
 
 
+def _segment_reducer(starts, held):
+    """reduce(ufunc, v): ufunc.reduceat of v over the segments that start at
+    `starts`, 0 for each empty one (False in `held`).
+
+    reduceat gives an empty segment (a basis that keeps no eigenvalue) the
+    next one's first entry, or fails where it starts at the end, so only
+    the others are reduced; where none is empty, this is reduceat itself.
+    """
+    if held.all():
+        return lambda ufunc, v: ufunc.reduceat(v, starts)
+    held_starts = np.asarray(starts)[held]
+
+    def reduce(ufunc, v):
+        out = np.zeros(held.size)
+        out[held] = ufunc.reduceat(v, held_starts)
+        return out
+    return reduce
+
+
 def group_update(alpha, grad, gamma, lam: float, w, offsets=None,
                  nu=None) -> np.ndarray:
     """Proximal step of lam * w_j ||.|| in the majorizer's metric, per group.
@@ -300,7 +325,8 @@ def group_update(alpha, grad, gamma, lam: float, w, offsets=None,
     for none), is overwritten with each block's root (0 where the block is
     zero or takes the plain step). A start is taken only where the metric
     is not constant and the start lies right of the block's own start nu0;
-    the root is the same as from nu0.
+    the root is the same as from nu0. An empty block (equal offsets) is
+    zero, with root 0.
     """
     alpha = np.asarray(alpha, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -309,14 +335,16 @@ def group_update(alpha, grad, gamma, lam: float, w, offsets=None,
         m = np.broadcast_to(m, alpha.shape)
     starts, sizes = ((0,), alpha.shape) if offsets is None else (
         offsets[:-1], offsets[1:] - offsets[:-1])
+    held = np.asarray(sizes) > 0
+    reduce = _segment_reducer(starts, held)
     thresh = lam * np.atleast_1d(np.asarray(w, dtype=float))
-    m_max = np.maximum.reduceat(m, starts)
-    m_min = np.minimum.reduceat(m, starts)
-    if not (m_max.min() > 0 and m_min.min() >= 0):
+    m_max = reduce(np.maximum, m)
+    m_min = reduce(np.minimum, m)
+    if not (np.all(m_max[held] > 0) and np.all(m_min[held] >= 0)):
         raise DataError("gamma_j must be non-negative and not all zero")
     a = m * alpha - grad
     a2 = a * a
-    norm = np.sqrt(np.add.reduceat(a2, starts))
+    norm = np.sqrt(reduce(np.add, a2))
     # With nu = 1 / mu, b = nu a / (1 + nu m) and ||b|| / nu = thresh. The
     # reciprocal 1 / ||a / (1 + nu m)|| is concave and increasing in nu
     # (the perspective of the trust-region secular function), so Newton on
@@ -344,12 +372,11 @@ def group_update(alpha, grad, gamma, lam: float, w, offsets=None,
             np.divide(1.0, inv, out=inv)
             e = a2 * inv
             e *= inv
-            q2 = np.add.reduceat(e, starts)     # ||a / (1 + nu m)||^2
+            q2 = reduce(np.add, e)      # ||a / (1 + nu m)||^2
             qn = np.sqrt(q2)
             # d(1/qn)/dnu = sum(a^2 m / (1 + nu m)^3) / qn^3
             e *= inv
-            step = (q2 * (qn * inv_thresh - 1.0)
-                    / np.add.reduceat(e * m, starts))
+            step = q2 * (qn * inv_thresh - 1.0) / reduce(np.add, e * m)
             go = (qn > stop) & (step > 1e-15 * v)
             if right is not None:
                 # a warm start right of the root steps left, to nu0 at most
@@ -379,12 +406,8 @@ class _Groups:
 
     def __init__(self, offsets, lam: float, weights):
         self.offsets = offsets
-        self._starts, self._sizes = offsets[:-1], np.diff(offsets)
-        # reduceat gives an empty segment (a basis that keeps no eigenvalue)
-        # the next one's first entry, or fails at the end, so norms sums the
-        # others and gives the empty ones 0
-        self._held = self._sizes > 0
-        self._held_starts = self._starts[self._held]
+        self._sizes = np.diff(offsets)
+        self._reduce = _segment_reducer(offsets[:-1], self._sizes > 0)
         self.weights = np.asarray(weights, dtype=float)
         self.thresh = lam * self.weights
         # lam * w_j, or w_j where that is 0 (lam 0, or below the smallest
@@ -393,9 +416,7 @@ class _Groups:
         self._b_units = float(self._units[np.argmin(self.weights)])
 
     def norms(self, v) -> np.ndarray:
-        sq = np.zeros(self._held.size)
-        sq[self._held] = np.add.reduceat(v * v, self._held_starts)
-        return np.sqrt(sq)
+        return np.sqrt(self._reduce(np.add, v * v))
 
     def penalty(self, x) -> float:
         return float(self.thresh @ self.norms(x))
@@ -453,10 +474,12 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     iteration of a solve at lam <= lambda_max / 3 runs in the blocks'
     eigenbases, with a per-coordinate majorizer (see the module docstring),
     as does every iteration where the blocks already hold bases within the
-    solve's basis_budget. alpha is returned in its own coordinates, and the
-    objective reported last in the trace, `converged` and the report's
-    kkt_residual are computed from exact kernel values at the returned
-    alpha, with the iterations' own risk and group reductions.
+    solve's basis_budget. A cold start reads that ratio off its gradient at
+    alpha = 0 block by block and builds no block dense past the first one
+    that decides for the bases. alpha is returned in its own coordinates,
+    and the objective reported last in the trace, `converged` and the
+    report's kkt_residual are computed from exact kernel values at the
+    returned alpha, with the iterations' own risk and group reductions.
 
     An init that is not finite, or whose margins or objective are not,
     raises DataError before any basis is built.
@@ -503,30 +526,55 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     cap = d + cfg.fit_intercept
 
     # iterates live in the blocks' coordinates: alpha_j, or U_j^T alpha_j;
-    # the start is checked in those the blocks hold (exact while dense)
+    # the start is checked in those the blocks hold (exact without bases)
     groups = _Groups(blocks.offsets, lam, weights)
     with np.errstate(over="ignore", invalid="ignore"):
         x = _to_coords(blocks, alpha)
         f, b = blocks.scores(x), 0.0
         if not np.all(np.isfinite(f)):
             raise DataError("margin must be finite")
-        r, g, g_b = grads(f, b)
+        r, s = risk.risk_and_slopes(f, b)
         if not np.isfinite(r + groups.penalty(x)):
             raise DataError("init must give a finite objective")
-    kkt = groups.kkt(x, g, g_b)
-    met = kkt <= cfg.tol        # kkt has met tol at some iterate
-    # dense blocks take eigenbases for a solve with iterations to run far
+    g_b = float(np.sum(s)) if cfg.fit_intercept else 0.0
+    # blocks without bases take them for a solve with iterations to run far
     # below lambda_max, read off the gradient at alpha = 0 (the value
     # lambda_max returns, a cold start's own), and the start is mapped into
-    # them
-    if (may_factor and blocks.budget is None
-            and not kkt <= _SETTLE_SHRINK * cfg.tol):
-        g_0 = grads(np.zeros(n), 0.0)[1] if np.any(alpha) else g
-        if (float(np.max(groups.norms(g_0) / groups.weights))
-                >= _BASES_FIRST * lam and blocks.to_eigenbasis(budget)):
-            x, g = _to_coords(blocks, alpha), None
-            f = blocks.scores(x)
-            r = risk.risk(f, b)
+    # them. A cold start takes its gradient one block at a time, each block
+    # built as its product needs it: the first block that alone shows lam
+    # <= lambda_max / 3 and a residual above tol (a lower bound on the
+    # start's, so tol is not met) decides, and the blocks after it are
+    # never built. Where none does, the whole gradient decides, as for any
+    # other start.
+    decide = may_factor and blocks.budget is None
+    g = kkt = None
+    if decide and not np.any(alpha):
+        parts = []
+        for j in range(d):
+            parts.append(blocks.dot(j, s))
+            one = _Groups(np.array([0, n]), lam, weights[j:j + 1])
+            viol = one.kkt(np.zeros(n), parts[j], 0.0)
+            if (viol > cfg.tol
+                    and float(np.max(one.norms(parts[j]) / one.weights))
+                    >= _BASES_FIRST * lam and blocks.to_eigenbasis(budget)):
+                kkt = viol
+                break
+        else:
+            g = np.concatenate(parts)
+    if kkt is None:
+        if g is None:
+            g = blocks.gradients(s)
+        kkt = groups.kkt(x, g, g_b)
+        if decide and not kkt <= _SETTLE_SHRINK * cfg.tol:
+            g_0 = grads(np.zeros(n), 0.0)[1] if np.any(alpha) else g
+            if (float(np.max(groups.norms(g_0) / groups.weights))
+                    >= _BASES_FIRST * lam and blocks.to_eigenbasis(budget)):
+                g = None
+    met = kkt <= cfg.tol        # kkt has met tol at some iterate
+    if g is None:
+        x = _to_coords(blocks, alpha)
+        f = blocks.scores(x)
+        r = risk.risk(f, b)
     groups, curv = storage()
     obj = r + groups.penalty(x)
     trace = [obj]

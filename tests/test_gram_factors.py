@@ -1,14 +1,16 @@
 """Long solves in eigenbases of the Gram blocks.
 
-On a GramBlocks from `gram_blocks` whose blocks are dense, a solve at lam
-<= lambda_max / 3, read off the gradient at alpha = 0 whether it starts cold
-or warm, builds an eigenbasis of each block before its first iteration; a
-solve above that ratio runs dense to the end. Each basis is built to the
-solve's error budget: from the thin SVD of a pivoted-Cholesky factor where
-one of rank below n / 2 meets the budget, else from a full
-eigendecomposition. The oracle is the same solve on a plain list of the
-dense blocks, which never leaves them. Most solves here start cold at 0.05
-or 0.1 lambda_max, in the bases; tests of dense solves run above
+On a GramBlocks from `gram_blocks` whose blocks hold no bases, a solve at
+lam <= lambda_max / 3, read off the gradient at alpha = 0 whether it starts
+cold or warm, builds an eigenbasis of each block before its first iteration;
+a solve above that ratio runs dense to the end. `gram_blocks` builds no
+block: each is built dense when a product first needs it, so a cold start
+that decides for the bases on its first blocks never builds the others.
+Each basis is built to the solve's error budget: from the thin SVD of a
+pivoted-Cholesky factor where one of rank below n / 2 meets the budget, else
+from a full eigendecomposition. The oracle is the same solve on a plain list
+of the dense blocks, which never leaves them. Most solves here start cold at
+0.05 or 0.1 lambda_max, in the bases; tests of dense solves run above
 lambda_max / 3. The low-rank instances use one- and two-feature groups so
 that the blocks have rank well below n / 2 at n = 300; five-feature groups
 at n = 120 have full numerical rank.
@@ -22,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
 import gska
 from gska import kernels
@@ -218,6 +221,26 @@ def gradient_events(events, monkeypatch):
     return events
 
 
+@pytest.fixture
+def block_events(gradient_events, monkeypatch):
+    """gradient_events, with ("dot", j) for each GramBlocks.dot call and
+    ("build", j) for each block j built whole from its training rows."""
+    dot, rows = kernels.GramBlocks.dot, kernels.GramBlocks._kernel_rows
+
+    def counted_dot(self, j, v):
+        gradient_events.append(("dot", j))
+        return dot(self, j, v)
+
+    def counted_rows(self, j, start, stop, out=None):
+        if (start, stop) == (0, self.n):
+            gradient_events.append(("build", j))
+        return rows(self, j, start, stop, out)
+
+    monkeypatch.setattr(kernels.GramBlocks, "dot", counted_dot)
+    monkeypatch.setattr(kernels.GramBlocks, "_kernel_rows", counted_rows)
+    return gradient_events
+
+
 class TestBasesFirst:
     """A solve on dense blocks at lam <= lambda_max / 3 builds the bases
     before its first iteration and takes no power iteration; nearer
@@ -302,21 +325,41 @@ class TestBasesFirst:
 
     @pytest.mark.parametrize("frac", [0.1, 0.8])
     def test_cold_start_takes_one_gradient_at_zero(self, low_rank,
-                                                   gradient_events, frac):
+                                                   block_events, frac):
         # the gradient at alpha = 0 both decides the coordinates and starts
-        # the iterations
+        # the iterations: one product a block, each block built as its
+        # product needs it
         data, part, spec, cfg = low_rank
         gram = gska.gram_blocks(data, part, spec)
         _, rep = solve(gram, data.labels, part,
                        replace(cfg, lam=cfg.lam * frac / 0.1))
         assert rep.converged
-        first = gradient_events.index("prox")
-        assert gradient_events[:first].count("exact") == 1
         assert in_basis(gram, 0) == (frac < 1 / 3)
-        if frac < 1 / 3:
-            # in the bases, only the final check takes another
-            assert gradient_events.count("exact") == 2
-            assert gradient_events[-1] == "exact"
+        first = block_events.index("prox")
+        start = block_events[:first]
+        builds = [e for e in block_events if e[0] == "build"]
+        if frac > 1 / 3:
+            # dense to the end: every block built once, by the start's
+            # product with it, and no whole gradient before the first prox
+            assert "exact" not in start
+            assert [e for e in start if e[0] == "dot"] \
+                == [("dot", j) for j in range(part.d)]
+            assert builds == [("build", j) for j in range(part.d)]
+            assert builds == [e for e in start if e[0] == "build"]
+            return
+        # the bases come before all d blocks are built, each built block
+        # having taken one product; after them, only the final check takes
+        # an exact gradient, and no block is built whole again
+        k = start.index("basis")
+        assert start[k + 1:] == [] and "exact" not in start
+        built = [e for e in start if e[0] == "build"]
+        assert 1 <= len(built) < part.d
+        assert built == [("build", j) for j in range(len(built))]
+        assert [e for e in start if e[0] == "dot"] \
+            == [("dot", j) for j in range(len(built))]
+        assert builds == built
+        after = [e for e in block_events[first:] if e in ("exact", "prox")]
+        assert after.count("exact") == 1 and after[-1] == "exact"
 
     def test_solve_on_held_bases_takes_no_dense_gradient(self, low_rank,
                                                          gradient_events):
@@ -472,6 +515,62 @@ class TestTrainingComponents:
         assert max(peaks) < data.n * data.n * 8
 
 
+class TestLazyBlocks:
+    """`gram_blocks` builds no block; each is built when first needed."""
+
+    def test_fresh_container_holds_no_block(self, low_rank, monkeypatch):
+        data, part, spec, _ = low_rank
+        calls = []
+        original = kernels._kernel_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_kernel_matrix", counted)
+        gram, peak = traced_peak(gska.gram_blocks, data, part, spec)
+        assert calls == [] and peak < data.n * data.n * 8
+        K = gram[1]
+        assert len(calls) == 1 and gram[1] is K and not K.flags.writeable
+        A = data.samples[:, part.groups[1]]
+        assert np.array_equal(
+            K, np.exp(-spec.gammas[1] * cdist(A, A, "sqeuclidean")))
+
+    @pytest.mark.parametrize("case", ["cold-0.1", "cold-0.8", "warm",
+                                      "intercept"])
+    def test_lazy_solve_is_bit_identical_to_eager(self, low_rank, case):
+        # eager: every block built before the solve, as gram_blocks did
+        data, part, spec, cfg = low_rank
+        init = None
+        if case == "cold-0.8":
+            cfg = replace(cfg, lam=cfg.lam * 8)
+        elif case == "warm":
+            init, _ = solve(gska.gram_blocks(data, part, spec), data.labels,
+                            part, replace(cfg, lam=cfg.lam * 5))
+        elif case == "intercept":
+            cfg = replace(cfg, fit_intercept=True)
+        lazy = gska.gram_blocks(data, part, spec)
+        eager = gska.gram_blocks(data, part, spec)
+        [eager[j] for j in range(part.d)]
+        alpha, rep = solve(lazy, data.labels, part, cfg, init)
+        alpha_e, rep_e = solve(eager, data.labels, part, cfg, init)
+        assert rep.converged
+        assert in_basis(lazy, 0) == (case != "cold-0.8") == in_basis(eager, 0)
+        assert np.array_equal(alpha, alpha_e)
+        assert rep.objective_trace == rep_e.objective_trace
+        assert rep.kkt_residual == rep_e.kkt_residual
+        assert rep.intercept == rep_e.intercept
+
+    def test_cold_fit_holds_under_one_block_per_group(self):
+        # synth n = 2000 at lam = 0.03, far below lambda_max: the first
+        # block's gradient decides for the bases, so the fit never holds
+        # all d dense blocks (d n^2 doubles)
+        data, part, _ = gska.synth_generate(2000, 1, 0.2)
+        model, peak = traced_peak(gska.fit, data, part, SolverConfig(0.03))
+        assert model.report.converged
+        assert peak < 0.6 * part.d * data.n ** 2 * 8
+
+
 class TestCurvatureConstants:
     def test_spectral_norm_once_per_block(self, low_rank, rebind):
         data, part, spec, cfg = low_rank
@@ -514,7 +613,12 @@ def basis_calls(monkeypatch):
     return calls
 
 
-class TestSwitch:
+class TestSolvesInTheBases:
+    """A solve far below lambda_max, run in the eigenbases: its objective
+    trace never rises, its bases are orthonormal, it settles to tol / 10 as
+    a solve on the dense blocks does, and its stacked bases hold less than
+    the dense blocks."""
+
     @pytest.mark.parametrize("n,groups,frac,path", [
         (300, LOW_RANK, 0.1, "svd"), (120, FULL_RANK, 0.05, "eigh")],
         ids=["svd", "eigh"])

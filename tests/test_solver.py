@@ -347,6 +347,32 @@ class TestBatchedProx:
             np.testing.assert_allclose(warm, nu, rtol=1e-12, atol=0)
             np.testing.assert_allclose(out, cold, rtol=1e-12, atol=1e-300)
 
+    @pytest.mark.parametrize("offsets,empty", [
+        ([0, 2, 2], 1), ([0, 0, 2], 0), ([0, 2, 2, 5], 1)],
+        ids=["last", "first", "middle"])
+    def test_empty_block(self, offsets, empty):
+        # a basis that keeps no eigenvalue: the block is zero with root 0,
+        # and the others are as without it
+        a = np.array([1.0, 2.0, -0.5, 0.3, 1.5])[:offsets[-1]]
+        m = np.array([1.0, 3.0, 0.5, 2.0, 4.0])[:offsets[-1]]
+        w = np.array([1.0, 2.0, 0.7])[:len(offsets) - 1]
+        kept = np.delete(np.arange(len(w)), empty)
+        nu = np.zeros(len(w))
+        out = group_update(a, -a, m, 0.1, w, np.array(offsets), nu)
+        nu_ref = np.zeros(len(kept))
+        ref = group_update(a, -a, m, 0.1, w[kept],
+                           np.delete(np.array(offsets), empty), nu_ref)
+        assert np.array_equal(out, ref) and np.all(ref != 0)
+        assert nu[empty] == 0.0 and np.array_equal(nu[kept], nu_ref)
+        # the same from warm starts
+        warm = np.full(len(w), 2.0)
+        again = group_update(a, -a, m, 0.1, w, np.array(offsets), warm)
+        warm_ref = np.full(len(kept), 2.0)
+        assert np.array_equal(again, group_update(
+            a, -a, m, 0.1, w[kept], np.delete(np.array(offsets), empty),
+            warm_ref))
+        assert warm[empty] == 0.0 and np.array_equal(warm[kept], warm_ref)
+
 
 class TestSolve:
     def test_zero_solution_above_lambda_max(self):
