@@ -159,6 +159,11 @@ def _basis_from_gram(K, budget: float):
     return U[:, keep:].T, w[keep:]
 
 
+def _flat(parts) -> np.ndarray:
+    """The arrays in `parts` end to end, empty where there are none."""
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
 class GramBlocks(Sequence):
     """A training set's Gram blocks K_j, each dense or not yet built, or all
     in eigenbases.
@@ -190,8 +195,11 @@ class GramBlocks(Sequence):
     same products exactly, in alpha coordinates (n values a block), through
     `dot`: the dense arrays while no bases are held, rows rebuilt in chunks
     otherwise. Without bases, `gradients` and `scores` are these, so the
-    dense path is the exact one. `norms_sq` caches each block's spectral
-    norm squared, taken while dense.
+    dense path is the exact one. All four take `groups`, a sequence of
+    group ids, to work on those blocks alone, their coordinates end to end
+    in that order: a solve's working set, whose products then cost in
+    proportion to it (in a basis, one product per block, not the stack's).
+    `norms_sq` caches each block's spectral norm squared, taken while dense.
 
     `budget` is the error bound the bases were built to (None while dense).
     `shared_budget` is the tightest budget among the solves that will share
@@ -262,30 +270,47 @@ class GramBlocks(Sequence):
         """alpha_j from block j's coordinates: U_j x, or x."""
         return x if self._Ut is None else x @ self._part(self._Ut, j)
 
-    def exact_gradients(self, s) -> np.ndarray:
-        """Every block's exact K_j s, n values each, as one flat vector."""
-        return np.concatenate([self.dot(j, s) for j in range(len(self))])
+    def _ids(self, groups):
+        return range(len(self)) if groups is None else groups
 
-    def exact_scores(self, a) -> np.ndarray:
-        """Exact sum_j K_j alpha_j from the flat alpha a, n values a block."""
+    def exact_gradients(self, s, groups=None) -> np.ndarray:
+        """The exact K_j s of every group j in `groups` (all by default), n
+        values each, as one flat vector."""
+        return _flat([self.dot(j, s) for j in self._ids(groups)])
+
+    def exact_scores(self, a, groups=None) -> np.ndarray:
+        """Exact sum_j K_j alpha_j over the groups j in `groups` (all by
+        default) from their flat alpha a, n values a block."""
+        ids = self._ids(groups)
         # a zero block adds exactly nothing, so it is skipped
         f = np.zeros(self.n)
-        for j, a_j in enumerate(np.reshape(a, (len(self), self.n))):
+        for j, a_j in zip(ids, np.reshape(a, (len(ids), self.n))):
             if np.any(a_j):
                 f += self.dot(j, a_j)
         return f
 
-    def gradients(self, s) -> np.ndarray:
-        """Every block's K_j s in its coordinates, as one flat vector."""
+    def gradients(self, s, groups=None) -> np.ndarray:
+        """The K_j s of every group j in `groups` (all by default) in its
+        coordinates, as one flat vector."""
         if self._Ut is None:
-            return self.exact_gradients(s)
-        return self._eig * (self._Ut @ s)
+            return self.exact_gradients(s, groups)
+        if groups is None:
+            return self._eig * (self._Ut @ s)
+        return _flat([self.eigvals(j) * (self._part(self._Ut, j) @ s)
+                      for j in groups])
 
-    def scores(self, x) -> np.ndarray:
-        """sum_j K_j alpha_j from the flat coordinates x."""
+    def scores(self, x, groups=None) -> np.ndarray:
+        """sum_j K_j alpha_j from the flat coordinates x of the groups in
+        `groups` (all by default), held in that order."""
         if self._Ut is None:
-            return self.exact_scores(x)
-        return (self._eig * x) @ self._Ut
+            return self.exact_scores(x, groups)
+        if groups is None:
+            return (self._eig * x) @ self._Ut
+        ends = np.cumsum([len(self.eigvals(j)) for j in groups], dtype=int)
+        f = np.zeros(self.n)
+        for j, x_j in zip(groups, np.split(x, ends[:-1])):
+            f += (self.eigvals(j) * x_j) @ self._part(self._Ut, j)
+        return f
 
     def drop_bases(self):
         """Drop the bases, leaving every block unbuilt until it is needed;

@@ -57,20 +57,34 @@ decides `converged` (reported as SolveReport.kkt_residual), and the public
 objective, group_gradient and lambda_max use exact kernel values at alpha_j
 = U_j beta_j. A solve in the bases computes no dense curvature gamma_j.
 
-Every iteration works on whole arrays, with a fixed number of numpy calls
-whatever d is. The blocks' coordinates are one flat vector, block j's at
-GramBlocks.offsets[j]:offsets[j + 1]. All blocks' gradients take one
+Every iteration works on whole arrays over a working set W of groups, with
+a fixed number of numpy calls whatever d is and products with W's blocks
+alone. A cold start that stays dense sets aside each group whose ||g_j|| /
+w_j at alpha = 0, from the gradient it has already taken, is below 2 lam -
+lambda_max (the basic strong rule: Tibshirani, Bien, Friedman, Hastie,
+Simon, Taylor & Tibshirani 2012); every other solve keeps W = all groups.
+W's coordinates are one flat vector, block j's at offsets[j]:offsets[j +
+1], where a set-aside block's segment is empty. W's gradients take one
 `gradients` call and the summed margins one `scores` call, a single product
-each with the stacked bases. One batched group_update solves the d secular
-equations together, each from its previous root rescaled by the change in s.
-The penalty, the quadratic bound, the restart test, the gradient mapping
+each with the stacked bases. One batched group_update solves the secular
+equations together, each from its previous root rescaled by the change in
+s. The penalty, the quadratic bound, the restart test, the gradient mapping
 and the KKT check reduce the flat vectors group by group, and the loss's
-per-sample factors are formed once per solve (coherence.LabelledRisk).
-The exact final objective and KKT check, and the public objective,
-group_gradient and lambda_max, use that same arithmetic on alpha's own flat
-coordinates (n per block), with GramBlocks.exact_scores and exact_gradients
-for the products, in one helper (_exact); on dense blocks those are the
-iterations' own products.
+per-sample factors are formed once per solve (coherence.LabelledRisk). Only
+W's blocks take a curvature (so a power iteration), and the backtracking cap
+stays d (+ 1 with an intercept), so that where no set-aside block would have
+moved, the iterates are those of the solve on all groups. Once the residual
+over W reaches tol / 10, each set-aside block takes one exact product at
+the iterate; any whose residual is above tol / 10 joins W at zero, with a
+momentum restart, and the iterations go on.
+The exact final objective and KKT check, over every group, and the public
+objective, group_gradient and lambda_max, use that same arithmetic on
+alpha's own flat coordinates (n per block), with GramBlocks.exact_scores and
+exact_gradients for the products, in one helper (_exact). On blocks without
+bases those are the iterations' own products: a solve that stops on the
+residual reports its last iterate's objective and its residual over W and
+the set-aside blocks' check as they are, and _exact recomputes them at the
+returned alpha only after max_iters, at the rounding floor or in the bases.
 """
 
 from __future__ import annotations
@@ -85,7 +99,7 @@ import numpy as np
 from .coherence import (ClassWeights, CoherenceParams, LabelledRisk,
                         curvature_bound, slope_bound)
 from .data import DataError, GroupPartition
-from .kernels import GramBlocks
+from .kernels import GramBlocks, _flat
 
 
 class SolverError(RuntimeError):
@@ -428,22 +442,31 @@ class _Groups:
             return max(float(np.max(self.norms(v) / self._units)),
                        abs(v_b) / self._b_units)
 
-    def kkt(self, x, g, g_b: float) -> float:
-        """Largest KKT violation at the flat coordinates x, with gradients
-        g and dR/db g_b, in the groups' units: an active block needs g_j +
-        lam w_j x_j / ||x_j|| = 0, a zero block ||g_j|| <= lam w_j, and b
-        needs g_b = 0."""
+    def violations(self, x, g) -> np.ndarray:
+        """Each group's KKT violation at the flat coordinates x, with
+        gradients g, in its units: an active block needs g_j + lam w_j x_j /
+        ||x_j|| = 0, a zero block ||g_j|| <= lam w_j."""
         norm_x = self.norms(x)
         with np.errstate(all="ignore"):
             coef = np.where(norm_x > 0, self.thresh / norm_x, 0.0)
-            viols = np.where(
+            return np.where(
                 norm_x > 0, self.norms(g + np.repeat(coef, self._sizes) * x),
                 np.maximum(self.norms(g) - self.thresh, 0.0)) / self._units
+
+    def kkt(self, x, g, g_b: float) -> float:
+        """The largest violation, with b's: dR/db g_b must be 0."""
+        viols = self.violations(x, g)
         viol_b = abs(g_b) / self._b_units
         # max keeps a NaN only as its first argument: `converged` must
         # never be true on one
         return math.nan if math.isnan(viol_b) else max(float(np.max(viols)),
                                                        viol_b)
+
+
+def _layout(held, sizes) -> np.ndarray:
+    """Offsets of flat coordinates that hold the blocks in `held`, each of
+    its size in `sizes`; every other block's segment is empty."""
+    return np.concatenate(([0], np.cumsum(np.where(held, sizes, 0))))
 
 
 def _to_coords(blocks: GramBlocks, alpha) -> np.ndarray:
@@ -466,20 +489,24 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     With cfg.fit_intercept, b starts at 0 and each step moves it with the
     blocks under one line search, whose backtracking stops at s >= d + 1.
 
-    Iterations work on whole arrays: the blocks' coordinates as one flat
-    vector (GramBlocks.offsets), every block's gradient from one
-    `gradients` call and the margins from one `scores` call, and one
-    batched `group_update` per backtracking attempt, warm-started from the
-    previous multipliers. On a GramBlocks from kernels.gram_blocks, every
+    Iterations work on whole arrays over a working set W of groups: W's
+    coordinates as one flat vector, W's gradients from one `gradients`
+    call and the margins from one `scores` call, and one batched
+    `group_update` per backtracking attempt, warm-started from the previous
+    multipliers. W is every group but those a cold start on dense blocks
+    sets aside by the basic strong rule, ||g_j|| / w_j < 2 lam -
+    lambda_max at alpha = 0; once W's residual reaches cfg.tol / 10, a
+    set-aside block whose own residual is above that joins W (see the
+    module docstring). On a GramBlocks from kernels.gram_blocks, every
     iteration of a solve at lam <= lambda_max / 3 runs in the blocks'
-    eigenbases, with a per-coordinate majorizer (see the module docstring),
-    as does every iteration where the blocks already hold bases within the
-    solve's basis_budget. A cold start reads that ratio off its gradient at
-    alpha = 0 block by block and builds no block dense past the first one
-    that decides for the bases. alpha is returned in its own coordinates,
-    and the objective reported last in the trace, `converged` and the
-    report's kkt_residual are computed from exact kernel values at the
-    returned alpha, with the iterations' own risk and group reductions.
+    eigenbases, with a per-coordinate majorizer, as does every iteration
+    where the blocks already hold bases within the solve's basis_budget. A
+    cold start reads that ratio off its gradient at alpha = 0 block by
+    block and builds no block dense past the first one that decides for
+    the bases. alpha is returned in its own coordinates, and the objective
+    reported last in the trace, `converged` and the report's kkt_residual
+    are exact kernel values at the returned alpha and intercept, over every
+    group, with the iterations' own risk and group reductions.
 
     An init that is not finite, or whose margins or objective are not,
     raises DataError before any basis is built.
@@ -505,19 +532,27 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
                           and blocks.budget > budget):
         blocks.drop_bases()
     risk = LabelledRisk(labels, _class_weights(cfg), cfg.loss_params)
+    settle = _SETTLE_SHRINK * cfg.tol
+    # the working set W is every group not set aside: only a cold start's
+    # strong rule, below, sets any aside
+    aside = np.zeros(d, dtype=bool)
 
     def grads(f, b):
-        # the risk at margins f + b, the blocks' gradients as one flat
+        # the risk and slopes at margins f + b, W's gradients as one flat
         # vector, and dR/db where the solve fits an intercept (else 0)
         r, s = risk.risk_and_slopes(f, b)
-        return (r, blocks.gradients(s),
+        return (r, s, blocks.gradients(s, work),
                 float(np.sum(s)) if cfg.fit_intercept else 0.0)
 
     def storage():
-        # the segments and curvatures of the blocks' coordinates as held
-        return _Groups(blocks.offsets, lam, weights), np.concatenate(
-            [majorization_constant(blocks, labels, cfg, j)
-             for j in range(d)])
+        # W's ids for the products (None for all), and the segments and
+        # curvatures of its coordinates as held, a set-aside group's empty
+        kept = np.flatnonzero(~aside)
+        return (None if kept.size == d else kept,
+                _Groups(_layout(~aside, np.diff(blocks.offsets)), lam,
+                        weights),
+                _flat([majorization_constant(blocks, labels, cfg, j)
+                       for j in kept]))
 
     # b's curvature (module docstring); without an intercept dR/db is 0, so
     # b stays 0 and its terms below add exactly 0
@@ -527,7 +562,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
 
     # iterates live in the blocks' coordinates: alpha_j, or U_j^T alpha_j;
     # the start is checked in those the blocks hold (exact without bases)
-    groups = _Groups(blocks.offsets, lam, weights)
+    work, groups = None, _Groups(blocks.offsets, lam, weights)
     with np.errstate(over="ignore", invalid="ignore"):
         x = _to_coords(blocks, alpha)
         f, b = blocks.scores(x), 0.0
@@ -547,7 +582,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     # never built. Where none does, the whole gradient decides, as for any
     # other start.
     decide = may_factor and blocks.budget is None
-    g = kkt = None
+    g = kkt = ratio = None
     if decide and not np.any(alpha):
         parts = []
         for j in range(d):
@@ -561,21 +596,32 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
                 break
         else:
             g = np.concatenate(parts)
+            # ||g_j|| / w_j at alpha = 0, whose largest is lambda_max: the
+            # strong rule sets aside each group below 2 lam - lambda_max
+            ratio = groups.norms(g) / groups.weights
+            aside = ratio < 2.0 * lam - np.max(ratio)
     if kkt is None:
         if g is None:
             g = blocks.gradients(s)
         kkt = groups.kkt(x, g, g_b)
-        if decide and not kkt <= _SETTLE_SHRINK * cfg.tol:
-            g_0 = grads(np.zeros(n), 0.0)[1] if np.any(alpha) else g
-            if (float(np.max(groups.norms(g_0) / groups.weights))
-                    >= _BASES_FIRST * lam and blocks.to_eigenbasis(budget)):
+        if decide and not kkt <= settle:
+            if ratio is None:
+                ratio = (groups.norms(grads(np.zeros(n), 0.0)[2])
+                         / groups.weights)
+            if (float(np.max(ratio)) >= _BASES_FIRST * lam
+                    and blocks.to_eigenbasis(budget)):
                 g = None
     met = kkt <= cfg.tol        # kkt has met tol at some iterate
     if g is None:
+        aside = np.zeros(d, dtype=bool)     # the bases hold every group
         x = _to_coords(blocks, alpha)
         f = blocks.scores(x)
         r = risk.risk(f, b)
-    groups, curv = storage()
+    elif aside.any():
+        # the start is alpha = 0, dense: W's coordinates and gradients
+        held = np.repeat(~aside, n)
+        x, g = x[held], g[held]
+    work, groups, curv = storage()
     obj = r + groups.penalty(x)
     trace = [obj]
     x_prev, b_prev, f_prev = x, b, f
@@ -584,27 +630,27 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     # each block's last prox multiplier times scale: the next one's start
     warm = np.zeros(d)
     it = 0
-    while it < cfg.max_iters and not kkt <= _SETTLE_SHRINK * cfg.tol:
+    while it < cfg.max_iters and not kkt <= settle:
         it += 1
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         if beta == 0.0:
             if g is None:
-                r, g, g_b = grads(f, b)
+                r, s, g, g_b = grads(f, b)
             y, y_b, f_y, r_y, g_y, gb_y = x, b, f, r, g, g_b
         else:
             # margins are linear in alpha and b, so extrapolating them is exact
             y = x + beta * (x - x_prev)
             y_b = b + beta * (b - b_prev)
             f_y = f + beta * (f - f_prev)
-            r_y, g_y, gb_y = grads(f_y, y_b)
+            r_y, _, g_y, gb_y = grads(f_y, y_b)
         while True:
             nu = warm / scale
             z = group_update(y, g_y, scale * curv, lam, groups.weights,
                              groups.offsets, nu)
             warm = nu * scale
             z_b = y_b - gb_y / (scale * curv_b)
-            f_z = blocks.scores(z)
+            f_z = blocks.scores(z, work)
             r_z = risk.risk(f_z, z_b)
             step, step_b = z - y, z_b - y_b
             bound = (r_y + float(g_y @ step) + gb_y * step_b
@@ -633,16 +679,34 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         # gradient mapping at z: the KKT residual there if grad(z) = grad(y)
         mapping = groups.mapping(scale * curv * step, scale * curv_b * step_b)
         if mapping <= cfg.tol or met:
-            _, g, g_b = grads(f, b)
+            _, s, g, g_b = grads(f, b)
             kkt = groups.kkt(x, g, g_b)
             met = met or kkt <= cfg.tol
+        if kkt <= settle and aside.any():
+            # W's residual has settled: each set-aside block takes one exact
+            # product at x, and those above tol / 10 join W at zero (dense
+            # coordinates, n a block), with a momentum restart
+            viols = _Groups(_layout(aside, n), lam, weights).violations(
+                np.zeros(n * np.count_nonzero(aside)),
+                blocks.exact_gradients(s, np.flatnonzero(aside)))
+            kkt = max(kkt, float(np.max(viols)))
+            join = ~(viols <= settle)
+            if join.any():
+                x = np.insert(x, np.repeat(groups.offsets[:-1][join], n), 0.0)
+                aside &= ~join
+                work, groups, curv = storage()
+                t, x_prev, b_prev, f_prev, g = 1.0, x, b, f, None
         scale *= 0.97
 
-    # the reported objective and KKT residual use exact kernel values
-    alpha = np.array([blocks.expand(j, x_j) for j, x_j in
-                      enumerate(np.split(x, groups.offsets[1:-1]))])
-    trace[-1], kkt, _ = _exact(blocks, risk, alpha, partition, lam, b,
-                               cfg.fit_intercept)
+    alpha = np.zeros((d, n))
+    for j in np.flatnonzero(~aside):
+        alpha[j] = blocks.expand(j, x[groups.offsets[j]:groups.offsets[j + 1]])
+    # the reported objective and KKT residual use exact kernel values: on
+    # blocks without bases, those of the iterate where the residual over
+    # every group settled, else recomputed at the returned alpha
+    if not (kkt <= settle and blocks.budget is None):
+        trace[-1], kkt, _ = _exact(blocks, risk, alpha, partition, lam, b,
+                                   cfg.fit_intercept)
     converged = kkt <= cfg.tol
     if not converged:
         print(f"gska: warning: solve stopped after {it} iterations "

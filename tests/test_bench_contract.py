@@ -9,7 +9,9 @@ not imported, so these checks need nothing from the benchmark.
 
 perfbench/workloads.py is parsed the same way for the workloads' lambdas and
 sizes: the benchmark keeps one solve on each side of the solver's rule that
-starts a cold solve far below lambda_max in the Gram eigenbases.
+starts a cold solve far below lambda_max in the Gram eigenbases, and the cv
+workload's dense fold solves are ones whose working set the strong rule
+trims.
 """
 
 import ast
@@ -264,3 +266,36 @@ def test_workloads_sit_on_each_side_of_the_bases_first_rule(workloads,
     held_out = stratified_kfold(data.labels, constants["FOLDS"], seed) == 0
     assert (constants["LAM_SPARSE"] * solver._BASES_FIRST
             > _lambda_max(data.subset(~held_out), part, sigma))
+
+
+def _start_ratios(data, partition, sigma, groups):
+    """||g_j|| / w_j at alpha = 0 for each group j in `groups`, as a CLI
+    fit's cold solve reads them; only those blocks are built."""
+    fold = model._prepare_fold(data, partition)
+    cfg = solver.SolverConfig(0.0, sigma, class_weights=fold.class_weights)
+    zero = np.zeros((partition.d, fold.train.n))
+    return np.array([np.linalg.norm(solver.group_gradient(
+        zero, fold.gram, fold.train.labels, partition, cfg, j))
+        / partition.weights[j] for j in groups])
+
+
+@pytest.mark.parametrize("seed", [1, 104729])
+def test_strong_rule_runs_on_every_cv_fold_and_never_on_the_fit(workloads,
+                                                                 seed):
+    # every cv_sparse_n3000 fold solve sets aside at least one group (its
+    # ||g_j|| / w_j at alpha = 0 below 2 lam - lambda_max), so its dense
+    # iterations skip that block; fit_n2000's first block alone decides for
+    # the bases (lam <= its ||g_0|| / w_0 / 3), so its cold start takes no
+    # other block's gradient and the rule never runs there
+    constants, sizes = workloads
+    noise, sigma = constants["NOISE"], constants["SIGMA"]
+    data, part, _ = gska.synth_generate(sizes["fit_n2000"], seed, noise)
+    first = _start_ratios(data, part, sigma, [0])[0]
+    assert constants["LAM_FIT"] * solver._BASES_FIRST <= first
+    data, part, _ = gska.synth_generate(sizes["cv_sparse_n3000"], seed, noise)
+    folds = stratified_kfold(data.labels, constants["FOLDS"], seed)
+    lam = constants["LAM_SPARSE"]
+    for k in range(constants["FOLDS"]):
+        ratio = _start_ratios(data.subset(folds != k), part, sigma,
+                              range(part.d))
+        assert np.any(ratio < 2 * lam - ratio.max()), k
