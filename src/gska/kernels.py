@@ -197,8 +197,10 @@ class GramBlocks(Sequence):
     otherwise. Without bases, `gradients` and `scores` are these, so the
     dense path is the exact one. All four take `groups`, a sequence of
     group ids, to work on those blocks alone, their coordinates end to end
-    in that order: a solve's working set, whose products then cost in
-    proportion to it (in a basis, one product per block, not the stack's).
+    in that order: a dense solve's working set, whose products then cost in
+    proportion to it. While the bases are held, `gradients` and `scores`
+    raise on a working set: a solve in the bases works on every group, and
+    there one product with the whole stack costs less than one per block.
     `norms_sq` caches each block's spectral norm squared, taken while dense.
 
     `budget` is the error bound the bases were built to (None while dense).
@@ -289,28 +291,25 @@ class GramBlocks(Sequence):
                 f += self.dot(j, a_j)
         return f
 
+    def _stacked(self, groups) -> bool:
+        # whether the bases are held; a working set is a dense solve's only
+        if self._Ut is not None and groups is not None:
+            raise ValueError("the bases hold every group: no working set")
+        return self._Ut is not None
+
     def gradients(self, s, groups=None) -> np.ndarray:
         """The K_j s of every group j in `groups` (all by default) in its
         coordinates, as one flat vector."""
-        if self._Ut is None:
+        if not self._stacked(groups):
             return self.exact_gradients(s, groups)
-        if groups is None:
-            return self._eig * (self._Ut @ s)
-        return _flat([self.eigvals(j) * (self._part(self._Ut, j) @ s)
-                      for j in groups])
+        return self._eig * (self._Ut @ s)
 
     def scores(self, x, groups=None) -> np.ndarray:
         """sum_j K_j alpha_j from the flat coordinates x of the groups in
         `groups` (all by default), held in that order."""
-        if self._Ut is None:
+        if not self._stacked(groups):
             return self.exact_scores(x, groups)
-        if groups is None:
-            return (self._eig * x) @ self._Ut
-        ends = np.cumsum([len(self.eigvals(j)) for j in groups], dtype=int)
-        f = np.zeros(self.n)
-        for j, x_j in zip(groups, np.split(x, ends[:-1])):
-            f += (self.eigvals(j) * x_j) @ self._part(self._Ut, j)
-        return f
+        return (self._eig * x) @ self._Ut
 
     def drop_bases(self):
         """Drop the bases, leaving every block unbuilt until it is needed;

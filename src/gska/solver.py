@@ -30,13 +30,15 @@ KKT residual holds |dR/db| in units of lam * min_j w_j: `converged` covers b.
 Products with the Gram blocks go through a kernels.GramBlocks (plain arrays
 are wrapped in one), which builds each block dense when a product first
 needs it and can hold every block in an orthonormal eigenbasis, K_j ~ U_j
-diag(Lambda_j) U_j^T. A solve on blocks without bases at lam <= lambda_max
-/ 3, a ratio it reads off the gradient at alpha = 0 (a cold start's own,
-one more product for a warm start), asks for the bases before its first
-iteration, and its start is mapped into them. A cold start takes that
-gradient one block at a time and decides at the first block whose own
-gradient shows the ratio and a KKT residual above tol, so that the blocks
-after it are never built dense. Its iterations, like those of later solves
+diag(Lambda_j) U_j^T. Every solve on blocks without bases whose start is not
+settled decides its coordinates by one rule, before its first iteration: it
+reads the gradient at alpha = 0 one block at a time (a cold start's own; a
+warm start takes it after its own residual, one more pass), and the first
+block whose own ||g_j|| / w_j is at least 3 lam (so lam <= lambda_max / 3)
+and whose own KKT residual there is above tol / 10 asks for the bases. The
+start is mapped into them, and the blocks after that one are never built
+dense. Where no block decides, the solve runs dense to the end. Its
+iterations, like those of later solves
 on the same blocks whose budget the bases meet, run in beta_j = U_j^T
 alpha_j (variable-metric forward-backward splitting: Becker & Fadili 2012;
 Chouzenoux, Pesquet & Repetti 2014). There ||beta_j|| = ||alpha_j||, so
@@ -62,7 +64,8 @@ a fixed number of numpy calls whatever d is and products with W's blocks
 alone. A cold start that stays dense sets aside each group whose ||g_j|| /
 w_j at alpha = 0, from the gradient it has already taken, is below 2 lam -
 lambda_max (the basic strong rule: Tibshirani, Bien, Friedman, Hastie,
-Simon, Taylor & Tibshirani 2012); every other solve keeps W = all groups.
+Simon, Taylor & Tibshirani 2012); every other solve keeps W = all groups,
+as a solve in the bases must: there the stacked products take every block.
 W's coordinates are one flat vector, block j's at offsets[j]:offsets[j +
 1], where a set-aside block's segment is empty. W's gradients take one
 `gradients` call and the summed margins one `scores` call, a single product
@@ -500,10 +503,11 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     module docstring). On a GramBlocks from kernels.gram_blocks, every
     iteration of a solve at lam <= lambda_max / 3 runs in the blocks'
     eigenbases, with a per-coordinate majorizer, as does every iteration
-    where the blocks already hold bases within the solve's basis_budget. A
-    cold start reads that ratio off its gradient at alpha = 0 block by
-    block and builds no block dense past the first one that decides for
-    the bases. alpha is returned in its own coordinates, and the objective
+    where the blocks already hold bases within the solve's basis_budget.
+    Cold or warm, an unsettled start on blocks without bases reads that
+    ratio off the gradient at alpha = 0 block by block, and builds no block
+    dense past the first one whose own ratio and residual decide for the
+    bases. alpha is returned in its own coordinates, and the objective
     reported last in the trace, `converged` and the report's kkt_residual
     are exact kernel values at the returned alpha and intercept, over every
     group, with the iterations' own risk and group reductions.
@@ -572,55 +576,48 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
         if not np.isfinite(r + groups.penalty(x)):
             raise DataError("init must give a finite objective")
     g_b = float(np.sum(s)) if cfg.fit_intercept else 0.0
-    # blocks without bases take them for a solve with iterations to run far
-    # below lambda_max, read off the gradient at alpha = 0 (the value
-    # lambda_max returns, a cold start's own), and the start is mapped into
-    # them. A cold start takes its gradient one block at a time, each block
-    # built as its product needs it: the first block that alone shows lam
-    # <= lambda_max / 3 and a residual above tol (a lower bound on the
-    # start's, so tol is not met) decides, and the blocks after it are
-    # never built. Where none does, the whole gradient decides, as for any
-    # other start.
-    decide = may_factor and blocks.budget is None
-    g = kkt = ratio = None
-    if decide and not np.any(alpha):
+    # A solve on blocks without bases chooses its coordinates here, once,
+    # unless its start is settled. A warm start first takes its own
+    # residual. Then the gradient at alpha = 0 (whose largest ||g_j|| / w_j
+    # is lambda_max; a cold start's own) is read one block at a time, each
+    # block built as its product needs it: the first block whose own ratio
+    # shows lam <= lambda_max / 3 and whose own residual there is above tol
+    # / 10 takes the bases, the start is mapped into them, and the blocks
+    # after it are never built dense. A cold start's residual is then its
+    # deciding block's, a lower bound on the start's.
+    choose = may_factor and blocks.budget is None
+    cold = not np.any(alpha)
+    g = kkt = None
+    if not (choose and cold):
+        g = blocks.gradients(s)
+        kkt = groups.kkt(x, g, g_b)
+    if choose and (cold or not kkt <= settle):
+        s0 = s if cold else risk.risk_and_slopes(np.zeros(n), 0.0)[1]
         parts = []
         for j in range(d):
-            parts.append(blocks.dot(j, s))
+            parts.append(blocks.dot(j, s0))
             one = _Groups(np.array([0, n]), lam, weights[j:j + 1])
             viol = one.kkt(np.zeros(n), parts[j], 0.0)
-            if (viol > cfg.tol
+            if (viol > settle
                     and float(np.max(one.norms(parts[j]) / one.weights))
                     >= _BASES_FIRST * lam and blocks.to_eigenbasis(budget)):
-                kkt = viol
+                kkt = viol if cold else kkt
+                x = _to_coords(blocks, alpha)
+                f, g = blocks.scores(x), None
+                r = risk.risk(f, b)
                 break
         else:
-            g = np.concatenate(parts)
-            # ||g_j|| / w_j at alpha = 0, whose largest is lambda_max: the
-            # strong rule sets aside each group below 2 lam - lambda_max
-            ratio = groups.norms(g) / groups.weights
-            aside = ratio < 2.0 * lam - np.max(ratio)
-    if kkt is None:
-        if g is None:
-            g = blocks.gradients(s)
-        kkt = groups.kkt(x, g, g_b)
-        if decide and not kkt <= settle:
-            if ratio is None:
-                ratio = (groups.norms(grads(np.zeros(n), 0.0)[2])
-                         / groups.weights)
-            if (float(np.max(ratio)) >= _BASES_FIRST * lam
-                    and blocks.to_eigenbasis(budget)):
-                g = None
+            if cold:
+                g = np.concatenate(parts)
+                kkt = groups.kkt(x, g, g_b)
+                # the strong rule sets aside each group whose ||g_j|| / w_j
+                # is below 2 lam - lambda_max: W's coordinates and
+                # gradients are the others'
+                ratio = groups.norms(g) / groups.weights
+                aside = ratio < 2.0 * lam - np.max(ratio)
+                held = np.repeat(~aside, n)
+                x, g = x[held], g[held]
     met = kkt <= cfg.tol        # kkt has met tol at some iterate
-    if g is None:
-        aside = np.zeros(d, dtype=bool)     # the bases hold every group
-        x = _to_coords(blocks, alpha)
-        f = blocks.scores(x)
-        r = risk.risk(f, b)
-    elif aside.any():
-        # the start is alpha = 0, dense: W's coordinates and gradients
-        held = np.repeat(~aside, n)
-        x, g = x[held], g[held]
     work, groups, curv = storage()
     obj = r + groups.penalty(x)
     trace = [obj]

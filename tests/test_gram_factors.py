@@ -301,26 +301,79 @@ class TestBasesFirst:
         assert np.array_equal(alpha, alpha_d)
         assert rep.objective_trace == rep_d.objective_trace
 
-    def test_warm_start_far_below_lambda_max(self, low_rank,
-                                             gradient_events):
-        # from the solution at 5 lam = lambda_max / 2: one more gradient, at
-        # alpha = 0, reads lambda_max / lam = 10 before any prox step
-        data, part, spec, cfg = low_rank
+    def test_warm_start_far_below_lambda_max(self, low_rank, block_events):
+        # from the solution at lambda_max / 2: the start's own exact
+        # gradient, then the gradient at alpha = 0 one block at a time up to
+        # the first block whose own ||g_j|| / w_j is at least 3 lam (block 0
+        # at 0.1 lambda_max, fewer than d products; block 1 at 0.25), then
+        # the bases
+        data, part, spec, low = low_rank
         dense = [np.array(K) for K in gska.gram_blocks(data, part, spec)]
         init, _ = solve(dense, data.labels, part,
-                        replace(cfg, lam=cfg.lam * 5))
+                        replace(low, lam=low.lam * 5))
+        zero = np.zeros((part.d, data.n))
+        for frac, decides in ((0.1, 0), (0.25, 1)):
+            cfg = replace(low, lam=low.lam * frac / 0.1)
+            ratio = [np.linalg.norm(group_gradient(
+                zero, dense, data.labels, part, cfg, j)) / w
+                for j, w in enumerate(part.weights)]
+            assert decides == min(j for j, r in enumerate(ratio)
+                                  if r >= 3 * cfg.lam)
+            gram = gska.gram_blocks(data, part, spec)
+            block_events.clear()
+            _, rep = solve(gram, data.labels, part, cfg, init)
+            first = block_events.index("prox")
+            start = [e for e in block_events[:first] if e[0] != "build"]
+            k = start.index("exact")
+            assert start[k + 1:] == ([("dot", j) for j in range(part.d)]
+                                     + [("dot", j)
+                                        for j in range(decides + 1)]
+                                     + ["basis"])
+            assert block_events.count("basis") == 1
+            assert "norm" not in block_events
+            assert all(in_basis(gram, j) for j in range(part.d))
+            _, rep_d = solve(dense, data.labels, part, cfg, init)
+            assert rep.converged and rep_d.converged
+            assert rel(rep.objective_trace[-1],
+                       rep_d.objective_trace[-1]) < 1e-8
+            assert np.all(np.diff(rep.objective_trace) <= 1e-10)
+
+    @pytest.mark.parametrize("fit_intercept", [False, True],
+                             ids=["plain", "intercept"])
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    @pytest.mark.parametrize("n,groups,frac,tol,bases", [
+        (120, FULL_RANK, 0.0, 1e-2, True),
+        (300, LOW_RANK, 0.2, 2.0, True), (300, LOW_RANK, 0.2, 5.0, True),
+        (120, FULL_RANK, 0.2, 5.0, True), (300, LOW_RANK, 0.4, 5.0, False)],
+        ids=["lam0", "tol2", "tol5", "tol5-eigh", "tol5-dense"])
+    def test_edge_inputs(self, n, groups, frac, tol, bases, start,
+                         fit_intercept):
+        # lam = 0, where every block's ratio passes the test, and tol 2 and
+        # 5, where a block's own residual at alpha = 0 need not exceed tol
+        # (at 0.2 lambda_max it is at most 4 on these blocks): each solve
+        # ends in the coordinates its ratio gives, and converges. A warm
+        # start comes from lambda_max / 2 (lambda_max / 10 for lam = 0).
+        data, part, spec = instance(n, groups)
+        y = data.labels
+        cw = ClassWeights.inverse_frequency(y)
         gram = gska.gram_blocks(data, part, spec)
-        gradient_events.clear()
-        _, rep = solve(gram, data.labels, part, cfg, init)
-        first = gradient_events.index("prox")
-        assert gradient_events[:first] == ["exact", "exact", "basis"]
-        assert gradient_events.count("basis") == 1
-        assert "norm" not in gradient_events
-        assert all(in_basis(gram, j) for j in range(part.d))
-        _, rep_d = solve(dense, data.labels, part, cfg, init)
-        assert rep.converged and rep_d.converged
-        assert rel(rep.objective_trace[-1], rep_d.objective_trace[-1]) < 1e-8
-        assert np.all(np.diff(rep.objective_trace) <= 1e-10)
+        dense = [np.array(K) for K in gram]
+        top = lambda_max(dense, y, part,
+                         SolverConfig(0.0, 1.0, class_weights=cw))
+        cfg = SolverConfig(frac * top, 1.0, tol=tol, max_iters=5000,
+                           class_weights=cw, fit_intercept=fit_intercept)
+        init = None
+        if start == "warm":
+            init, _ = solve(dense, y, part, replace(
+                cfg, lam=(0.5 if frac else 0.1) * top, tol=1e-4))
+        alpha, rep = solve(gram, y, part, cfg, init)
+        assert all(in_basis(gram, j) == bases for j in range(part.d))
+        assert rep.converged
+        _, kkt, _ = _exact(kernels.GramBlocks(dense),
+                           LabelledRisk(y, cw, cfg.loss_params), alpha, part,
+                           cfg.lam, rep.intercept, fit_intercept)
+        assert kkt == pytest.approx(rep.kkt_residual, rel=1e-9)
+        assert kkt <= tol
 
     def test_settled_warm_start_builds_nothing(self, low_rank, events):
         # a start already within tol / 10 runs no iteration: it keeps its
@@ -988,8 +1041,9 @@ class TestBasisFromGram:
 
 
 class TestStackedProducts:
-    """`gradients` and `scores` take one product with all the blocks, or
-    one per block of a working set."""
+    """`gradients` and `scores` take one product with all the blocks, or,
+    on dense blocks, one per block of a working set; while the bases are
+    held, a working set raises."""
 
     @pytest.mark.parametrize("n,groups,frac", [
         (300, LOW_RANK, 0.1), (120, FULL_RANK, 0.05)], ids=["svd", "eigh"])
@@ -1010,9 +1064,17 @@ class TestStackedProducts:
             else:
                 grads = [gram.dot(j, s) for j in range(part.d)]
                 score = [gram.dot(j, x_j) for j, x_j in enumerate(parts)]
-            # all blocks, and working sets: those blocks alone, their
-            # coordinates end to end
-            for ids in (None, [], [part.d - 1], [0, part.d - 1]):
+            # all blocks, and on dense blocks working sets: those blocks
+            # alone, their coordinates end to end
+            sets = (None, [], [part.d - 1], [0, part.d - 1])
+            if in_basis(gram, 0):
+                for ids in sets[1:]:
+                    with pytest.raises(ValueError, match="working set"):
+                        gram.gradients(s, ids)
+                    with pytest.raises(ValueError, match="working set"):
+                        gram.scores(np.empty(0), ids)
+                sets = (None,)
+            for ids in sets:
                 each = range(part.d) if ids is None else ids
                 want = np.concatenate([np.empty(0)] + [grads[j] for j in each])
                 np.testing.assert_allclose(
