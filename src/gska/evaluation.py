@@ -169,10 +169,11 @@ def grid_search(data: Dataset, partition: GroupPartition,
         mask = assign == f
         fold = model_mod._prepare_fold(data.subset(~mask), partition, kernel)
         test = data.subset(mask)
+        # a solve at lam = 0 runs dense: its budget of 0 binds no other
         fold.gram.shared_budget = min(
-            basis_budget(fold.train.n, partition, SolverConfig(
+            (basis_budget(fold.train.n, partition, SolverConfig(
                 lam, s, tol=tol, class_weights=fold.class_weights))
-            for lam in lambdas for s in sigmas)
+             for lam in lambdas if lam > 0 for s in sigmas), default=np.inf)
         for s in sigmas:
             alpha = None
             for lam in reversed(lambdas):

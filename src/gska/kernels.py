@@ -19,16 +19,17 @@ from the thin SVD of L, so that a product costs O(n r) instead of O(n^2).
 Any other block takes its basis from a full eigendecomposition, keeping the
 eigenvalues above B. Both decompositions are plain numpy calls (QR and SVD,
 or eigh), so they run in the one LAPACK and BLAS that pivoted Cholesky and
-the solver's products use too. The d bases are held as one stacked array
-of the rows U_j^T, each basis written into its rows once built, so that a
-solve's gradients for all blocks take one product with the stack, and its
-summed margins another. A full-rank block is rebuilt dense in its own
-rows of the stack before its decomposition, which then holds two n x n
-arrays beside it; a factor's QR holds four n x r_j arrays beside the stack
-for a moment. While the bases are held, a block's exact values are rebuilt
-from the training rows on demand, entry for entry as its dense array is
-built. A GramBlocks serves the solver only: scoring and interpretation build
-`cross_gram` blocks for one tile of rows at a time.
+the solver's products use too. The bases are built one block at a time,
+each block's factor or rebuilt dense array freed before the next block
+starts, and are then stacked once into one array of the rows U_j^T, so
+that a solve's gradients for all blocks take one product with the stack,
+and its summed margins another. Beside the bases built so far, a full-rank
+block's eigendecomposition holds three n x n arrays while it runs, and a
+factor's QR four n x r_j arrays; the stacking holds the bases twice. While
+the bases are held, a block's exact values are rebuilt from the training
+rows on demand, entry for entry as its dense array is built. A GramBlocks
+serves the solver only: scoring and interpretation build `cross_gram`
+blocks for one tile of rows at a time.
 
 The median heuristic selects its median by counting (Floyd & Rivest 1975):
 the quantiles of about m^(2/3) evenly spread pairs, of the m = n(n - 1)/2,
@@ -98,12 +99,11 @@ def gaussian_kernel(a, b, gamma: float) -> float:
     return float(np.exp(-gamma * np.sum((a - b) ** 2)))
 
 
-def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float,
-                   out=None) -> np.ndarray:
+def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     # cdist sums explicit squared differences, so the result is exactly
     # symmetric and exactly zero for identical rows (unlike the gemm form),
     # and each entry is the same whichever rows are computed together.
-    D = cdist(A, B, "sqeuclidean", out=out)
+    D = cdist(A, B, "sqeuclidean")
     with np.errstate(over="ignore"):    # -inf where it overflows: exp gives 0
         D *= -gamma
     np.exp(D, out=D)
@@ -137,9 +137,10 @@ def _basis_from_factor(Lt):
     L = U diag(s) V^T, so L L^T = U s^2 U^T. Householder QR L = Q R
     (reduced), then the SVD R = W diag(s) V^T of the small r x r factor:
     U = Q W is orthonormal to rounding (eigenvectors of an explicit L^T L
-    are not), and U^T = W^T Q^T is one product. While the QR runs, four
-    n x r arrays sit beside Lt (numpy's copy of L and its Q, and its LAPACK
-    wrapper's workspace copies of both: 21 MiB at n = 2000, r = 350).
+    are not), and U^T = W^T Q^T is one product, a new r x n array. While
+    the QR runs, four n x r arrays sit beside Lt (numpy's copy of L and its
+    Q, and its LAPACK wrapper's workspace copies of both: 21 MiB at
+    n = 2000, r = 350).
     """
     Q, R = np.linalg.qr(Lt.T)
     W, s, _ = np.linalg.svd(R)
@@ -152,11 +153,12 @@ def _basis_from_gram(K, budget: float):
 
     Divide and conquer (LAPACK syevd). Beside K and LAPACK's workspace it
     holds two n x n arrays: numpy's copy of K, which LAPACK overwrites with
-    the eigenvectors, and U, into which numpy copies them.
+    the eigenvectors, and U, into which numpy copies them. The kept rows are
+    copied into an array of their own, so that U is freed on return.
     """
     w, U = np.linalg.eigh(K)
     keep = int(np.searchsorted(w, budget, side="right"))
-    return U[:, keep:].T, w[keep:]
+    return U[:, keep:].T.copy(), w[keep:]
 
 
 def _flat(parts) -> np.ndarray:
@@ -181,8 +183,8 @@ class GramBlocks(Sequence):
 
     The d bases are held as one array, the rows U_j^T stacked in group
     order (sum_j r_j x n), with the eigenvalues in one flat vector beside
-    it; each basis, once built, is written into its rows by one
-    assignment, and the dense blocks are never stacked. A solve works on
+    it: the bases are built block by block and stacked by one
+    concatenation, and the dense blocks are never stacked. A solve works on
     one flat vector of coordinates, block j's at offsets[j]:offsets[j + 1]:
     alpha_j itself while dense (n each), beta_j = U_j^T alpha_j in a basis
     (r_j each).
@@ -243,9 +245,9 @@ class GramBlocks(Sequence):
         """The tightest budget a basis is built to, n * _FACTOR_EPS."""
         return self.n * _FACTOR_EPS
 
-    def _kernel_rows(self, j, start, stop, out=None):
+    def _kernel_rows(self, j, start, stop):
         X = self._rows[j]
-        return _kernel_matrix(X[start:stop], X, self._gammas[j], out)
+        return _kernel_matrix(X[start:stop], X, self._gammas[j])
 
     def _part(self, v, j):
         return v[self.offsets[j]:self.offsets[j + 1]]
@@ -318,6 +320,14 @@ class GramBlocks(Sequence):
             self._Ut = self._eig = self.budget = None
             self.offsets = np.arange(len(self) + 1) * self.n
 
+    def _basis(self, j, budget):
+        # block j's (U_j^T, Lambda_j); its factor is freed on return
+        Lt = _pivoted_cholesky(
+            lambda p: self._kernel_rows(j, p, p + 1)[0], self.n, budget)
+        if Lt is None:
+            return _basis_from_gram(self._kernel_rows(j, 0, self.n), budget)
+        return _basis_from_factor(Lt)
+
     def to_eigenbasis(self, budget: float) -> bool:
         """Hold every block in an eigenbasis; True if this call built them.
 
@@ -325,49 +335,24 @@ class GramBlocks(Sequence):
         smaller of budget and shared_budget, but never below floor; that
         bound is recorded as `budget`. Does nothing without training rows
         or while the blocks hold bases (until `drop_bases`). Every dense
-        array built so far is dropped first, and pivoted Cholesky reads
-        kernel rows rebuilt from the training rows. Only once every block
-        has been tried does the decomposition run, block by block: a factor
-        of rank r_j below n / 2 takes the thin SVD of the factor (four n x
-        r_j arrays beside the stack while its QR runs), and any other block
-        is rebuilt dense in its own rows of the stack and decomposed by eigh
-        (two n x n arrays beside it). Each basis is then written into the
-        block's rows. The stack is allocated for n rows per full-rank block
-        and cut to the rows kept once all are built. So memory never holds
-        a basis or its workspace beside the dense blocks, and no more than
-        one block's finished basis is held beside the stack.
+        array built so far is dropped first. Then one block at a time,
+        pivoted Cholesky reads kernel rows rebuilt from the training rows,
+        and the block's basis is built at once: from the thin SVD of a
+        factor of rank r_j below n / 2, or else from eigh of the block
+        rebuilt dense. The factor or rebuilt block is freed before the next
+        block starts, so beside the bases built so far memory holds one
+        block's workspace: the factor and four n x r_j arrays while its QR
+        runs, or three n x n arrays and LAPACK's workspace while eigh runs.
+        The d bases are then stacked by one concatenation, which holds them
+        twice for a moment.
         """
         if self._rows is None or self._Ut is not None:
             return False
         budget = max(self.floor, min(budget, self.shared_budget))
         self._dense = [None] * len(self)
-        factors = []
-        for j in range(len(self)):
-            factors.append(_pivoted_cholesky(
-                lambda p: self._kernel_rows(j, p, p + 1)[0], self.n, budget))
-        stack = np.empty((sum(self.n if Lt is None else len(Lt)
-                              for Lt in factors), self.n))
-        eig, offsets = [], [0]
-        for j in range(len(self)):
-            Lt, factors[j] = factors[j], None
-            o = offsets[-1]
-            if Lt is None:
-                Ut, lam = _basis_from_gram(
-                    self._kernel_rows(j, 0, self.n, out=stack[o:o + self.n]),
-                    budget)
-            else:
-                Ut, lam = _basis_from_factor(Lt)
-            stack[o:o + len(lam)] = Ut
-            # Ut may view eigh's n x n U: free it before the next block's
-            del Lt, Ut
-            eig.append(lam)
-            offsets.append(o + len(lam))
-        # cut in place: no view of the stack outlives the calls that wrote
-        # it (a profiler's reference to `stack` itself may, so the
-        # reference count is not checked)
-        stack.resize((offsets[-1], self.n), refcheck=False)
-        self._Ut, self._eig = stack, np.concatenate(eig)
-        self.offsets = np.array(offsets)
+        Ut, eig = zip(*(self._basis(j, budget) for j in range(len(self))))
+        self._Ut, self._eig = np.concatenate(Ut), np.concatenate(eig)
+        self.offsets = np.cumsum([0, *map(len, eig)])
         self.budget = budget
         return True
 

@@ -52,7 +52,8 @@ solve's error budget (basis_budget): its error cannot move a gradient by
 more than 1% of tol * lam * w_j. A solve reuses bases built to its budget or
 a tighter one and drops looser ones, its blocks then built dense again as
 its products need them; one whose budget is under GramBlocks.floor, a tiny
-tol, runs dense. The objective
+tol or lam = 0 (where no penalty bounds ||alpha||, so no budget bounds the
+margins' error), runs dense. The objective
 then moves by at most 1% of tol times the penalty term, which bounds how far
 the trace can rise at its last entry. That entry, the KKT residual that
 decides `converged` (reported as SolveReport.kkt_residual), and the public
@@ -190,13 +191,16 @@ def basis_budget(n: int, partition: GroupPartition,
 
     A block gradient multiplies a vector of norm at most c_max sup|loss'| /
     sqrt(n), so a basis error of B moves it by at most 1% of tol * lam *
-    min_j w_j (tol * min_j w_j at lam 0):
+    min_j w_j:
 
         B = 0.01 tol lam min_j w_j sqrt(n) / (c_max sup|loss'|)
+
+    At lam = 0 that is 0, under every GramBlocks.floor, so the solve runs
+    dense: no penalty bounds ||alpha||, and a factor's basis error moves the
+    margins by up to B ||alpha||.
     """
-    return float(_FACTOR_SHARE * cfg.tol * (cfg.lam if cfg.lam > 0 else 1.0)
-                 * min(partition.weights) * np.sqrt(n)
-                 / (_c_max(cfg) * slope_bound(cfg.loss_params)))
+    return float(_FACTOR_SHARE * cfg.tol * cfg.lam * min(partition.weights)
+                 * np.sqrt(n) / (_c_max(cfg) * slope_bound(cfg.loss_params)))
 
 
 def _as_blocks(gram) -> GramBlocks:
@@ -501,7 +505,7 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     lambda_max at alpha = 0; once W's residual reaches cfg.tol / 10, a
     set-aside block whose own residual is above that joins W (see the
     module docstring). On a GramBlocks from kernels.gram_blocks, every
-    iteration of a solve at lam <= lambda_max / 3 runs in the blocks'
+    iteration of a solve at 0 < lam <= lambda_max / 3 runs in the blocks'
     eigenbases, with a per-coordinate majorizer, as does every iteration
     where the blocks already hold bases within the solve's basis_budget.
     Cold or warm, an unsettled start on blocks without bases reads that

@@ -3,9 +3,10 @@
 On a GramBlocks from `gram_blocks` whose blocks hold no bases, a solve at
 lam <= lambda_max / 3, read off the gradient at alpha = 0 whether it starts
 cold or warm, builds an eigenbasis of each block before its first iteration;
-a solve above that ratio runs dense to the end. `gram_blocks` builds no
-block: each is built dense when a product first needs it, so a cold start
-that decides for the bases on its first blocks never builds the others.
+a solve above that ratio, or at lam = 0, runs dense to the end.
+`gram_blocks` builds no block: each is built dense when a product first
+needs it, so a cold start that decides for the bases on its first blocks
+never builds the others.
 Each basis is built to the solve's error budget: from the thin SVD of a
 pivoted-Cholesky factor where one of rank below n / 2 meets the budget, else
 from a full eigendecomposition. The oracle is the same solve on a plain list
@@ -241,10 +242,10 @@ def block_events(gradient_events, monkeypatch):
         gradient_events.append(("dot", j))
         return dot(self, j, v)
 
-    def counted_rows(self, j, start, stop, out=None):
+    def counted_rows(self, j, start, stop):
         if (start, stop) == (0, self.n):
             gradient_events.append(("build", j))
-        return rows(self, j, start, stop, out)
+        return rows(self, j, start, stop)
 
     monkeypatch.setattr(kernels.GramBlocks, "dot", counted_dot)
     monkeypatch.setattr(kernels.GramBlocks, "_kernel_rows", counted_rows)
@@ -342,17 +343,20 @@ class TestBasesFirst:
                              ids=["plain", "intercept"])
     @pytest.mark.parametrize("start", ["cold", "warm"])
     @pytest.mark.parametrize("n,groups,frac,tol,bases", [
-        (120, FULL_RANK, 0.0, 1e-2, True),
+        (120, FULL_RANK, 0.0, 1e-2, False), (300, LOW_RANK, 0.0, 1e-2, False),
         (300, LOW_RANK, 0.2, 2.0, True), (300, LOW_RANK, 0.2, 5.0, True),
         (120, FULL_RANK, 0.2, 5.0, True), (300, LOW_RANK, 0.4, 5.0, False)],
-        ids=["lam0", "tol2", "tol5", "tol5-eigh", "tol5-dense"])
+        ids=["lam0", "lam0-svd", "tol2", "tol5", "tol5-eigh", "tol5-dense"])
     def test_edge_inputs(self, n, groups, frac, tol, bases, start,
                          fit_intercept):
-        # lam = 0, where every block's ratio passes the test, and tol 2 and
-        # 5, where a block's own residual at alpha = 0 need not exceed tol
-        # (at 0.2 lambda_max it is at most 4 on these blocks): each solve
-        # ends in the coordinates its ratio gives, and converges. A warm
-        # start comes from lambda_max / 2 (lambda_max / 10 for lam = 0).
+        # lam = 0, where every block's ratio passes the test but the basis
+        # budget is 0, under the floor, so the solve runs dense (no penalty
+        # bounds ||alpha||, so no budget bounds the margins' error in a
+        # factor's basis); and tol 2 and 5, where a block's own residual at
+        # alpha = 0 need not exceed tol (at 0.2 lambda_max it is at most 4
+        # on these blocks): each solve ends in the coordinates its ratio
+        # and budget give, and converges. A warm start comes from
+        # lambda_max / 2 (lambda_max / 10 for lam = 0).
         data, part, spec = instance(n, groups)
         y = data.labels
         cw = ClassWeights.inverse_frequency(y)
@@ -1122,6 +1126,20 @@ class TestStackedProducts:
         # the stack, and O(n) beside it: eigenvalues, training rows, offsets
         assert held <= (sum(ranks) + 32) * data.n * 8
 
+    def test_bases_are_built_one_block_at_a_time(self, basis_calls):
+        # n = 1000, the paper's 3-feature groups, all on the factor path
+        # (r_j about n / 3): each factor is freed before the next block's
+        # is built, and the stack is made once, from the finished bases, so
+        # the peak is the bases held twice while they are stacked (about
+        # 2.6 n^2 doubles here)
+        data, part, _ = gska.synth_generate(1000, 1, 0.2)
+        data, _ = gska.standardize(data)
+        gram = gska.gram_blocks(data, part,
+                                gska.median_heuristic_gamma(data, part))
+        built, peak = traced_peak(gram.to_eigenbasis, 1e-5)
+        assert built and basis_calls == ["svd"] * part.d
+        assert peak <= 3 * data.n ** 2 * 8
+
 
 def fixed_tolerance_rank(K, eps=1e-10):
     """Rows a basis of K keeps under a fixed per-entry tolerance: the rank
@@ -1217,6 +1235,27 @@ class TestBudget:
                     k=3)
         assert len(built) == 3
         assert len({id(g) for g in built}) == 3
+
+    def test_grid_budget_ignores_lam_zero(self, monkeypatch):
+        # a solve at lam = 0 runs dense, so it does not tighten the budget
+        # the fold's bases are built to
+        budgets = []
+        original = kernels.GramBlocks.to_eigenbasis
+
+        def counted(self, budget):
+            done = original(self, budget)
+            if done:
+                budgets.append(self.budget)
+            return done
+
+        monkeypatch.setattr(kernels.GramBlocks, "to_eigenbasis", counted)
+        data, part, _ = gska.synth_generate(300, 1, 0.2)
+        for lambdas in ((0.003, 0.01, 0.03), (0.0, 0.003, 0.01, 0.03)):
+            grid_search(data, part, lambdas=lambdas, sigmas=(0.5,), k=3,
+                        max_iters=50)
+        assert len(budgets) == 6
+        assert budgets[:3] == budgets[3:]
+        assert min(budgets) > 10 * data.n * kernels._FACTOR_EPS
 
 
 @pytest.fixture(scope="module")
