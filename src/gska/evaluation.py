@@ -155,8 +155,12 @@ def grid_search(data: Dataset, partition: GroupPartition,
     """Mean CV AUROC per (lambda, sigma), warm-starting along decreasing
     lambda. Ties break toward larger lambda, then larger sigma. Every solve
     runs to `tol` within `max_iters` (SolverConfig's). A fold's bases are
-    built once, to the tightest basis budget on the grid, so that each
-    later solve on the fold reuses them."""
+    built once, to the tightest basis budget on the grid at or above the
+    Gram's floor, so that each later solve on the fold reuses them. A solve
+    whose budget is under the floor (every one at lambda = 0) runs dense and
+    drops the bases, so the fold runs those solves last: each sigma's path
+    stops above them, and resumes there, from its own alpha, once every
+    sigma's path has run in the bases."""
     sigmas = _grid_values(sigmas, "sigma")
     if lambdas is None:
         lambdas = default_lambda_grid(data, partition, sigmas, kernel=kernel)
@@ -169,19 +173,34 @@ def grid_search(data: Dataset, partition: GroupPartition,
         mask = assign == f
         fold = model_mod._prepare_fold(data.subset(~mask), partition, kernel)
         test = data.subset(mask)
-        # a solve at lam = 0 runs dense: its budget of 0 binds no other
+
+        def config(lam, s):
+            return SolverConfig(lam, s, max_iters=max_iters, tol=tol,
+                                class_weights=fold.class_weights)
+
+        budget = {(lam, s): basis_budget(fold.train.n, partition,
+                                         config(lam, s))
+                  for lam in lambdas for s in sigmas}
+        floor = fold.gram.floor
         fold.gram.shared_budget = min(
-            (basis_budget(fold.train.n, partition, SolverConfig(
-                lam, s, tol=tol, class_weights=fold.class_weights))
-             for lam in lambdas if lam > 0 for s in sigmas), default=np.inf)
-        for s in sigmas:
-            alpha = None
-            for lam in reversed(lambdas):
-                cfg = SolverConfig(lam, s, max_iters=max_iters, tol=tol)
-                fitted = model_mod._solve_fold(fold, cfg, init=alpha)
+            (b for b in budget.values() if b >= floor), default=np.inf)
+
+        def walk(s, path, alpha):
+            for lam in path:
+                fitted = model_mod._solve_fold(fold, config(lam, s),
+                                               init=alpha)
                 scores = model_mod.decision_function(fitted, test)
                 sums[(lam, s)] += auroc(scores, test.labels)
                 alpha = fitted.alpha
+            return alpha
+
+        # a budget is proportional to lambda, so the solves under the floor
+        # end each sigma's path down
+        down = lambdas[::-1]
+        ends = {s: walk(s, [lam for lam in down if budget[lam, s] >= floor],
+                        None) for s in sigmas}
+        for s in sigmas:
+            walk(s, [lam for lam in down if budget[lam, s] < floor], ends[s])
         del fold    # free this fold's Gram before the next one is built
     points = tuple((lam, s, sums[(lam, s)] / k)
                    for lam in lambdas for s in sigmas)

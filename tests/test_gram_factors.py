@@ -1219,41 +1219,27 @@ class TestBudget:
 
     def test_grid_search_builds_each_fold_once(self, monkeypatch):
         # warm starts walk lambda down, tightening the budget at each step;
-        # the first build on a fold takes the grid's tightest budget instead
+        # the first build on a fold takes the grid's tightest budget instead.
+        # A solve at lam = 0 runs dense and drops the bases: the fold runs
+        # it after every sigma's path in the bases, and its budget of 0
+        # binds no other
         built = []
         original = kernels.GramBlocks.to_eigenbasis
 
         def counted(self, budget):
             done = original(self, budget)
             if done:
-                built.append(self)      # held, so no id is reused
-            return done
-
-        monkeypatch.setattr(kernels.GramBlocks, "to_eigenbasis", counted)
-        data, part, _ = gska.synth_generate(300, 1, 0.2)
-        grid_search(data, part, lambdas=(0.003, 0.01, 0.03), sigmas=(0.5,),
-                    k=3)
-        assert len(built) == 3
-        assert len({id(g) for g in built}) == 3
-
-    def test_grid_budget_ignores_lam_zero(self, monkeypatch):
-        # a solve at lam = 0 runs dense, so it does not tighten the budget
-        # the fold's bases are built to
-        budgets = []
-        original = kernels.GramBlocks.to_eigenbasis
-
-        def counted(self, budget):
-            done = original(self, budget)
-            if done:
-                budgets.append(self.budget)
+                built.append((self, self.budget))   # held: no id is reused
             return done
 
         monkeypatch.setattr(kernels.GramBlocks, "to_eigenbasis", counted)
         data, part, _ = gska.synth_generate(300, 1, 0.2)
         for lambdas in ((0.003, 0.01, 0.03), (0.0, 0.003, 0.01, 0.03)):
-            grid_search(data, part, lambdas=lambdas, sigmas=(0.5,), k=3,
+            grid_search(data, part, lambdas=lambdas, sigmas=(0.5, 1.0), k=3,
                         max_iters=50)
-        assert len(budgets) == 6
+        assert len(built) == 6
+        assert len({id(g) for g, _ in built}) == 6
+        budgets = [b for _, b in built]
         assert budgets[:3] == budgets[3:]
         assert min(budgets) > 10 * data.n * kernels._FACTOR_EPS
 
