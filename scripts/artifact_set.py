@@ -15,6 +15,8 @@ below, its artifact and its stdout and stderr as <run>.stdout and
     grid_tol_n500       grid, n 500, 5 lambdas 0.001-0.1, sigmas 0.5 1 2,
                         --tol 1e-3
     grid_default_n300   grid, n 300, the default lambda and sigma grids
+    predict_q50k        predict, fit_n500's model on a 50 000-row query
+                        (synthetic, seed + 1 000 003), to predict_q50k.csv
 
 The seed is the synthetic data's, and the fold seed of `cv` and `grid`. Each
 run is its own process with OPENBLAS_NUM_THREADS=1, because artifacts differ
@@ -23,7 +25,8 @@ directory with relative paths, so that stdout names no checkout. The
 package is imported from this checkout's `src`. Runs of two checkouts into
 two directories compare with `diff -r`. Every run's exit code is printed;
 the script exits 1 if any run failed. The set takes about a minute and a
-half for both seeds on 2 cores, most of it the default grid.
+half for both seeds on 2 cores, most of it the default grid; the query
+files take 12 MB a seed.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 NOISE = "0.2"
+QUERY_ROWS = 50_000
+QUERY_SEED = 1_000_003  # added to the seed, as the benchmark's query is
 
 
 def runs(seed: int) -> dict[str, list[str]]:
@@ -65,6 +70,8 @@ def runs(seed: int) -> dict[str, list[str]]:
                           "--out", "grid_tol_n500.json"],
         "grid_default_n300": ["grid", *data(300), "--seed", s,
                               "--out", "grid_default_n300.json"],
+        "predict_q50k": ["predict", "--model", "fit_n500.json", "--data",
+                         "q50k/features.csv", "--out", "predict_q50k.csv"],
     }
 
 
@@ -87,10 +94,12 @@ def main(argv=None) -> int:
     for seed in (1, 104729):
         work = args.out / f"seed_{seed}"
         work.mkdir(parents=True, exist_ok=True)
-        for n in (300, 500, 2000, 3000):
-            rc = gska(["synth", "--n", str(n), "--seed", str(seed),
-                       "--noise", NOISE, "--out", f"n{n}"], work,
-                      f"synth_n{n}")
+        for name, n, data_seed in [
+                *((f"n{n}", n, seed) for n in (300, 500, 2000, 3000)),
+                ("q50k", QUERY_ROWS, seed + QUERY_SEED)]:
+            rc = gska(["synth", "--n", str(n), "--seed", str(data_seed),
+                       "--noise", NOISE, "--out", name], work,
+                      f"synth_{name}")
             failed |= rc != 0
         for name, run in runs(seed).items():
             rc = gska(run, work, name)

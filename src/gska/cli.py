@@ -130,8 +130,8 @@ def cmd_predict(args):
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([data_mod.SAMPLE_ID_COLUMN, "score", "prediction"])
-        for sid, s, p in zip(query.sample_ids, scores, preds):
-            writer.writerow([sid, repr(float(s)), int(p)])
+        writer.writerows(zip(query.sample_ids, map(repr, scores.tolist()),
+                             preds.tolist()))
     acc, f1 = evaluation.accuracy_f1(np.asarray(preds, dtype=float),
                                      query.labels)
     _summary({"command": "predict", "n": query.n, "accuracy": acc, "f1": f1,

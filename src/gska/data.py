@@ -10,6 +10,7 @@ degenerate folds still run.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys
 from dataclasses import dataclass, field
@@ -191,6 +192,10 @@ def _parse_label(raw: str, row: int, path) -> float:
 
 SAMPLE_ID_COLUMN = "sample_id"
 
+# Bytes a file may hold for the C reader to read it as the csv module and
+# float() would: printable ASCII without quotes, tab, and line ends
+_PLAIN = bytes(sorted(set(range(0x20, 0x7f)) - {ord('"')})) + b"\t\n\r"
+
 
 def load_csv(path, label_column: str) -> Dataset:
     """Read a UTF-8, comma-separated, headered CSV into a Dataset.
@@ -198,44 +203,144 @@ def load_csv(path, label_column: str) -> Dataset:
     The label column accepts -1/+1 or 0/1 (0 maps to -1). A `sample_id`
     column other than the label column (the name `predict` writes) gives the
     sample ids verbatim and is not a feature; without one, the ids are the
-    row numbers. Every other cell must parse as a finite real.
+    row numbers. Every other cell must parse as a finite real, as float()
+    reads it.
+
+    A file of plain ASCII without quotes, blank lines or a lone CR, whose
+    lines all fit the csv module's field limit, is read by numpy's C
+    reader in one pass. Any other file, and any file in which the C reader
+    meets a cell it cannot read, a non-finite feature or a label outside
+    the set, is read row by row with the csv module and float(), which name
+    the row and column of every error. Both give the same Dataset, bit for
+    bit.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as e:
         raise FileError(f"cannot open {path}: {e}") from e
-    with fh:
-        reader = csv.reader(fh)
+    return _read_plain(raw, label_column) or _read_rows(path, raw,
+                                                        label_column)
+
+
+def _header(path, label_column, header):
+    """The label column's and the sample id column's (or None) indices."""
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate header names")
+    if label_column not in header:
+        raise DataError(f"{path}: label column {label_column!r} not found")
+    id_idx = (header.index(SAMPLE_ID_COLUMN) if SAMPLE_ID_COLUMN in header
+              and SAMPLE_ID_COLUMN != label_column else None)
+    return header.index(label_column), id_idx
+
+
+def _read_plain(raw: bytes, label_column: str) -> Dataset | None:
+    """raw's Dataset by numpy's C reader, or None for a file it may read
+    otherwise than the row loop, or in which the row loop finds an error."""
+    if raw.translate(None, _PLAIN):
+        return None
+    # the C reader skips a blank line, where the row loop finds an empty row
+    lines = list(map(len, io.BytesIO(raw)))
+    if len(lines) < 2 or max(lines) > csv.field_size_limit():
+        return None
+    header = raw[:lines[0] - 1].decode("ascii").removesuffix("\r")
+    # the csv module ends a row at a lone CR; the C reader fails on one
+    # within a line
+    if not header or "\r" in header:
+        return None
+    header = header.split(",")
+    try:
+        label_idx, id_idx = _header(None, label_column, header)
+    except DataError:
+        return None
+    ids = []
+    # the id cells reach the converter verbatim, as the csv module reads them
+    converters = (None if id_idx is None
+                  else {id_idx: lambda cell: ids.append(cell) or 0.0})
+    try:
+        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None,
+                           skiprows=1, ndmin=2, encoding="ascii",
+                           converters=converters)
+    except ValueError:
+        return None
+    if table.shape != (len(lines) - 1, len(header)):
+        return None
+    cols = [i for i in range(len(header)) if i not in (label_idx, id_idx)]
+    # take, unlike indexing, gives the row loop's C order
+    X = table.take(cols, axis=1)
+    y = table[:, label_idx]
+    y = np.where(y == 0, -1.0, y)
+    if not (np.all(np.isfinite(X)) and np.all((y == 1) | (y == -1))):
+        return None
+    if id_idx is None:
+        ids = map(str, range(len(y)))
+    return Dataset(X, y, tuple(header[i] for i in cols), tuple(ids))
+
+
+def _where(r: int) -> str:
+    return "header" if r < 0 else f"row {r}"
+
+
+def _csv_rows(path, raw: bytes):
+    """raw's csv rows, the header first, decoded as UTF-8 as they are read.
+    A row the csv module cannot read or that is not UTF-8 raises a
+    DataError that names it."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                         newline=""))
+    r = -1      # the header's
+    while True:
         try:
-            header = next(reader)
+            cells = next(reader)
         except StopIteration:
-            raise DataError(f"{path}: empty file")
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate header names")
-        if label_column not in header:
-            raise DataError(f"{path}: label column {label_column!r} not found")
-        label_idx = header.index(label_column)
-        id_idx = (header.index(SAMPLE_ID_COLUMN) if SAMPLE_ID_COLUMN in header
-                  and SAMPLE_ID_COLUMN != label_column else None)
-        skip = (label_idx, id_idx)
-        names = [h for i, h in enumerate(header) if i not in skip]
-        rows, labels, ids = [], [], []
-        for r, cells in enumerate(reader):
-            if len(cells) != len(header):
-                raise DataError(f"{path}: row {r} has {len(cells)} cells, "
-                                f"expected {len(header)}")
-            labels.append(_parse_label(cells[label_idx], r, path))
-            vals = []
-            for i, cell in enumerate(cells):
-                if i in skip:
-                    continue
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise DataError(f"{path}: row {r}, column {header[i]!r}: "
-                                    f"cannot parse {cell!r}")
-            rows.append(vals)
-            ids.append(str(r) if id_idx is None else cells[id_idx])
+            return
+        except csv.Error as e:
+            raise DataError(f"{path}: {_where(r)}: {e}") from e
+        except UnicodeDecodeError:
+            # the text is decoded ahead of the rows: find the byte's row
+            raise _undecodable(path, raw) from None
+        yield cells
+        r += 1
+
+
+def _undecodable(path, raw: bytes) -> DataError:
+    """The DataError for raw's first byte that is not UTF-8, naming its row."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        at = e.start
+    # the rows before the byte, and one more that holds it
+    r = sum(1 for _ in _csv_rows(path, raw[:at] + b"x")) - 2
+    return DataError(f"{path}: {_where(r)}: byte {raw[at]:#04x} at offset "
+                     f"{at} is not UTF-8")
+
+
+def _read_rows(path, raw: bytes, label_column: str) -> Dataset:
+    """raw's Dataset, read row by row with the csv module and float()."""
+    reader = _csv_rows(path, raw)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file")
+    label_idx, id_idx = _header(path, label_column, header)
+    skip = (label_idx, id_idx)
+    names = [h for i, h in enumerate(header) if i not in skip]
+    rows, labels, ids = [], [], []
+    for r, cells in enumerate(reader):
+        if len(cells) != len(header):
+            raise DataError(f"{path}: row {r} has {len(cells)} cells, "
+                            f"expected {len(header)}")
+        labels.append(_parse_label(cells[label_idx], r, path))
+        vals = []
+        for i, cell in enumerate(cells):
+            if i in skip:
+                continue
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise DataError(f"{path}: row {r}, column {header[i]!r}: "
+                                f"cannot parse {cell!r}")
+        rows.append(vals)
+        ids.append(str(r) if id_idx is None else cells[id_idx])
     if not rows:
         raise DataError(f"{path}: no data rows")
     try:
@@ -332,6 +437,8 @@ def load_groups_json(path, feature_names) -> GroupPartition:
             doc = json.load(fh)
     except OSError as e:
         raise FileError(f"cannot open {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8: {e}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict) or not isinstance(doc.get("groups"), list):

@@ -19,7 +19,7 @@ from scipy.special import stdtr
 from . import interpret, model as model_mod
 from .data import DataError, Dataset, GroupPartition, stratified_kfold
 from .kernels import KernelSpec
-from .solver import SolverConfig, basis_budget, lambda_max
+from .solver import SolverConfig, basis_budget, lambda_maxes
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,13 @@ _DEFAULT_LAMBDA_POINTS = 20
 def default_lambda_grid(data: Dataset, partition: GroupPartition,
                         sigmas=DEFAULT_SIGMAS,
                         kernel: KernelSpec | None = None) -> tuple[float, ...]:
-    """20 log-spaced points from 1e-4 up to the largest lambda_max over sigmas."""
+    """20 log-spaced points from 1e-4 up to the largest lambda_max over
+    sigmas, read in one pass that holds one Gram block at a time."""
     fold = model_mod._prepare_fold(data, partition, kernel)
-    top = max(lambda_max(fold.gram, fold.train.labels, partition,
-                         SolverConfig(0.0, s, class_weights=fold.class_weights))
-              for s in sigmas)
+    top = max(lambda_maxes(
+        fold.gram, fold.train.labels, partition,
+        [SolverConfig(0.0, s, class_weights=fold.class_weights)
+         for s in sigmas]))
     top = max(top, 2e-4)
     return tuple(np.geomspace(1e-4, top, _DEFAULT_LAMBDA_POINTS))
 

@@ -266,6 +266,16 @@ class GramBlocks(Sequence):
             out[start:stop] = self._kernel_rows(j, start, stop) @ v
         return out
 
+    def dots(self, j, vs) -> list[np.ndarray]:
+        """Exact K_j v for each v in vs. A block not yet built is built
+        for these products alone and not kept."""
+        K = self._dense[j]
+        if K is None and self._Ut is None:
+            K = self._kernel_rows(j, 0, self.n)
+        if K is None:
+            return [self.dot(j, v) for v in vs]
+        return [K @ v for v in vs]
+
     def coords(self, j, a) -> np.ndarray:
         """Block j's coordinates of alpha_j: U_j^T alpha_j, or alpha_j."""
         return a if self._Ut is None else self._part(self._Ut, j) @ a

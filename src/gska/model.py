@@ -211,6 +211,9 @@ def load(path) -> ModelState:
             doc = json.load(fh)
     except OSError as e:
         raise FileError(f"cannot open {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: corrupted model file: not UTF-8: {e}") \
+            from e
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: corrupted model file: {e}") from e
     try:

@@ -730,5 +730,24 @@ def lambda_max(gram, labels, partition: GroupPartition,
     lam = 0; for lam at or above this value the zero blocks satisfy the
     subgradient condition.
     """
-    blocks, risk, zero = _entry(gram, labels, partition, cfg)
-    return _exact(blocks, risk, zero, partition, 0.0, 0.0)[1]
+    return lambda_maxes(gram, labels, partition, [cfg])[0]
+
+
+def lambda_maxes(gram, labels, partition: GroupPartition,
+                 cfgs) -> list[float]:
+    """lambda_max at each config in cfgs, in one pass over the blocks.
+
+    Each block is read once for every config's gradient at alpha = 0, and
+    a block not yet built is built for those products alone, so the pass
+    holds at most one block beside those already held. The residuals are
+    those of `_exact`, bit for bit.
+    """
+    blocks = _as_blocks(gram)
+    labels = np.asarray(labels, dtype=float)
+    slopes = [LabelledRisk(labels, _class_weights(cfg), cfg.loss_params)
+              .risk_and_slopes(np.zeros(blocks.n), 0.0)[1] for cfg in cfgs]
+    grads = zip(*(blocks.dots(j, slopes) for j in range(len(blocks))))
+    groups = _Groups(np.arange(partition.d + 1) * blocks.n, 0.0,
+                     partition.weights)
+    zero = np.zeros(partition.d * blocks.n)
+    return [groups.kkt(zero, _flat(g), 0.0) for g in grads]

@@ -190,6 +190,55 @@ class TestFit:
         assert code == 1
 
 
+
+class TestUnreadableInput:
+    """A file that is not UTF-8, or a CSV cell over the csv module's field
+    limit, exits 1 with an error that names the file (and the CSV row)."""
+
+    def _error(self, capsys, argv):
+        assert run(argv) == 1
+        return capsys.readouterr().err
+
+    def test_data_not_utf8(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        lines = (synth_dir / "features.csv").read_bytes().split(b"\r\n")
+        lines[2] = lines[2].replace(b",", b",\xff", 1)
+        bad.write_bytes(b"\r\n".join(lines))
+        err = self._error(capsys, [
+            "cv", "--data", str(bad), "--groups",
+            str(synth_dir / "groups.json"), "--out", str(tmp_path / "cv")])
+        assert f"error: {bad}: row 1: byte 0xff at offset" in err
+
+    def test_groups_not_utf8(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "groups.json"
+        bad.write_bytes(b'{"groups": "\xff"}')
+        err = self._error(capsys, [
+            "fit", "--data", str(synth_dir / "features.csv"), "--groups",
+            str(bad), "--out", str(tmp_path / "m.json")])
+        assert err.startswith(f"error: {bad}: not UTF-8")
+
+    def test_model_not_utf8(self, synth_dir, model_path, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(model_path.read_bytes().replace(b"{", b"{\xff", 1))
+        err = self._error(capsys, [
+            "predict", "--model", str(bad), "--data",
+            str(synth_dir / "features.csv"), "--out", str(tmp_path / "p.csv")])
+        assert err.startswith(f"error: {bad}: corrupted model file: not "
+                              "UTF-8")
+
+    def test_cell_over_the_field_limit(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "features.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[0] = "0." + "0" * 140_000
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "long.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        err = self._error(capsys, [
+            "cv", "--data", str(bad), "--groups",
+            str(synth_dir / "groups.json"), "--out", str(tmp_path / "cv")])
+        assert err == (f"error: {bad}: row 2: field larger than field limit "
+                       "(131072)\n")
+
 @pytest.fixture(scope="module")
 def id_csv(synth_dir, tmp_path_factory):
     # the synthetic features CSV with a sample_id column in front

@@ -72,6 +72,156 @@ class TestLoadCsv:
         np.testing.assert_array_equal(d2.labels, d.labels)
 
 
+# Small files and what the csv module and float() make of each, row by row:
+# the Dataset (samples, labels, feature names, sample ids) or the error text,
+# with {path} for the file's path. Each file is read either by numpy's C
+# reader or by the row loop; both must give these, bit for bit.
+LOADER_CORPUS = {
+    "quoted_number": (b'f1,f2,label\n"1.5",2,1\n3,4,0\n',
+                      ([[1.5, 2.0], [3.0, 4.0]], [1.0, -1.0], ("f1", "f2"),
+                       ("0", "1"))),
+    "quoted_id_with_comma": (b'f1,sample_id,label\n1,"a,b",1\n2,c,0\n',
+                             ([[1.0], [2.0]], [1.0, -1.0], ("f1",),
+                              ("a,b", "c"))),
+    "blank_line_mid": (b"f1,f2,label\n1,2,1\n\n3,4,0\n",
+                       "{path}: row 1 has 0 cells, expected 3"),
+    "blank_line_end": (b"f1,f2,label\n1,2,1\n3,4,0\n\n",
+                       "{path}: row 2 has 0 cells, expected 3"),
+    "crlf": (b"f1,f2,label\r\n1,2,1\r\n3,4,0\r\n",
+             ([[1.0, 2.0], [3.0, 4.0]], [1.0, -1.0], ("f1", "f2"),
+              ("0", "1"))),
+    "crlf_blank_line": (b"f1,label\r\n1,1\r\n\r\n2,0\r\n",
+                        "{path}: row 1 has 0 cells, expected 2"),
+    "cr_cr_lf": (b"f1,label\n1,1\r\r\n2,0\n",
+                 "{path}: row 1 has 0 cells, expected 2"),
+    "cr_in_header": (b"f1\rf2,label\n1,1\n",
+                     "{path}: label column 'label' not found"),
+    "last_line_cr": (b"f1,label\n1,1\n2,0\r",
+                     ([[1.0], [2.0]], [1.0, -1.0], ("f1",), ("0", "1"))),
+    "whitespace_line": (b"f1,label\n1,1\n \n2,0\n",
+                        "{path}: row 1 has 1 cells, expected 2"),
+    "header_only": (b"f1,label\r\n", "{path}: no data rows"),
+    "lone_cr": (b"f1,f2,label\r1,2,1\r3,4,0\r",
+                ([[1.0, 2.0], [3.0, 4.0]], [1.0, -1.0], ("f1", "f2"),
+                 ("0", "1"))),
+    "underscore": (b"f1,f2,label\n1_000,2,1\n3,4,0\n",
+                   ([[1000.0, 2.0], [3.0, 4.0]], [1.0, -1.0], ("f1", "f2"),
+                    ("0", "1"))),
+    "arabic_indic_digits": ("f1,f2,label\n\u0661\u0662,2,1\n3,4,0\n".encode(),
+                            ([[12.0, 2.0], [3.0, 4.0]], [1.0, -1.0],
+                             ("f1", "f2"), ("0", "1"))),
+    "space_and_tab": (b"f1,f2,label\n 1 ,\t2\t,1\n3, 4 , 0\n",
+                      ([[1.0, 2.0], [3.0, 4.0]], [1.0, -1.0], ("f1", "f2"),
+                       ("0", "1"))),
+    "nan_cell": (b"f1,f2,label\n1,nan,1\n3,4,0\n",
+                 "{path}: non-finite feature value at row 0, column 'f2'"),
+    "inf_cell": (b"f1,f2,label\n1,2,1\n-inf,4,0\n",
+                 "{path}: non-finite feature value at row 1, column 'f1'"),
+    "label_forms": (b"f1,label\n1,+1\n2,1.0\n3,-0\n4,0\n5,-1\n",
+                    ([[1.0], [2.0], [3.0], [4.0], [5.0]],
+                     [1.0, 1.0, -1.0, -1.0, -1.0], ("f1",),
+                     ("0", "1", "2", "3", "4"))),
+    "label_out_of_set": (b"f1,label\n1,1\n2,2\n",
+                         "{path}: row 1: label '2' outside permitted set "
+                         "{{-1, +1, 0, 1}}"),
+    "ragged_row": (b"f1,f2,label\n1,2,1\n3,0\n",
+                   "{path}: row 1 has 2 cells, expected 3"),
+    "trailing_comma": (b"f1,f2,label\n1,2,1,\n3,4,0,\n",
+                       "{path}: row 0 has 4 cells, expected 3"),
+    "bom": (b"\xef\xbb\xbff1,f2,label\n1,2,1\n3,4,0\n",
+            ([[1.0, 2.0], [3.0, 4.0]], [1.0, -1.0], ("\ufefff1", "f2"),
+             ("0", "1"))),
+    "id_mid_row": (b"f1,sample_id,f2,label\n1,x7,2,1\n3, y ,4,0\n",
+                   ([[1.0, 2.0], [3.0, 4.0]], [1.0, -1.0], ("f1", "f2"),
+                    ("x7", " y "))),
+    "id_last_crlf": (b"f1,label,sample_id\r\n1,1,a\r\n2,0,\r\n",
+                     ([[1.0], [2.0]], [1.0, -1.0], ("f1",), ("a", ""))),
+    "label_first": (b"label,f1,f2\n1,1.5,2\n0,3,4e-3\n",
+                    ([[1.5, 2.0], [3.0, 0.004]], [1.0, -1.0], ("f1", "f2"),
+                     ("0", "1"))),
+    "one_row": (b"f1,f2,label\n1,2,1\n",
+                ([[1.0, 2.0]], [1.0], ("f1", "f2"), ("0",))),
+    "hash_in_cell": (b"f1,f2,label\n1,2#3,1\n3,4,0\n",
+                     "{path}: row 0, column 'f2': cannot parse '2#3'"),
+    "extreme_values": (b"f1,f2,label\n0.1,1e-320,1\n"
+                       b"-1.7976931348623157e308,2.2250738585072014e-308,0\n",
+                       ([[0.1, 1e-320],
+                         [-1.7976931348623157e308, 2.2250738585072014e-308]],
+                        [1.0, -1.0], ("f1", "f2"), ("0", "1"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_CORPUS))
+def test_loader_corpus(tmp_path, name):
+    raw, expect = LOADER_CORPUS[name]
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    if isinstance(expect, str):
+        with pytest.raises(DataError) as err:
+            gska.load_csv(path, "label")
+        assert str(err.value) == expect.format(path=path)
+        return
+    d = gska.load_csv(path, "label")
+    samples, labels, names, ids = expect
+    assert d.samples.tobytes() == np.array(samples).tobytes()
+    assert d.samples.shape == np.shape(samples)
+    assert d.samples.flags.c_contiguous
+    assert d.labels.tobytes() == np.array(labels).tobytes()
+    assert (d.feature_names, d.sample_ids) == (names, ids)
+
+
+@pytest.mark.parametrize("with_ids", [False, True])
+def test_plain_reader_matches_the_row_loop(tmp_path, with_ids):
+    # the row loop is the reference: the C reader must give its Dataset
+    d, _, _ = gska.synth_generate(300, 5, 0.2)
+    path = tmp_path / "synth.csv"
+    write_csv(d, path)
+    raw = path.read_bytes()
+    if with_ids:
+        lines = raw.split(b"\r\n")
+        raw = b"\r\n".join(line and (b"sample_id," if i == 0 else
+                                     b"id%d," % i) + line
+                            for i, line in enumerate(lines))
+    plain = gska.data._read_plain(raw, "label")
+    rows = gska.data._read_rows(path, raw, "label")
+    assert plain.samples.tobytes() == rows.samples.tobytes()
+    assert plain.samples.flags.c_contiguous
+    assert plain.labels.tobytes() == rows.labels.tobytes()
+    assert (plain.feature_names, plain.sample_ids) == (rows.feature_names,
+                                                       rows.sample_ids)
+    assert rows.sample_ids[0] == ("id1" if with_ids else "0")
+
+
+@pytest.mark.parametrize("text", [
+    "f1,f2,label\n1,2,1\n3,4,0\n",
+    "sample_id,f1,label\r\na,1,1\r\nb,2,0\r\n"])
+def test_plain_file_skips_the_row_loop(tmp_path, monkeypatch, text):
+    # a file of plain ASCII is read by numpy's C reader alone
+    path = make_csv(tmp_path, text)
+    expect = gska.load_csv(path, "label")
+    monkeypatch.setattr(gska.data, "_read_rows", None)
+    d = gska.load_csv(path, "label")
+    assert d.samples.tobytes() == expect.samples.tobytes()
+    assert (d.labels.tobytes(), d.sample_ids) == (expect.labels.tobytes(),
+                                                  expect.sample_ids)
+
+
+class TestUnreadableCsv:
+    def test_byte_not_utf8_names_its_row(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b'f1,label\n1,1\n"a\nb",0\n3,\xff\n')
+        with pytest.raises(DataError) as err:
+            gska.load_csv(path, "label")
+        assert str(err.value) == (f"{path}: row 2: byte 0xff at offset 23 "
+                                  "is not UTF-8")
+
+    def test_byte_not_utf8_in_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xfff1,label\n1,1\n")
+        with pytest.raises(DataError, match=": header: byte 0xff at offset 0"):
+            gska.load_csv(path, "label")
+
+
 class TestStandardize:
     def test_hand_computed_column(self):
         # mean 2, population std sqrt(2/3) = 0.8165

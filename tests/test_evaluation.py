@@ -1,16 +1,17 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gska
-from gska import model as model_mod
+from gska import evaluation, model as model_mod
 from gska.data import DataError
 from gska.evaluation import (accuracy_f1, auroc, cross_validate, grid_search,
                              paired_ttest, pearson_matrix, stratified_kfold)
-from gska.solver import SolverConfig
+from gska.solver import SolverConfig, group_gradient
 
 from oracles import brute_force_auroc, naive_pearson, t_sf_high_precision
 
@@ -157,6 +158,35 @@ class TestCrossValidate:
         assign = report.fold_assignments
         assert assign.size == data.n
         assert set(np.unique(assign)) == set(range(4))
+
+
+class TestDefaultLambdaGrid:
+    def test_holds_one_gram_block_at_a_time(self):
+        # all four 2000 x 2000 blocks held at once would take 128 MB
+        n = 2000
+        data, part, _ = gska.synth_generate(n, 1, 0.2)
+        tracemalloc.start()
+        try:
+            evaluation.default_lambda_grid(data, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * 8
+
+    def test_top_is_the_largest_lambda_max(self):
+        data, part, _ = gska.synth_generate(300, 2, 0.2)
+        fold = model_mod._prepare_fold(data, part)
+        tops = []
+        for s in evaluation.DEFAULT_SIGMAS:
+            cfg = SolverConfig(0.0, s, class_weights=fold.class_weights)
+            tops.append(max(
+                np.linalg.norm(group_gradient(
+                    np.zeros((part.d, fold.train.n)), fold.gram,
+                    fold.train.labels, part, cfg, j)) / part.weights[j]
+                for j in range(part.d)))
+        grid = evaluation.default_lambda_grid(data, part)
+        assert grid[-1] == pytest.approx(max(tops), rel=1e-12)
+        assert grid[0] == 1e-4 and len(grid) == 20
 
 
 class TestGridSearch:
