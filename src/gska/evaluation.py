@@ -19,7 +19,7 @@ from scipy.special import stdtr
 from . import interpret, model as model_mod
 from .data import DataError, Dataset, GroupPartition, stratified_kfold
 from .kernels import KernelSpec
-from .solver import SolverConfig, basis_budget, lambda_maxes
+from .solver import SolverConfig, lambda_maxes
 
 
 @dataclass(frozen=True)
@@ -154,15 +154,10 @@ def grid_search(data: Dataset, partition: GroupPartition,
                 seed: int = 0, kernel: KernelSpec | None = None, *,
                 tol: float = SolverConfig.tol,
                 max_iters: int = SolverConfig.max_iters) -> GridResult:
-    """Mean CV AUROC per (lambda, sigma), warm-starting along decreasing
+    """Mean CV AUROC per (lambda, sigma). Each fold solves the whole grid
+    along one path (solver.solve_path), warm-starting along decreasing
     lambda. Ties break toward larger lambda, then larger sigma. Every solve
-    runs to `tol` within `max_iters` (SolverConfig's). A fold's bases are
-    built once, to the tightest basis budget on the grid at or above the
-    Gram's floor, so that each later solve on the fold reuses them. A solve
-    whose budget is under the floor (every one at lambda = 0) runs dense and
-    drops the bases, so the fold runs those solves last: each sigma's path
-    stops above them, and resumes there, from its own alpha, once every
-    sigma's path has run in the bases."""
+    runs to `tol` within `max_iters` (SolverConfig's)."""
     sigmas = _grid_values(sigmas, "sigma")
     if lambdas is None:
         lambdas = default_lambda_grid(data, partition, sigmas, kernel=kernel)
@@ -170,39 +165,17 @@ def grid_search(data: Dataset, partition: GroupPartition,
     if lambdas[0] < 0:
         raise DataError(f"lambda grid value {lambdas[0]!r} is negative")
     assign = stratified_kfold(data.labels, k, seed)
+    cfgs = [SolverConfig(lam, s, max_iters=max_iters, tol=tol)
+            for lam in lambdas for s in sigmas]
     sums = {(lam, s): 0.0 for lam in lambdas for s in sigmas}
     for f in range(k):
         mask = assign == f
         fold = model_mod._prepare_fold(data.subset(~mask), partition, kernel)
         test = data.subset(mask)
-
-        def config(lam, s):
-            return SolverConfig(lam, s, max_iters=max_iters, tol=tol,
-                                class_weights=fold.class_weights)
-
-        budget = {(lam, s): basis_budget(fold.train.n, partition,
-                                         config(lam, s))
-                  for lam in lambdas for s in sigmas}
-        floor = fold.gram.floor
-        fold.gram.shared_budget = min(
-            (b for b in budget.values() if b >= floor), default=np.inf)
-
-        def walk(s, path, alpha):
-            for lam in path:
-                fitted = model_mod._solve_fold(fold, config(lam, s),
-                                               init=alpha)
-                scores = model_mod.decision_function(fitted, test)
-                sums[(lam, s)] += auroc(scores, test.labels)
-                alpha = fitted.alpha
-            return alpha
-
-        # a budget is proportional to lambda, so the solves under the floor
-        # end each sigma's path down
-        down = lambdas[::-1]
-        ends = {s: walk(s, [lam for lam in down if budget[lam, s] >= floor],
-                        None) for s in sigmas}
-        for s in sigmas:
-            walk(s, [lam for lam in down if budget[lam, s] < floor], ends[s])
+        for fitted in model_mod._solve_fold(fold, cfgs):
+            scores = model_mod.decision_function(fitted, test)
+            sums[(fitted.lam, fitted.loss_params.sigma)] += auroc(
+                scores, test.labels)
         del fold    # free this fold's Gram before the next one is built
     points = tuple((lam, s, sums[(lam, s)] / k)
                    for lam in lambdas for s in sigmas)

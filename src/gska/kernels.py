@@ -10,8 +10,8 @@ never holds the others. The solver may ask the container, once, to replace
 every block by an orthonormal eigenbasis U_j with eigenvalues Lambda_j,
 K_j ~ U_j diag(Lambda_j) U_j^T, for a solve far below lambda_max.
 Every basis is built to an error budget B, the spectral-norm error
-||K_j - U_j Lambda_j U_j^T||_2 the solve that asks for it allows
-(solver.basis_budget), and the container records the budget its bases meet.
+||K_j - U_j Lambda_j U_j^T||_2 the solve that asks for it allows (see
+`solver`), and the container records the budget its bases meet.
 A block whose pivoted-Cholesky factor L (n x r, Fine & Scheinberg 2001;
 Harbrecht, Peters & Schneider 2012) reaches tr(K - L L^T) <= B, which bounds
 the spectral norm of that PSD error, at a rank below n / 2 takes its basis
@@ -207,8 +207,9 @@ class GramBlocks(Sequence):
 
     `budget` is the error bound the bases were built to (None while dense).
     `shared_budget` is the tightest budget among the solves that will share
-    these blocks (inf unless a caller sets it): a build takes it where it is
-    tighter than the one asked for, so that one build serves them all.
+    these blocks (inf until solver.solve_path, the only code that sets it,
+    sets it for its path): a build takes it where it is tighter than the one
+    asked for, so that one build serves them all.
     `floor` is the tightest budget a build may take.
     """
 

@@ -1,8 +1,10 @@
 """Fitted classifier: the prepared-fold path, scoring, prediction, persistence.
 
 `_prepare_fold` builds a training set's Gram once; fit, cross-validation,
-grid search and the default lambda grid all solve from it. A fitted model
-keeps no Gram: it is plain data, the same whether fitted or loaded.
+grid search and the default lambda grid all solve from it, and fit and grid
+search solve through `_solve_fold`, one solver.solve_path per fold. A
+fitted model keeps no Gram: it is plain data, the same whether fitted or
+loaded.
 
 The decision function is the additive kernel expansion over the stored
 (standardized) training points, so the model file carries the training
@@ -27,7 +29,7 @@ from .data import (DataError, Dataset, FileError, GroupPartition,
                    ScalingParams, apply_scaling, finite_number, standardize)
 from .kernels import (GramBlocks, KernelSpec, cross_gram, gram_blocks,
                       median_heuristic_gamma)
-from .solver import SolveReport, SolverConfig, solve
+from .solver import SolveReport, SolverConfig, solve_path
 
 SCHEMA_VERSION = 1
 # Kernel values in one group's cross-Gram tile while scoring (1 MB)
@@ -86,22 +88,24 @@ def _prepare_fold(data: Dataset, partition: GroupPartition,
                  gram_blocks(std_data, partition, kernel))
 
 
-def _solve_fold(fold: _Fold, cfg: SolverConfig, init=None) -> ModelState:
-    """Solve at cfg; class weights None in cfg mean inverse-frequency."""
-    if cfg.class_weights is None:
-        cfg = replace(cfg, class_weights=fold.class_weights)
-    alpha, report = solve(fold.gram, fold.train.labels, fold.partition, cfg,
-                          init)
-    return ModelState(alpha=alpha, train=fold.train, scaling=fold.scaling,
-                      partition=fold.partition, kernel=fold.kernel,
-                      loss_params=cfg.loss_params, lam=cfg.lam,
-                      class_weights=cfg.class_weights, report=report)
+def _solve_fold(fold: _Fold, cfgs):
+    """A ModelState per config, in solver.solve_path's order; class weights
+    None in a config mean inverse-frequency."""
+    cfgs = [cfg if cfg.class_weights is not None
+            else replace(cfg, class_weights=fold.class_weights)
+            for cfg in cfgs]
+    for cfg, alpha, report in solve_path(fold.gram, fold.train.labels,
+                                         fold.partition, cfgs):
+        yield ModelState(alpha=alpha, train=fold.train, scaling=fold.scaling,
+                         partition=fold.partition, kernel=fold.kernel,
+                         loss_params=cfg.loss_params, lam=cfg.lam,
+                         class_weights=cfg.class_weights, report=report)
 
 
 def fit(data: Dataset, partition: GroupPartition, cfg: SolverConfig,
         kernel: KernelSpec | None = None) -> ModelState:
     """Prepare and solve; class weights None in cfg mean inverse-frequency."""
-    return _solve_fold(_prepare_fold(data, partition, kernel), cfg)
+    return next(_solve_fold(_prepare_fold(data, partition, kernel), [cfg]))
 
 
 def _model_columns(model: ModelState, data: Dataset) -> Dataset:

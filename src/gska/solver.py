@@ -89,6 +89,10 @@ bases those are the iterations' own products: a solve that stops on the
 residual reports its last iterate's objective and its residual over W and
 the set-aside blocks' check as they are, and _exact recomputes them at the
 returned alpha only after max_iters, at the rounding floor or in the bases.
+
+Fit and grid search solve a fold's configs along one path (solve_path),
+which owns their order, their warm starts and the blocks' shared basis
+budget, so that the fold's bases are built once.
 """
 
 from __future__ import annotations
@@ -720,6 +724,34 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
                          converged=converged, active_groups=active,
                          intercept=b, kkt_residual=kkt)
     return alpha, report
+
+
+def solve_path(gram, labels, partition: GroupPartition, cfgs):
+    """Solve at every config in cfgs on one set of blocks, in path order;
+    yield (cfg, alpha, SolveReport) for each.
+
+    The path runs sigma ascending and, at each sigma, lam descending, each
+    solve warm-started from the last alpha at its sigma. The blocks'
+    shared_budget is set to the tightest basis_budget at or above
+    GramBlocks.floor, so that the path's first basis build serves every
+    later solve. A solve whose budget is under the floor (every one at lam
+    = 0) runs dense and drops the bases, so those solves come last, after
+    every sigma's path in the bases, each resuming from its sigma's last
+    alpha.
+    """
+    blocks = _as_blocks(gram)
+    floor = blocks.floor
+    budgets = [basis_budget(blocks.n, partition, cfg) for cfg in cfgs]
+    blocks.shared_budget = min((b for b in budgets if b >= floor),
+                               default=np.inf)
+    last = {}
+    for _, cfg in sorted(zip(budgets, cfgs), key=lambda bc: (
+            bc[0] < floor, bc[1].sigma, -bc[1].lam)):
+        # the module's `solve`, positionally: a caller may rebind it
+        alpha, report = solve(blocks, labels, partition, cfg,
+                              last.get(cfg.sigma))
+        last[cfg.sigma] = alpha
+        yield cfg, alpha, report
 
 
 def lambda_max(gram, labels, partition: GroupPartition,

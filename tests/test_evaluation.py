@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gska
-from gska import evaluation, model as model_mod
+from gska import evaluation, model as model_mod, solver
 from gska.data import DataError
 from gska.evaluation import (accuracy_f1, auroc, cross_validate, grid_search,
                              paired_ttest, pearson_matrix, stratified_kfold)
@@ -211,17 +211,17 @@ class TestGridSearch:
         assert res.best_lambda < 10.0
 
 
-    def test_paper_grid_never_caps(self, monkeypatch, capsys):
+    def test_paper_grid_never_caps(self, rebind, capsys):
         # demo 01's grid: 5 folds x 2 sigmas x 3 warm-started lambdas
         reports = []
-        original = model_mod._solve_fold
+        original = solver.solve
 
-        def recording(fold, cfg, init=None):
-            fitted = original(fold, cfg, init)
-            reports.append((cfg.lam, cfg.sigma, fitted.report))
-            return fitted
+        def recording(gram, labels, partition, cfg, init=None):
+            alpha, report = original(gram, labels, partition, cfg, init)
+            reports.append((cfg.lam, cfg.sigma, report))
+            return alpha, report
 
-        monkeypatch.setattr(model_mod, "_solve_fold", recording)
+        rebind(original, recording)
         data, part, _ = gska.synth_generate(500, 1, 0.2)
         grid_search(data, part, lambdas=[0.01, 0.03, 0.1], sigmas=[0.5, 1.0],
                     k=5, seed=1)
