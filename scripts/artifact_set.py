@@ -15,6 +15,9 @@ below, its artifact and its stdout and stderr as <run>.stdout and
     grid_tol_n500       grid, n 500, 5 lambdas 0.001-0.1, sigmas 0.5 1 2,
                         --tol 1e-3
     grid_default_n300   grid, n 300, the default lambda and sigma grids
+    grid_lam0_n300      grid, n 300, lambdas 0 0.01 0.03, sigmas 0.5 1,
+                        3 folds: the lambda = 0 solves run dense, after
+                        every sigma's path in the bases
     predict_q50k        predict, fit_n500's model on a 50 000-row query
                         (synthetic, seed + 1 000 003), to predict_q50k.csv
 
@@ -70,6 +73,9 @@ def runs(seed: int) -> dict[str, list[str]]:
                           "--out", "grid_tol_n500.json"],
         "grid_default_n300": ["grid", *data(300), "--seed", s,
                               "--out", "grid_default_n300.json"],
+        "grid_lam0_n300": ["grid", *data(300), "--lambdas", "0", "0.01",
+                           "0.03", "--sigmas", "0.5", "1", "--folds", "3",
+                           "--seed", s, "--out", "grid_lam0_n300.json"],
         "predict_q50k": ["predict", "--model", "fit_n500.json", "--data",
                          "q50k/features.csv", "--out", "predict_q50k.csv"],
     }

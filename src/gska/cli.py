@@ -168,8 +168,10 @@ def cmd_grid(args):
                                     args.folds, args.seed,
                                     _kernel(args, partition.d),
                                     tol=args.tol, max_iters=args.max_iters)
-    doc = {"points": [{"lambda": lam, "sigma": s, "auroc": a}
-                      for lam, s, a in result.points],
+    doc = {"points": [{"lambda": lam, "sigma": s, "auroc": a,
+                       "unconverged": u}
+                      for (lam, s, a), u in zip(result.points,
+                                                result.unconverged)],
            "best": {"lambda": result.best_lambda, "sigma": result.best_sigma,
                     "auroc": result.best_auroc},
            "seed": args.seed}

@@ -45,6 +45,8 @@ class GridResult:
     best_lambda: float
     best_sigma: float
     best_auroc: float
+    # per point, as in points: the folds whose solve ended unconverged
+    unconverged: tuple[int, ...]
 
 
 def auroc(scores, labels) -> float:
@@ -157,7 +159,8 @@ def grid_search(data: Dataset, partition: GroupPartition,
     """Mean CV AUROC per (lambda, sigma). Each fold solves the whole grid
     along one path (solver.solve_path), warm-starting along decreasing
     lambda. Ties break toward larger lambda, then larger sigma. Every solve
-    runs to `tol` within `max_iters` (SolverConfig's)."""
+    runs to `tol` within `max_iters` (SolverConfig's); `unconverged` counts,
+    per point, the folds whose solve did not get there."""
     sigmas = _grid_values(sigmas, "sigma")
     if lambdas is None:
         lambdas = default_lambda_grid(data, partition, sigmas, kernel=kernel)
@@ -168,20 +171,22 @@ def grid_search(data: Dataset, partition: GroupPartition,
     cfgs = [SolverConfig(lam, s, max_iters=max_iters, tol=tol)
             for lam in lambdas for s in sigmas]
     sums = {(lam, s): 0.0 for lam in lambdas for s in sigmas}
+    unconverged = dict.fromkeys(sums, 0)
     for f in range(k):
         mask = assign == f
         fold = model_mod._prepare_fold(data.subset(~mask), partition, kernel)
         test = data.subset(mask)
         for fitted in model_mod._solve_fold(fold, cfgs):
+            point = (fitted.lam, fitted.loss_params.sigma)
             scores = model_mod.decision_function(fitted, test)
-            sums[(fitted.lam, fitted.loss_params.sigma)] += auroc(
-                scores, test.labels)
+            sums[point] += auroc(scores, test.labels)
+            unconverged[point] += not fitted.report.converged
         del fold    # free this fold's Gram before the next one is built
-    points = tuple((lam, s, sums[(lam, s)] / k)
-                   for lam in lambdas for s in sigmas)
+    points = tuple((lam, s, total / k) for (lam, s), total in sums.items())
     best = max(points, key=lambda pt: (pt[2], pt[0], pt[1]))
     return GridResult(points=points, best_lambda=best[0], best_sigma=best[1],
-                      best_auroc=best[2])
+                      best_auroc=best[2],
+                      unconverged=tuple(unconverged.values()))
 
 
 def pearson_matrix(a, b) -> np.ndarray:

@@ -500,25 +500,11 @@ def solve(gram, labels, partition: GroupPartition, cfg: SolverConfig,
     With cfg.fit_intercept, b starts at 0 and each step moves it with the
     blocks under one line search, whose backtracking stops at s >= d + 1.
 
-    Iterations work on whole arrays over a working set W of groups: W's
-    coordinates as one flat vector, W's gradients from one `gradients`
-    call and the margins from one `scores` call, and one batched
-    `group_update` per backtracking attempt, warm-started from the previous
-    multipliers. W is every group but those a cold start on dense blocks
-    sets aside by the basic strong rule, ||g_j|| / w_j < 2 lam -
-    lambda_max at alpha = 0; once W's residual reaches cfg.tol / 10, a
-    set-aside block whose own residual is above that joins W (see the
-    module docstring). On a GramBlocks from kernels.gram_blocks, every
-    iteration of a solve at 0 < lam <= lambda_max / 3 runs in the blocks'
-    eigenbases, with a per-coordinate majorizer, as does every iteration
-    where the blocks already hold bases within the solve's basis_budget.
-    Cold or warm, an unsettled start on blocks without bases reads that
-    ratio off the gradient at alpha = 0 block by block, and builds no block
-    dense past the first one whose own ratio and residual decide for the
-    bases. alpha is returned in its own coordinates, and the objective
-    reported last in the trace, `converged` and the report's kkt_residual
-    are exact kernel values at the returned alpha and intercept, over every
-    group, with the iterations' own risk and group reductions.
+    The module docstring states how: the working set, the choice between
+    dense blocks and eigenbases, and each basis's budget. alpha is returned
+    in its own coordinates, and the objective reported last in the trace,
+    `converged` and the report's kkt_residual are exact kernel values at
+    the returned alpha and intercept, over every group.
 
     An init that is not finite, or whose margins or objective are not,
     raises DataError before any basis is built.

@@ -466,6 +466,7 @@ class TestGrid:
         assert len(doc["points"]) == 2
         aurocs = [p["auroc"] for p in doc["points"]]
         assert doc["best"]["auroc"] == max(aurocs)
+        assert [p["unconverged"] for p in doc["points"]] == [0, 0]
         assert doc["best"]["lambda"] in (0.02, 0.1)
 
     @pytest.mark.parametrize("flag,values", [
@@ -493,6 +494,8 @@ class TestGrid:
                     "--folds", "2", "--tol", "1e-9", "--max-iters", "3",
                     "--out", str(tmp_path / "grid.json")])
         assert code == 0
+        points = json.loads((tmp_path / "grid.json").read_text())["points"]
+        assert [p["unconverged"] for p in points] == [2, 2]
         warnings = capsys.readouterr().err.splitlines()
         assert len(warnings) == 2 * 2
         assert all("stopped after 3 iterations (max_iters=3)" in w

@@ -202,6 +202,7 @@ class TestGridSearch:
                           k=4, seed=0)
         for _, _, a in res.points:
             assert a == 0.5
+        assert res.unconverged == (0, 0)
         assert res.best_lambda == 100.0     # tie toward larger lambda
 
     def test_synthetic_best_below_lambda_max(self):
@@ -223,8 +224,9 @@ class TestGridSearch:
 
         rebind(original, recording)
         data, part, _ = gska.synth_generate(500, 1, 0.2)
-        grid_search(data, part, lambdas=[0.01, 0.03, 0.1], sigmas=[0.5, 1.0],
-                    k=5, seed=1)
+        res = grid_search(data, part, lambdas=[0.01, 0.03, 0.1],
+                          sigmas=[0.5, 1.0], k=5, seed=1)
+        assert res.unconverged == (0,) * 6
         assert len(reports) == 30
         assert [(lam, s) for lam, s, _ in reports[:6]] == [
             (0.1, 0.5), (0.03, 0.5), (0.01, 0.5),
@@ -232,6 +234,15 @@ class TestGridSearch:
         assert all(rep.converged and rep.iterations < 1000
                    for _, _, rep in reports)
         assert "max_iters" not in capsys.readouterr().err
+
+    def test_capped_solves_counted_per_point(self, capsys):
+        # every lambda is far below lambda_max, so no solve converges in one
+        # iteration, cold or warm
+        data, part, _ = gska.synth_generate(100, 63, 0.2)
+        res = grid_search(data, part, lambdas=[0.003, 0.01], sigmas=[0.5, 1.0],
+                          k=3, seed=0, max_iters=1)
+        assert res.unconverged == (3,) * 4
+        assert capsys.readouterr().err.count("(max_iters=1)") == 3 * 4
 
     @pytest.mark.parametrize("lambdas,sigmas,repeated", [
         ([0.1, 0.02, 0.1], [1.0], "lambda grid repeats the value 0.1"),

@@ -28,7 +28,7 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 import gska
-from gska import kernels, model
+from gska import kernels, model, solver
 from gska.cli import run
 from gska.coherence import ClassWeights, LabelledRisk, loss_grad
 from gska.data import Dataset, GroupPartition
@@ -1242,6 +1242,52 @@ class TestBudget:
         budgets = [b for _, b in built]
         assert budgets[:3] == budgets[3:]
         assert min(budgets) > 10 * data.n * kernels._FACTOR_EPS
+
+    def test_solve_path_order_warm_starts_and_one_build(self, monkeypatch,
+                                                        rebind):
+        # configs given in no order: the path runs sigma ascending, lam
+        # descending, with the solves under the floor (lam = 0) last; each
+        # solve starts from its sigma's last alpha, and the first basis build
+        # takes the tightest budget at or above the floor
+        data, part, _ = gska.synth_generate(300, 1, 0.2)
+        fold = model._prepare_fold(data, part)
+        cfgs = [SolverConfig(lam, s, max_iters=50,
+                             class_weights=fold.class_weights)
+                for s in (1.0, 0.5) for lam in (0.01, 0.0, 0.03, 0.003)]
+        calls, builds = [], []
+        original_solve = solver.solve
+        original_build = kernels.GramBlocks.to_eigenbasis
+
+        def recording(gram, labels, partition, cfg, init=None):
+            alpha, report = original_solve(gram, labels, partition, cfg, init)
+            calls.append((gram, cfg, init, alpha))
+            return alpha, report
+
+        def counted(self, budget):
+            done = original_build(self, budget)
+            if done:
+                builds.append(self.budget)
+            return done
+
+        rebind(original_solve, recording)
+        monkeypatch.setattr(kernels.GramBlocks, "to_eigenbasis", counted)
+        path = list(solver.solve_path(fold.gram, fold.train.labels, part,
+                                      cfgs))
+        assert [(cfg.sigma, cfg.lam) for cfg, _, _ in path] == [
+            (0.5, 0.03), (0.5, 0.01), (0.5, 0.003),
+            (1.0, 0.03), (1.0, 0.01), (1.0, 0.003), (0.5, 0.0), (1.0, 0.0)]
+        assert [c[1] for c in calls] == [cfg for cfg, _, _ in path]
+        assert [c[3] for c in calls] == [alpha for _, alpha, _ in path]
+        assert all(gram is fold.gram for gram, _, _, _ in calls)
+        last = {}
+        for _, cfg, init, alpha in calls:
+            assert init is last.get(cfg.sigma)
+            last[cfg.sigma] = alpha
+        budgets = [basis_budget(fold.train.n, part, cfg) for cfg in cfgs]
+        tightest = min(b for b in budgets if b >= fold.gram.floor)
+        assert tightest == min(b for b in budgets if b > 0)
+        assert fold.gram.shared_budget == tightest
+        assert builds == [tightest]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
+import ast
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -717,3 +719,36 @@ class TestIntercept:
         _, report = solve(gram, y, part, cfg)
         assert np.isfinite(report.intercept) and report.intercept != 0.0
         assert np.all(np.diff(report.objective_trace) <= 1e-10)
+
+
+def _named(name):
+    """(module, top-level definition, written) for every place in the
+    package's code that names `name`: a use, an import or a definition. A
+    method counts under its class."""
+    places = set()
+    for path in sorted(Path(gska.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if name in (getattr(node, key, None)
+                            for key in ("id", "attr", "name")):
+                    places.add((path.stem, getattr(top, "name", ""),
+                                isinstance(getattr(node, "ctx", None),
+                                           ast.Store)))
+    return places
+
+
+def test_the_path_policy_lives_in_the_solver():
+    # a fold's lambda order, warm starts and basis budget are solve_path's:
+    # fit and grid search solve only through it, the evaluation layer names
+    # no budget or floor, and only solve_path sets the shared budget (beside
+    # GramBlocks' own initial value)
+    assert {m for m, _, _ in _named("basis_budget")} == {"solver"}
+    assert {m for m, _, _ in _named("shared_budget")} == {"solver", "kernels"}
+    assert {(m, top) for m, top, written in _named("shared_budget")
+            if written} == {("solver", "solve_path"), ("kernels", "GramBlocks")}
+    assert {(m, top) for m, top, _ in _named("solve")} == {
+        ("__init__", ""), ("solver", "solve"), ("solver", "solve_path")}
+    assert {m for m, _, _ in _named("solve_path")} == {"solver", "model"}
+    source = (Path(gska.__file__).resolve().parent
+              / "evaluation.py").read_text(encoding="utf-8")
+    assert "budget" not in source and "floor" not in source
